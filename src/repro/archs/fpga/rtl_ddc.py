@@ -194,19 +194,16 @@ class RTLDDC:
         self,
         samples: np.ndarray,
         drain_cycles: int | None = None,
-        mode: str | None = None,
-        activity: bool = True,
         *,
-        engine: str | None = None,
+        activity: bool = True,
+        engine: str = "cycle",
     ) -> RTLRunResult:
         """Feed ``samples`` (one per clock) and collect outputs.
 
         ``drain_cycles`` extra cycles flush the pipeline after the last
         input (default: enough for the FIR latency).
 
-        ``engine`` selects the execution engine (default ``"cycle"``;
-        ``mode=`` is the deprecated spelling of the same knob and keeps
-        working behind a ``DeprecationWarning``):
+        ``engine`` selects the execution engine (default ``"cycle"``):
 
         - ``"cycle"`` — the cycle-accurate simulation kernel, one clock
           edge per Python iteration.  This is the oracle.
@@ -226,15 +223,12 @@ class RTLDDC:
         returned report then carries zero toggles — which is the right
         setting for functional and throughput runs.
         """
-        from ...compat import resolve_engine_kwarg
-
-        mode = resolve_engine_kwarg("RTLDDC.run", engine, mode, "cycle")
         samples = np.asarray(samples)
         if not np.issubdtype(samples.dtype, np.integer):
             raise ConfigurationError("RTL DDC input must be raw integers")
         if drain_cycles is None:
             drain_cycles = len(self.taps_raw) + 16
-        if mode == "cycle":
+        if engine == "cycle":
             self.sim.activity = activity
             self.source.load(samples)
             self.sim.step(len(samples) + drain_cycles)
@@ -251,14 +245,14 @@ class RTLDDC:
                 cycles=self.sim.cycle,
                 activity=report,
             )
-        if mode == "block":
+        if engine == "block":
             return self._run_block(samples, drain_cycles, activity)
-        raise ConfigurationError(f"unknown RTL run engine {mode!r}")
+        raise ConfigurationError(f"unknown RTL run engine {engine!r}")
 
     def _run_block(
         self, samples: np.ndarray, drain_cycles: int, activity: bool
     ) -> RTLRunResult:
-        """The vectorised execution engine behind ``run(mode="block")``."""
+        """The vectorised execution engine behind ``run(engine="block")``."""
         x = samples.astype(np.int64, copy=False)
         n = x.size
         if n:

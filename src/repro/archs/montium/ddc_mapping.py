@@ -258,9 +258,8 @@ def run_ddc_on_tile(
     samples: np.ndarray,
     config: DDCConfig = REFERENCE_DDC,
     fir_taps: np.ndarray | None = None,
-    mode: str | None = None,
     *,
-    engine: str | None = None,
+    engine: str = "block",
 ) -> DDCMappingResult:
     """Execute the DDC mapping functionally over raw 12-bit input samples.
 
@@ -271,12 +270,7 @@ def run_ddc_on_tile(
     ``engine="block"`` (default) runs the vectorised block engine —
     bit-identical to ``engine="step"`` (the per-cycle oracle, the seed
     path), including cycle counts, ALU utilisation and all tile state.
-    ``mode=`` is the deprecated spelling of the same knob and keeps
-    working behind a ``DeprecationWarning``.
     """
-    from ...compat import resolve_engine_kwarg
-
-    mode = resolve_engine_kwarg("run_ddc_on_tile", engine, mode, "block")
     samples = np.asarray(samples)
     if not np.issubdtype(samples.dtype, np.integer):
         raise ConfigurationError("tile input must be raw integers")
@@ -305,12 +299,12 @@ def run_ddc_on_tile(
             [int(v) for v in to_fixed(np.sin(2 * np.pi * grid), q15)]
         )
     tile.load_inputs([int(v) for v in samples])
-    if mode == "block":
+    if engine == "block":
         tile.process_block(program, len(samples))
-    elif mode == "step":
+    elif engine == "step":
         tile.run(program, len(samples))
     else:
-        raise ConfigurationError(f"unknown tile engine {mode!r}")
+        raise ConfigurationError(f"unknown tile engine {engine!r}")
     out = np.array(tile.outputs, dtype=np.int64)
     return DDCMappingResult(
         i=out[0::2].copy() if out.size else out,

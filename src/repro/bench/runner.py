@@ -248,7 +248,7 @@ def run_dsp_suite(
     # they always run the full reference input even in --quick: quick-mode
     # CI numbers must stay comparable to the committed file.  All are
     # vectorised and cost milliseconds.  The fast path is the fused kernel
-    # tier (what auto dispatch picks on a numba-free install); baselines
+    # tier (what auto dispatch picks); baselines
     # are frozen seed loops, pinned in seed_paths so later optimisation of
     # the live primitives cannot drift them.
     if want("nco"):

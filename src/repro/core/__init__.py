@@ -20,7 +20,6 @@ from .evaluator import (
     DDCEvaluator,
     EvaluationResult,
     ReportCache,
-    WorkloadEvaluator,
     config_cache_key,
     default_models,
     shared_evaluator,
@@ -35,7 +34,6 @@ __all__ = [
     "DDCEvaluator",
     "EvaluationResult",
     "ReportCache",
-    "WorkloadEvaluator",
     "config_cache_key",
     "default_models",
     "shared_evaluator",

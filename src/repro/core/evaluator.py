@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, fields
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from .. import telemetry
 from ..archs.base import (
@@ -43,7 +43,7 @@ from ..config import DDCConfig, REFERENCE_DDC
 from ..energy.comparison import ArchitectureComparison
 from ..energy.scenarios import ScenarioAnalysis, ScenarioCandidate
 from ..energy.technology import TECH_130NM, scale_power
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, MappingError
 
 
 def default_models() -> list[ArchitectureModel]:
@@ -303,12 +303,24 @@ class DDCEvaluator:
         self.cache = cache
 
     # ------------------------------------------------------------- plumbing
+    def _outcome(
+        self, model: ArchitectureModel, config: DDCConfig
+    ) -> tuple[ImplementationReport | None, Exception | None]:
+        """``(report, mapping error)`` of one scalar model run."""
+        if self.cache is not None:
+            return self.cache._outcome(model, config)
+        try:
+            return model.implement(config), None
+        except (ConfigurationError, MappingError) as exc:
+            return None, exc
+
     def _implement(
         self, model: ArchitectureModel, config: DDCConfig
     ) -> ImplementationReport:
-        if self.cache is None:
-            return model.implement(config)
-        return self.cache.implement(model, config)
+        report, error = self._outcome(model, config)
+        if error is not None:
+            raise error
+        return report
 
     def _implement_batch(
         self, model: ArchitectureModel, configs: Sequence[DDCConfig]
@@ -475,64 +487,18 @@ class DDCEvaluator:
         return best_name
 
     # ----------------------------------------------------------- scenarios
-    @staticmethod
-    def _candidate(
-        report: ImplementationReport, standby_fraction: float
-    ) -> ScenarioCandidate:
-        """One feasible report as a scenario candidate (both paths)."""
-        return ScenarioCandidate(
-            name=report.architecture,
-            active_power_w=report.power_w,
-            standby_power_w=report.power_w * standby_fraction,
-            reusable=report.flexibility != Flexibility.FIXED_FUNCTION,
-        )
-
-    @staticmethod
-    def _require_candidates(
-        candidates: list[ScenarioCandidate], config: DDCConfig
-    ) -> list[ScenarioCandidate]:
-        """A fully-unmappable/infeasible grid point is a clear error, not
-        an empty list for ``ScenarioAnalysis`` to choke on downstream."""
-        if not candidates:
-            raise ConfigurationError(
-                "no architecture yields a feasible scenario candidate for "
-                f"{config}"
-            )
-        return candidates
-
     def scenario_candidates(
         self, config: DDCConfig = REFERENCE_DDC,
         standby_fraction: float = 0.05,
         strict: bool = True,
     ) -> list[ScenarioCandidate]:
-        """Feasible architectures as scenario candidates, model order.
-
-        Fixed-function chips are charged ``standby_fraction`` of their
-        active power while idle (leakage/standby); reconfigurable fabrics
-        are considered reusable (their idle time hosts other work).
-
-        ``strict=False`` additionally *skips* models that cannot map the
-        configuration at all (they raise ``ConfigurationError`` /
-        ``MappingError`` — e.g. the Montium schedule only implements the
-        reference decimation plan) instead of propagating — the behaviour
-        sweeps over off-reference grids need.  A configuration no model
-        maps into a feasible candidate raises a
-        :class:`~repro.errors.ConfigurationError` naming it.
-        """
-        from ..errors import MappingError
-
-        candidates = []
-        for model in self.models:
-            try:
-                report = self._implement(model, config)
-            except (ConfigurationError, MappingError):
-                if strict:
-                    raise
-                continue
-            if not report.feasible:
-                continue
-            candidates.append(self._candidate(report, standby_fraction))
-        return self._require_candidates(candidates, config)
+        """The scalar twin of :meth:`scenario_candidates_batch`: one
+        scalar ``implement`` per model, bit-identical candidates."""
+        outcomes = [self._outcome(model, config) for model in self.models]
+        columns = [_Column((report,), (error,)) for report, error in outcomes]
+        return self.scenario_candidates_from_batches(
+            columns, [config], standby_fraction, strict
+        )[0]
 
     def scenario_candidates_batch(
         self,
@@ -540,32 +506,10 @@ class DDCEvaluator:
         standby_fraction: float = 0.05,
         strict: bool = True,
     ) -> list[list[ScenarioCandidate]]:
-        """Batched :meth:`scenario_candidates` over a configuration axis.
-
-        One ``implement_batch`` call per model serves the whole axis; the
-        per-configuration candidate lists (and every raised error) are
-        bit-identical to the scalar path's.
-        """
+        """:meth:`scenario_candidates_from_batches` over one
+        ``implement_batch`` call per model."""
         return self.scenario_candidates_from_batches(
             self.report_batches(configs), configs, standby_fraction, strict
-        )
-
-    def scenario_candidate_outcomes_batch(
-        self,
-        configs: Sequence[DDCConfig],
-        standby_fraction: float = 0.05,
-    ) -> list[tuple[list[ScenarioCandidate] | None, Exception | None]]:
-        """Batched tolerant candidate evaluation over a configuration axis.
-
-        The public one-call entry the Monte-Carlo population engine rides:
-        one ``implement_batch`` per model over the *distinct* configs,
-        then the error-channel candidate builder
-        (:meth:`scenario_candidate_outcomes_from_batches`), so a million
-        sampled users cost only as many model evaluations as there are
-        distinct configurations.
-        """
-        return self.scenario_candidate_outcomes_from_batches(
-            self.report_batches(configs), configs, standby_fraction
         )
 
     def scenario_candidates_from_batches(
@@ -575,13 +519,42 @@ class DDCEvaluator:
         standby_fraction: float = 0.05,
         strict: bool = True,
     ) -> list[list[ScenarioCandidate]]:
-        """Candidate lists from already-materialised model batches.
+        """The candidate lists alone, raising the first recorded error
+        (``strict=False`` lets unmappable models drop out silently)."""
+        build = self.scenario_candidate_outcomes_from_batches
+        outcomes = build(batches, configs, standby_fraction, strict)
+        if errors := [error for _, error in outcomes if error is not None]:
+            raise errors[0]
+        return [candidates for candidates, _ in outcomes]
 
-        Split out of :meth:`scenario_candidates_batch` so consumers that
-        also need the batches themselves (the explorer's Pareto engine)
-        can evaluate each model once and build both views from it.
+    def scenario_candidate_outcomes_from_batches(
+        self,
+        batches: Sequence[BatchImplementationReport],
+        configs: Sequence[DDCConfig],
+        standby_fraction: float = 0.05,
+        strict: bool = False,
+    ) -> list[tuple[list[ScenarioCandidate] | None, Exception | None]]:
+        """The one scenario-candidate builder: ``(candidates, error)`` per
+        configuration.
+
+        ``batches`` holds one column per model, aligned with ``configs``:
+        a :class:`~repro.archs.base.BatchImplementationReport`, or any
+        object with the same ``reports``/``errors`` sequences (the scalar
+        :meth:`scenario_candidates` passes one-configuration columns).
+        Feasible reports become candidates in model order.  Fixed-function
+        chips are charged ``standby_fraction`` of their active power while
+        idle (leakage/standby); reconfigurable fabrics are reusable (their
+        idle time hosts other work).
+
+        Models that cannot map a configuration (e.g. the Montium schedule
+        only implements the reference decimation plan) drop out.  A
+        configuration left without a candidate yields ``(None, error)``:
+        a :class:`~repro.errors.ConfigurationError` naming it, so one
+        poisoned grid cell cannot abort an ``on_error="skip"``/``"retry"``
+        run.  ``strict=True`` raises the first recorded error instead, a
+        model's mapping error before its configuration's empty-set error.
         """
-        out: list[list[ScenarioCandidate]] = []
+        out: list[tuple[list[ScenarioCandidate] | None, Exception | None]] = []
         for i, config in enumerate(configs):
             candidates = []
             for batch in batches:
@@ -591,47 +564,25 @@ class DDCEvaluator:
                         raise error
                     continue
                 report = batch.reports[i]
-                assert report is not None
-                if not report.feasible:
-                    continue
-                candidates.append(self._candidate(report, standby_fraction))
-            out.append(self._require_candidates(candidates, config))
-        return out
-
-    def scenario_candidate_outcomes_from_batches(
-        self,
-        batches: Sequence[BatchImplementationReport],
-        configs: Sequence[DDCConfig],
-        standby_fraction: float = 0.05,
-    ) -> list[tuple[list[ScenarioCandidate] | None, Exception | None]]:
-        """Per-config candidate lists with a captured error channel.
-
-        The fault-tolerant twin of :meth:`scenario_candidates_from_batches`
-        (``strict=False`` semantics): models that cannot map a
-        configuration drop out silently, and a configuration that yields
-        *no* feasible candidate produces ``(None, error)`` instead of
-        raising — so one poisoned grid cell cannot abort a whole
-        ``on_error="skip"``/``"retry"`` sweep or exploration.  Exactly
-        one element of each tuple is non-``None``; successful entries
-        are bit-identical to the strict path's.
-        """
-        out: list[tuple[list[ScenarioCandidate] | None, Exception | None]] = []
-        for i, config in enumerate(configs):
-            candidates = []
-            for batch in batches:
-                if batch.errors[i] is not None:
-                    continue
-                report = batch.reports[i]
-                assert report is not None
-                if not report.feasible:
-                    continue
-                candidates.append(self._candidate(report, standby_fraction))
-            try:
-                out.append(
-                    (self._require_candidates(candidates, config), None)
-                )
-            except ConfigurationError as exc:
-                out.append((None, exc))
+                if report.feasible:
+                    candidates.append(ScenarioCandidate(
+                        name=report.architecture,
+                        active_power_w=report.power_w,
+                        standby_power_w=report.power_w * standby_fraction,
+                        reusable=(
+                            report.flexibility != Flexibility.FIXED_FUNCTION
+                        ),
+                    ))
+            if candidates:
+                out.append((candidates, None))
+                continue
+            error = ConfigurationError(
+                "no architecture yields a feasible scenario candidate for "
+                f"{config}"
+            )
+            if strict:
+                raise error
+            out.append((None, error))
         return out
 
     def scenario_analysis(
@@ -649,7 +600,9 @@ class DDCEvaluator:
         )
 
 
-#: The evaluator is workload-agnostic — nothing in it is DDC-specific
-#: beyond the default ``models=None`` fallback — so the workload layer
-#: (:mod:`repro.workloads`) addresses it under the generic name.
-WorkloadEvaluator = DDCEvaluator
+class _Column(NamedTuple):
+    """One model's scalar outcome, shaped like a one-configuration batch
+    for :meth:`DDCEvaluator.scenario_candidate_outcomes_from_batches`."""
+
+    reports: tuple[ImplementationReport | None]
+    errors: tuple[Exception | None]

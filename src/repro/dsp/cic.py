@@ -222,7 +222,7 @@ class FixedCICDecimator:
         Input values must fit ``input_width`` bits (checked).  Returns raw
         integers in :attr:`output_format`.
 
-        ``engine`` selects the kernel tier (``python``/``fused``/``jit``;
+        ``engine`` selects the kernel tier (``python``/``fused``;
         ``None`` = the ``REPRO_KERNELS`` default).  All tiers are
         bit-identical in outputs and carried state.
         """

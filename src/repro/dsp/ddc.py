@@ -249,7 +249,7 @@ class FixedDDC:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Down-convert raw integer ADC samples; returns raw (I, Q).
 
-        ``engine`` selects the kernel tier (``python``/``fused``/``jit``;
+        ``engine`` selects the kernel tier (``python``/``fused``;
         ``None`` = the ``REPRO_KERNELS`` default).  The non-python tiers
         run the whole chain as one fused end-to-end kernel — integer-LUT
         mixer, fused CIC rails, strided FIR — bit-identical to the

@@ -207,7 +207,7 @@ class FixedPolyphaseDecimator:
             self.output_shift = self.coeff_width - 1
         if self.output_shift < 0:
             raise ConfigurationError("output_shift must be >= 0")
-        # Reversed taps, cached for the fused/jit kernels' ascending
+        # Reversed taps, cached for the fused kernel's ascending
         # strided windows (ascending window . reversed taps == the
         # oracle's descending window . taps).
         self._taps_rev = self.taps_raw[::-1].copy()
@@ -232,7 +232,7 @@ class FixedPolyphaseDecimator:
     def process(self, x: np.ndarray, engine: str | None = None) -> np.ndarray:
         """Filter + decimate raw integer samples, bit-true.
 
-        ``engine`` selects the kernel tier (``python``/``fused``/``jit``;
+        ``engine`` selects the kernel tier (``python``/``fused``;
         ``None`` = the ``REPRO_KERNELS`` default).  All tiers are
         bit-identical in outputs and carried state.
         """

@@ -164,7 +164,7 @@ class NCO:
         The streams are phase-coherent: repeated calls continue where the
         previous call stopped, which the streaming DDC relies on.
 
-        ``engine`` selects the kernel tier (``python``/``fused``/``jit``;
+        ``engine`` selects the kernel tier (``python``/``fused``;
         ``None`` = the ``REPRO_KERNELS`` default) — LUT mode only, all
         tiers bit-identical.
         """

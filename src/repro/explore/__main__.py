@@ -7,24 +7,18 @@ report cache from (and spills it back to) an on-disk store so repeated
 explorations across processes skip re-running the models; ``--verify``
 runs the adaptive engine *and* the dense scalar oracle, requires their
 reports byte-identical, and reports the measured speedup and how few
-cells the adaptive engine actually evaluated.
+cells the adaptive engine actually evaluated (the shared flags:
+:mod:`repro.cli`).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import time
 
+from .. import cli
 from ..core.evaluator import ReportCache
-from ..errors import ConfigurationError, ReproError
-from ..telemetry import tracing
-from ..telemetry.cli import (
-    add_telemetry_args,
-    cache_counts,
-    cache_stats_line,
-    print_metrics,
-)
+from ..errors import ConfigurationError
 from ..workloads import get as get_workload
 from .refine import run_explore
 from .report import FORMATS
@@ -37,42 +31,66 @@ def _parse_axis(text: str) -> tuple[str, float, float]:
     name, sep, raw = text.partition("=")
     lo, sep2, hi = raw.partition(":")
     if not sep or not sep2:
-        raise ConfigurationError(
-            f"--axis expects field=lo:hi, got {text!r}"
-        )
+        raise ConfigurationError(f"--axis expects field=lo:hi, got {text!r}")
     try:
         return name.strip(), float(lo), float(hi)
     except ValueError:
-        raise ConfigurationError(
-            f"axis bounds must be numbers, got {raw!r}"
-        ) from None
+        raise ConfigurationError(f"axis bounds must be numbers, got {raw!r}") from None
 
 
-def _parse_discrete(text: str) -> tuple[str, tuple]:
-    """``name=v1,v2,...`` — the sweep CLI's axis grammar, shared."""
-    from ..sweep.__main__ import _parse_axis as parse_value_axis
-
-    return parse_value_axis(text, flag="--discrete-axis")
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """The explorer's own flags."""
+    add = parser.add_argument
+    add("--axis", default=None, metavar="FIELD=LO:HI",
+        help="continuous refinement axis (default: the workload's "
+        "reference axis; for ddc, input_rate_hz over the reference space)")
+    add("--coarse", type=int, default=5,
+        help="initial coarse grid size (default: %(default)s)")
+    add("--target", type=int, default=65,
+        help="target axis resolution; (target-1) must be (coarse-1)*2^k "
+        "(default: %(default)s)")
+    add("--discrete-axis", action="append", default=[],
+        metavar="FIELD=V1,V2,...",
+        help="add a discrete DDCConfig axis (repeatable)")
+    add("--steps", type=int, default=101,
+        help="duty-cycle grid size over [0, 1] (default: %(default)s)")
+    add("--objectives", default=None, metavar="NAME,NAME,...",
+        help="Pareto objectives (default: power_w,area_mm2)")
+    add("--architectures", default=None, metavar="NAME,NAME,...",
+        help="restrict candidates to these architecture names")
+    add("--probes", type=int, default=0,
+        help="extra seeded round-0 probe cells (default: %(default)s)")
+    add("--seed", type=int, default=0,
+        help="probe-draw seed (default: %(default)s)")
+    add("--budget", type=int, default=None,
+        help="max evaluated cells per discrete point (default: none)")
+    add("--store", default=None, metavar="PATH",
+        help="on-disk report store: warm-start the report cache from it "
+        "and spill the cache (plus this frontier) back after the run")
 
 
 def build_spec(args: argparse.Namespace) -> ExploreSpec:
     """Translate parsed CLI arguments into an ExploreSpec."""
+    if args.store and (args.verify or args.engine != "adaptive"):
+        # Silently skipping persistence would strand the user's next
+        # warm start; say so instead.
+        raise ConfigurationError(
+            "--store needs the adaptive engine (the dense oracle and "
+            "--verify run deliberately uncached)"
+        )
     kwargs: dict = {}
     if args.axis:
         kwargs["axis"] = _parse_axis(args.axis)
     if args.architectures:
-        kwargs["architectures"] = tuple(
-            a.strip() for a in args.architectures.split(",") if a.strip()
-        )
+        kwargs["architectures"] = cli.names(args.architectures)
     if args.objectives:
-        kwargs["objectives"] = tuple(
-            o.strip() for o in args.objectives.split(",") if o.strip()
-        )
+        kwargs["objectives"] = cli.names(args.objectives)
     return ExploreSpec(
         coarse_steps=args.coarse,
         target_steps=args.target,
         discrete_axes=tuple(
-            _parse_discrete(a) for a in args.discrete_axis
+            cli.value_axis(a, flag="--discrete-axis")
+            for a in args.discrete_axis
         ),
         duty_cycle_steps=args.steps,
         standby_fraction=args.standby_fraction,
@@ -85,253 +103,78 @@ def build_spec(args: argparse.Namespace) -> ExploreSpec:
     )
 
 
+def _note(message: str) -> None:
+    print(f"store: {message}", file=sys.stderr)
+
+
+def _run(args: argparse.Namespace, spec: ExploreSpec, engine: str, pooled):
+    """One exploration; the ``--store`` hooks wrap the adaptive engine."""
+    workload = get_workload(spec.workload)
+    if args.verify:
+        # Fresh caches/evaluators per engine so the comparison (and the
+        # timing) is cold-start honest on both sides.
+        cache = ReportCache() if engine == "adaptive" else None
+        return run_explore(spec, engine, workload.evaluator(cache=cache))
+    if not args.store:
+        return run_explore(spec, engine)
+    evaluator = workload.shared_evaluator()
+    store = ReportStore(args.store)
+    loaded = store.load(evaluator.cache, evaluator.models)
+    _note(f"warm-started {loaded} report(s) from {args.store}")
+    if store.last_salvaged:
+        _note(f"salvaged a damaged store file — {store.last_salvaged} bad "
+              f"line(s) quarantined to {store.quarantine_path}")
+    checkpoint = store.load_checkpoint(spec, evaluator.models)
+    if checkpoint is not None:
+        done = sum(len(cells) for cells in checkpoint["evaluated"])
+        _note(f"resuming from checkpoint — round {checkpoint['round']}, "
+              f"{done} cell(s) already evaluated, "
+              f"{len(checkpoint['pending'])} pending")
+    report = run_explore(spec, engine, evaluator, store)
+    total = store.save(evaluator.cache)
+    store.save_frontier(spec, evaluator.models, report.to_json_doc())
+    _note(f"spilled cache ({total} report(s)) and frontier to {args.store}")
+    return report
+
+
+def _warm_hit_line(args: argparse.Namespace, hits: int, misses: int):
+    """How much of a ``--store`` run the warm-started cache served."""
+    lookups = hits + misses
+    if not (args.store and lookups):
+        return []
+    return [
+        f"store warm-hit rate: {hits / lookups:.1%} ({hits}/{lookups} "
+        "lookups served without a model run)"
+    ]
+
+
+COMMAND = cli.Command(
+    prog="python -m repro.explore",
+    description="Design-space exploration: Pareto frontiers over "
+    "configuration axes with adaptive refinement.",
+    engines=("adaptive", "dense"),
+    add_arguments=add_arguments,
+    build_spec=build_spec,
+    run=_run,
+    warm_spec=lambda spec: ExploreSpec(
+        axis=spec.axis, coarse_steps=2, target_steps=2, duty_cycle_steps=2,
+        workload=spec.workload,
+    ),
+    verify_detail=lambda spec, fast, oracle: (
+        f"{spec.n_cells} cells at target resolution; adaptive evaluated "
+        f"{fast.evaluations}, dense {oracle.evaluations}"
+    ),
+    lost=lambda report: "{} cell(s) failed".format(
+        sum(cell.failed for p in report.points for cell in p.cells)
+    ),
+    formats=FORMATS,
+    pooled=False,
+    extra_lines=_warm_hit_line,
+)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.explore",
-        description="Design-space exploration: Pareto frontiers over "
-        "configuration axes with adaptive refinement.",
-    )
-    from ..workloads import available, default_name
-
-    parser.add_argument(
-        "--workload", default=default_name(), metavar="NAME",
-        help="workload to explore, one of: "
-        f"{', '.join(available())} (default: %(default)s, i.e. "
-        "$REPRO_WORKLOAD or ddc)",
-    )
-    parser.add_argument(
-        "--axis", default=None, metavar="FIELD=LO:HI",
-        help="continuous refinement axis (default: the workload's "
-        "reference axis; for ddc, input_rate_hz over the reference "
-        "space)",
-    )
-    parser.add_argument(
-        "--coarse", type=int, default=5,
-        help="initial coarse grid size (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--target", type=int, default=65,
-        help="target axis resolution; (target-1) must be (coarse-1)*2^k "
-        "(default: %(default)s)",
-    )
-    parser.add_argument(
-        "--discrete-axis", action="append", default=[],
-        metavar="FIELD=V1,V2,...",
-        help="add a discrete DDCConfig axis (repeatable)",
-    )
-    parser.add_argument(
-        "--steps", type=int, default=101,
-        help="duty-cycle grid size over [0, 1] (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--objectives", default=None, metavar="NAME,NAME,...",
-        help="Pareto objectives (default: power_w,area_mm2)",
-    )
-    parser.add_argument(
-        "--architectures", default=None, metavar="NAME,NAME,...",
-        help="restrict candidates to these architecture names",
-    )
-    parser.add_argument(
-        "--standby-fraction", type=float, default=0.05,
-        help="fixed-function idle power as a fraction of active power "
-        "(default: %(default)s)",
-    )
-    parser.add_argument(
-        "--probes", type=int, default=0,
-        help="extra seeded round-0 probe cells (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0,
-        help="probe-draw seed (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--budget", type=int, default=None,
-        help="max evaluated cells per discrete point (default: none)",
-    )
-    parser.add_argument(
-        "--on-error", choices=("raise", "skip", "retry"), default="raise",
-        help="cell-failure policy: raise = abort on the first failure, "
-        "skip = record it and continue, retry = retry the cell first and "
-        "record only if every attempt fails; a report with recorded "
-        "failures is marked partial and exits with status 3 "
-        "(default: %(default)s)",
-    )
-    parser.add_argument(
-        "--engine", choices=("adaptive", "dense"), default="adaptive",
-        help="evaluation path (dense = the scalar oracle grid; "
-        "default: %(default)s)",
-    )
-    parser.add_argument(
-        "--store", default=None, metavar="PATH",
-        help="on-disk report store: warm-start the report cache from it "
-        "and spill the cache (plus this frontier) back after the run",
-    )
-    parser.add_argument(
-        "--format", choices=FORMATS, default="json",
-        help="report format (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--output", default="-", metavar="PATH",
-        help="report path, '-' = stdout (default: stdout)",
-    )
-    parser.add_argument(
-        "--summary", action="store_true",
-        help="print the human-readable frontier map instead of the report",
-    )
-    parser.add_argument(
-        "--verify", action="store_true",
-        help="run BOTH engines, require byte-identical reports, report "
-        "the measured speedup; exits 1 on any divergence",
-    )
-    add_telemetry_args(parser)
-    args = parser.parse_args(argv)
-
-    try:
-        with tracing(args.trace):
-            return _run(args)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
-def _run(args: argparse.Namespace) -> int:
-    """The CLI body, inside the (possibly no-op) tracing context."""
-    spec = build_spec(args)
-    cache_before = cache_counts(spec.workload)
-    try:
-        if args.store and (args.verify or args.engine != "adaptive"):
-            # Silently skipping persistence would strand the user's next
-            # warm start; say so instead.
-            raise ConfigurationError(
-                "--store needs the adaptive engine (the dense oracle and "
-                "--verify run deliberately uncached)"
-            )
-        if args.verify:
-            # Fresh caches/evaluators per engine so the comparison (and
-            # the timing) is cold-start honest on both sides; warm the
-            # import paths first so neither pays first-call costs.
-            workload = get_workload(spec.workload)
-            warm = ExploreSpec(
-                axis=spec.axis, coarse_steps=2, target_steps=2,
-                duty_cycle_steps=2, workload=spec.workload,
-            )
-            run_explore(
-                warm, "adaptive", workload.evaluator(cache=ReportCache())
-            )
-            run_explore(warm, "dense", workload.evaluator())
-            t0 = time.perf_counter()
-            adaptive = run_explore(
-                spec, "adaptive", workload.evaluator(cache=ReportCache())
-            )
-            t_adaptive = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            dense = run_explore(spec, "dense", workload.evaluator())
-            t_dense = time.perf_counter() - t0
-            adaptive_bytes = adaptive.render(args.format).encode()
-            dense_bytes = dense.render(args.format).encode()
-            if adaptive_bytes != dense_bytes:
-                print(
-                    "VERIFY FAILED: adaptive and dense-oracle frontier "
-                    "reports differ",
-                    file=sys.stderr,
-                )
-                return 1
-            print(
-                f"verify OK: {len(adaptive_bytes)} bytes identical across "
-                f"engines ({spec.n_cells} cells at target resolution)"
-            )
-            print(
-                f"  adaptive evaluated {adaptive.evaluations}/"
-                f"{spec.n_cells} cells in {t_adaptive * 1e3:.2f} ms; "
-                f"dense oracle {dense.evaluations} cells in "
-                f"{t_dense * 1e3:.2f} ms; speedup "
-                f"{t_dense / t_adaptive:.1f}x"
-            )
-            if args.metrics:
-                print_metrics(cache_before, spec.workload)
-            return 0
-
-        store = ReportStore(args.store) if args.store else None
-        evaluator = None
-        if args.engine == "adaptive":
-            evaluator = get_workload(spec.workload).shared_evaluator()
-            if store is not None:
-                loaded = store.load(evaluator.cache, evaluator.models)
-                print(
-                    f"store: warm-started {loaded} report(s) from "
-                    f"{args.store}",
-                    file=sys.stderr,
-                )
-                if store.last_salvaged:
-                    print(
-                        f"store: salvaged a damaged store file — "
-                        f"{store.last_salvaged} bad line(s) quarantined "
-                        f"to {store.quarantine_path}",
-                        file=sys.stderr,
-                    )
-                checkpoint = store.load_checkpoint(spec, evaluator.models)
-                if checkpoint is not None:
-                    done = sum(
-                        len(cells) for cells in checkpoint["evaluated"]
-                    )
-                    print(
-                        f"store: resuming from checkpoint — round "
-                        f"{checkpoint['round']}, {done} cell(s) already "
-                        f"evaluated, {len(checkpoint['pending'])} pending",
-                        file=sys.stderr,
-                    )
-        report = run_explore(
-            spec, engine=args.engine, evaluator=evaluator, store=store
-        )
-        if store is not None and evaluator is not None:
-            total = store.save(evaluator.cache)
-            store.save_frontier(
-                spec, evaluator.models, report.to_json_doc()
-            )
-            print(
-                f"store: spilled cache ({total} report(s)) and frontier "
-                f"to {args.store}",
-                file=sys.stderr,
-            )
-        warm_line = None
-        if evaluator is not None and store is not None:
-            hits = evaluator.cache.hits - cache_before[0]
-            misses = evaluator.cache.misses - cache_before[1]
-            lookups = hits + misses
-            if lookups:
-                warm_line = (
-                    f"store warm-hit rate: {hits / lookups:.1%} "
-                    f"({hits}/{lookups} lookups served without a model "
-                    f"run)"
-                )
-        if args.summary:
-            print(report.summary())
-            print(cache_stats_line(cache_before, spec.workload))
-            if warm_line:
-                print(warm_line)
-        else:
-            report.write(args.output, args.format)
-            if args.output != "-":
-                print(f"wrote {args.output}")
-        if args.metrics:
-            print_metrics(
-                cache_before, spec.workload,
-                extra=[warm_line] if warm_line else None,
-            )
-        if report.partial:
-            failed = sum(
-                1 for p in report.points for cell in p.cells if cell.failed
-            )
-            print(
-                f"warning: partial report — {failed} cell(s) failed "
-                f"under --on-error {spec.on_error}",
-                file=sys.stderr,
-            )
-            return 3
-        return 0
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return cli.main(COMMAND, argv)
 
 
 if __name__ == "__main__":

@@ -17,8 +17,8 @@ objectives, and the duty-cycle winner map.
   cells inherit the outcome their surrounding neighbours agree on.
   Every round is **one batched model pass**: all newly requested cells
   across every discrete point go through
-  :meth:`~repro.core.evaluator.DDCEvaluator.report_batches` /
-  ``scenario_candidates_batch`` together, and the frontier masks come
+  :meth:`~repro.core.evaluator.DDCEvaluator.report_batches` and the
+  evaluator's one candidate builder together, and the frontier masks come
   from one vectorised dominance broadcast over the batch arrays.
 
 On spaces whose outcomes flip at most once between adjacent coarse
@@ -38,12 +38,12 @@ from .. import telemetry
 from ..config import DDCConfig
 from ..core.evaluator import DDCEvaluator
 from ..energy.scenarios import ScenarioAnalysis
-from ..errors import ConfigurationError, MappingError, PartialResultError
+from ..errors import ConfigurationError
 from ..faults import fault_point
-from ..resilience import DEFAULT_RETRY, call_with_retry, failure_cause
+from ..resilience import check_not_all_failed, run_guarded
 from ..sweep.engine import (
     duty_cycle_grid,
-    scalar_winner_regions,
+    scalar_duty_cycle_grid,
     select_candidates,
 )
 from .pareto import frontier_from_batches, frontier_scalar
@@ -276,9 +276,25 @@ def _check_engine(engine: str) -> None:
         )
 
 
-def _failed_outcome(index: int, value: float, exc: Exception) -> CellOutcome:
-    """The recorded-failure sentinel outcome for one cell."""
-    cause = failure_cause(exc)
+def _guarded_cell(
+    spec: ExploreSpec, index: int, value: float, key: Any, build
+) -> CellOutcome:
+    """Run one cell's outcome builder under the spec's failure policy.
+
+    ``build`` is a zero-argument callable producing the
+    :class:`CellOutcome` (it contains the cell's fault site, so a retry
+    re-visits it); :func:`~repro.resilience.run_guarded` applies the
+    policy, and a recorded failure becomes an outcome carrying only its
+    ``error``.  Both engines funnel through here, so the ``explore.cell``
+    span (the fault site's name) covers every cell evaluation exactly
+    once, retries included.
+    """
+    with telemetry.span("explore.cell", key=key):
+        outcome, error, _ = run_guarded(
+            build, spec.on_error, f"explore cell {key}"
+        )
+    if error is None:
+        return outcome
     return CellOutcome(
         index=index,
         value=value,
@@ -286,36 +302,8 @@ def _failed_outcome(index: int, value: float, exc: Exception) -> CellOutcome:
         frontier=(),
         winners=(),
         winning_regions=(),
-        error=(type(cause).__name__, str(cause)),
+        error=(type(error).__name__, str(error)),
     )
-
-
-def _tolerant_cell(
-    spec: ExploreSpec, index: int, value: float, key: Any, build
-) -> CellOutcome:
-    """Run one cell's outcome builder under the spec's failure policy.
-
-    ``build`` is a zero-argument callable producing the
-    :class:`CellOutcome` (it contains the cell's fault site, so a retry
-    re-visits it).  ``"raise"`` propagates, ``"retry"`` retries under
-    :data:`~repro.resilience.DEFAULT_RETRY`, and any recorded failure
-    becomes a :func:`_failed_outcome` sentinel.
-
-    Both engines funnel through here, so the ``explore.cell`` span (the
-    fault site's name) covers every cell evaluation exactly once,
-    retries included.
-    """
-    with telemetry.span("explore.cell", key=key):
-        if spec.on_error == "raise":
-            return build()
-        try:
-            if spec.on_error == "retry":
-                return call_with_retry(
-                    build, DEFAULT_RETRY, label=f"explore cell {key}"
-                )
-            return build()
-        except Exception as exc:  # noqa: BLE001 — the error channel records
-            return _failed_outcome(index, value, exc)
 
 
 # ------------------------------------------------------------ batched cells
@@ -334,18 +322,9 @@ def _evaluate_cells_batch(
     outcome, so a recorded failure never loses the model numbers.
     """
     batches = evaluator.report_batches(configs)
-    tolerant = spec.on_error != "raise"
-    if tolerant:
-        outcomes = evaluator.scenario_candidate_outcomes_from_batches(
-            batches, configs, spec.standby_fraction
-        )
-    else:
-        outcomes = [
-            (candidates, None)
-            for candidates in evaluator.scenario_candidates_from_batches(
-                batches, configs, spec.standby_fraction, strict=False
-            )
-        ]
+    outcomes = evaluator.scenario_candidate_outcomes_from_batches(
+        batches, configs, spec.standby_fraction
+    )
     wanted = set(spec.architectures) if spec.architectures else None
     masks = frontier_from_batches(batches, spec.objectives, wanted)
     labels = [b.architecture for b in batches]
@@ -377,7 +356,7 @@ def _evaluate_cells_batch(
                 winning_regions=tuple(grid.winning_regions()),
             )
 
-        outcome = _tolerant_cell(spec, index, value, key, build)
+        outcome = _guarded_cell(spec, index, value, key, build)
         archs = tuple(
             ArchSnapshot(
                 name=labels[j],
@@ -407,7 +386,7 @@ def _snapshot_objectives(report, objectives) -> tuple[float | None, ...]:
 
 # ------------------------------------------------------------- scalar cells
 def _evaluate_cell_scalar(
-    models,
+    evaluator: DDCEvaluator,
     labels: Sequence[str],
     spec: ExploreSpec,
     index: int,
@@ -416,15 +395,20 @@ def _evaluate_cell_scalar(
 ) -> _CellData:
     """One cell through the seed-shaped scalar paths (the oracle).
 
-    Shares the batch evaluator's failure policy and fault-site key
-    convention, so the two engines record byte-identical error cells.
+    Every model runs its scalar ``implement`` (through
+    ``implement_batch_scalar``); shares the batch evaluator's candidate
+    builder, failure policy and fault-site key convention, so the two
+    engines record byte-identical cells, error cells included.
     """
-    reports = []
-    for model in models:
-        try:
-            reports.append(model.implement(config))
-        except (ConfigurationError, MappingError):
-            reports.append(None)
+    batches = [
+        model.implement_batch_scalar([config]) for model in evaluator.models
+    ]
+    reports = [batch.reports[0] for batch in batches]
+    ((candidates, error),) = (
+        evaluator.scenario_candidate_outcomes_from_batches(
+            batches, [config], spec.standby_fraction
+        )
+    )
     wanted = set(spec.architectures) if spec.architectures else None
     mask = frontier_scalar(reports, spec.objectives, wanted)
     value = spec.value_at(index)
@@ -433,16 +417,12 @@ def _evaluate_cell_scalar(
 
     def build() -> CellOutcome:
         fault_point("explore.cell", key=key)
-        candidates = [
-            DDCEvaluator._candidate(r, spec.standby_fraction)
-            for r in reports
-            if r is not None and r.feasible
-        ]
-        candidates = DDCEvaluator._require_candidates(candidates, config)
+        if error is not None:
+            raise error
         selected = select_candidates(candidates, spec.architectures)
-        analysis = ScenarioAnalysis(selected)
-        steps = spec.duty_cycle_steps
-        results = [analysis.evaluate(i / (steps - 1)) for i in range(steps)]
+        _, winners, regions = scalar_duty_cycle_grid(
+            ScenarioAnalysis(selected), spec.duty_cycle_steps
+        )
         return CellOutcome(
             index=index,
             value=value,
@@ -450,16 +430,11 @@ def _evaluate_cell_scalar(
             frontier=tuple(
                 labels[j] for j in range(len(labels)) if mask[j]
             ),
-            winners=tuple(r.winner for r in results),
-            winning_regions=tuple(
-                scalar_winner_regions(
-                    [r.winner for r in results],
-                    [r.duty_cycle for r in results],
-                )
-            ),
+            winners=winners,
+            winning_regions=regions,
         )
 
-    outcome = _tolerant_cell(spec, index, value, key, build)
+    outcome = _guarded_cell(spec, index, value, key, build)
     archs = tuple(
         ArchSnapshot(
             name=labels[j],
@@ -525,7 +500,7 @@ def run_explore(
             snapshots = []
             for index in range(spec.target_steps):
                 outcome, snapshot = _evaluate_cell_scalar(
-                    ev.models, labels, spec, index,
+                    ev, labels, spec, index,
                     spec.config_at(point, index),
                     key=(point.index, index),
                 )
@@ -661,12 +636,9 @@ def _check_not_all_failed(
     spec: ExploreSpec, results: "list[PointExploration]"
 ) -> None:
     """An exploration where *every* cell failed helps nobody — raise."""
-    if spec.on_error == "raise":
-        return
-    if all(cell.failed for p in results for cell in p.cells):
-        first = results[0].cells[0].error
-        raise PartialResultError(
-            f"all {sum(len(p.cells) for p in results)} explore cell(s) "
-            f"failed under on_error={spec.on_error!r}; first error: "
-            f"{first[0]}: {first[1]}"
-        )
+    cells = [cell for p in results for cell in p.cells]
+    errors = [cell.error for cell in cells if cell.failed]
+    check_not_all_failed(
+        len(cells) - len(errors), len(cells), errors, spec.on_error,
+        "explore cell(s)",
+    )

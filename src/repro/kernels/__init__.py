@@ -7,8 +7,6 @@ Public surface:
   the ``REPRO_KERNELS`` environment variable);
 - :mod:`repro.kernels.fused` — restructured single-pass numpy kernels,
   always available;
-- :mod:`repro.kernels.jit` — optional numba kernels behind a guarded
-  import (``jit.HAVE_NUMBA``), degrading gracefully to ``fused``;
 - :mod:`repro.kernels.simloop` — the code-generated ``Simulator.step``
   latch loop.
 
@@ -20,7 +18,7 @@ keywords, defaulting to the fastest registered tier.
 
 from __future__ import annotations
 
-from . import fused, jit, simloop  # noqa: F401  (registration side effects)
+from . import fused, simloop  # noqa: F401  (registration side effects)
 from .dispatch import ENGINES, ENV_VAR, kernel, register, registered, resolve
 
 __all__ = [
@@ -31,6 +29,5 @@ __all__ = [
     "registered",
     "resolve",
     "fused",
-    "jit",
     "simloop",
 ]

@@ -1,8 +1,7 @@
 """Kernel registry and engine dispatch for the hot DSP primitives.
 
 The streaming front end (NCO, CIC, FIR, the fused ``FixedDDC`` chain and
-the ``Simulator`` latch loop) ships up to three implementations per
-primitive:
+the ``Simulator`` latch loop) ships two implementations per primitive:
 
 ``python``
     The original, line-for-line oracle — the bit-true reference every
@@ -11,10 +10,6 @@ primitive:
     A restructured single-pass numpy kernel: no per-call staging copies,
     no dtype churn, wrapping hoisted out of the per-stage loop.  Always
     available.
-``jit``
-    Optional :mod:`numba` ``@njit`` kernels.  Numba is *never* a hard
-    dependency: when it is not importable the ``jit`` tier silently
-    degrades to ``fused`` (see :func:`resolve`).
 
 Selection:
 
@@ -24,10 +19,8 @@ Selection:
 - globally, via the ``REPRO_KERNELS`` environment variable.  The value
   is either one engine name (``REPRO_KERNELS=python``) or a
   comma-separated list of ``primitive=engine`` overrides with an
-  optional bare default, e.g. ``REPRO_KERNELS=fused,cic=jit``;
-- by default (``auto``): the fastest registered tier — ``jit`` when
-  numba is importable and a jit kernel is registered, else ``fused``,
-  else ``python``.
+  optional bare default, e.g. ``REPRO_KERNELS=python,cic=fused``;
+- by default (``auto``): ``fused`` where registered, else ``python``.
 
 Every tier of one primitive is bit-identical by contract (pinned by the
 Hypothesis suites in ``tests/test_kernels.py``), so dispatch is a pure
@@ -37,6 +30,7 @@ performance decision.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from typing import Callable
 
 from .. import telemetry
@@ -46,7 +40,7 @@ from ..errors import ConfigurationError
 ENV_VAR = "REPRO_KERNELS"
 
 #: Engine tiers, slowest to fastest.
-ENGINES = ("python", "fused", "jit")
+ENGINES = ("python", "fused")
 
 #: Recognised selector values (``auto`` resolves to the fastest tier).
 SELECTORS = ENGINES + ("auto",)
@@ -56,12 +50,15 @@ SELECTORS = ENGINES + ("auto",)
 # tier *name* for it.
 _REGISTRY: dict[str, dict[str, Callable]] = {}
 
+# (primitive, engine) -> resolve() calls in this process.
+_DISPATCHED: Counter[tuple[str, str]] = Counter()
+
 
 def register(primitive: str, engine: str, fn: Callable) -> Callable:
     """Register ``fn`` as the ``engine`` tier of ``primitive``.
 
     Returns ``fn`` so it can be used as a decorator.  Re-registering
-    replaces the previous entry (used by the numba-absent fallback test).
+    replaces the previous entry.
     """
     if engine not in ENGINES:
         raise ConfigurationError(f"unknown kernel engine {engine!r}")
@@ -73,12 +70,6 @@ def registered(primitive: str) -> tuple[str, ...]:
     """Engine tiers registered for ``primitive`` (always incl. python)."""
     tiers = {"python", *_REGISTRY.get(primitive, ())}
     return tuple(e for e in ENGINES if e in tiers)
-
-
-def _jit_available(primitive: str) -> bool:
-    from . import jit
-
-    return jit.HAVE_NUMBA and "jit" in _REGISTRY.get(primitive, {})
 
 
 def _env_selector(primitive: str) -> str:
@@ -105,13 +96,12 @@ def _env_selector(primitive: str) -> str:
     return selected
 
 
-def resolve(primitive: str, engine: str | None = None) -> str:
-    """Resolve the engine tier to run ``primitive`` on.
+def select(primitive: str, engine: str | None = None) -> str:
+    """The engine tier ``primitive`` would run on; no side effects.
 
     ``engine=None`` consults :data:`ENV_VAR`; ``auto`` picks the fastest
-    registered tier; ``jit`` degrades gracefully to ``fused`` (and
-    ``fused`` to ``python``) when the faster tier is unavailable, so a
-    numba-free install accepts every selector.
+    registered tier, and ``fused`` degrades to ``python`` for a primitive
+    without a fused kernel.
     """
     if engine is None:
         engine = _env_selector(primitive)
@@ -120,36 +110,32 @@ def resolve(primitive: str, engine: str | None = None) -> str:
             f"unknown kernel engine {engine!r} for {primitive!r} "
             f"(expected one of {', '.join(SELECTORS)})"
         )
-    tiers = _REGISTRY.get(primitive, {})
-    if engine == "auto":
-        engine = (
-            "jit"
-            if _jit_available(primitive)
-            else "fused"
-            if "fused" in tiers
-            else "python"
-        )
-    elif engine == "jit" and not _jit_available(primitive):
-        engine = "fused"
-    if engine == "fused" and "fused" not in tiers:
-        engine = "python"
+    if engine != "python" and "fused" not in _REGISTRY.get(primitive, {}):
+        return "python"
+    return "fused" if engine == "auto" else engine
+
+
+def resolve(primitive: str, engine: str | None = None) -> str:
+    """:func:`select`, counted as one dispatch: the call a hot kernel
+    makes right before it runs (see :func:`dispatch_counts`)."""
+    engine = select(primitive, engine)
+    _DISPATCHED[primitive, engine] += 1
     telemetry.counter("kernel.dispatch", primitive=primitive, engine=engine)
     return engine
 
 
-def active_engines(engine: str | None = None) -> dict[str, str]:
-    """The resolved tier per registered primitive, after degradation.
+def dispatch_counts() -> dict[tuple[str, str], int]:
+    """``(primitive, engine) -> dispatches`` in this process so far."""
+    return dict(_DISPATCHED)
 
-    The introspection face of :func:`resolve`: the silent
-    ``jit`` → ``fused`` → ``python`` fallback is otherwise invisible, so
-    numba-absent CI legs (and ``--metrics`` CLI users) could not assert
-    which tier actually served a run.  ``engine`` follows the same
-    selector semantics as :func:`resolve` (``None`` = environment).
+
+def active_engines(engine: str | None = None) -> dict[str, str]:
+    """The tier :func:`select` picks per registered primitive.
+
+    ``engine`` follows the same selector semantics (``None`` =
+    environment).  Reading it dispatches nothing.
     """
-    return {
-        primitive: resolve(primitive, engine)
-        for primitive in sorted(_REGISTRY)
-    }
+    return {primitive: select(primitive, engine) for primitive in sorted(_REGISTRY)}
 
 
 def kernel(primitive: str, engine: str) -> Callable:

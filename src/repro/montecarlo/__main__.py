@@ -7,29 +7,21 @@ distributions with the grammar of
 :func:`~repro.montecarlo.spec.parse_distribution`, ``--backend process
 --workers N`` fans sample chunks out over a pool, and ``--verify``
 proves the vectorised estimator byte-identical to the per-sample
-scalar oracle loop while timing both.
+scalar oracle loop while timing both (the shared flags: :mod:`repro.cli`).
 """
 
 from __future__ import annotations
 
 import argparse
-import sys
-import time
+from dataclasses import replace
 
-from ..errors import ConfigurationError, ReproError
-from ..telemetry import tracing
-from ..telemetry.cli import (
-    add_telemetry_args,
-    cache_counts,
-    cache_stats_line,
-    print_metrics,
-)
+from .. import cli
+from ..errors import ConfigurationError
 from .engine import run_population
 from .spec import PopulationSpec, parse_distribution
 
-#: Default sample counts: population runs are cheap vectorised; verify
-#: also runs the per-sample python oracle, so it defaults smaller (still
-#: >= the 10^4 the acceptance contract asks for).
+#: Default sample counts; ``--verify`` also runs the per-sample python
+#: oracle, so it defaults smaller (still >= 10^4).
 DEFAULT_SAMPLES = 100_000
 DEFAULT_VERIFY_SAMPLES = 20_000
 
@@ -37,10 +29,37 @@ DEFAULT_VERIFY_SAMPLES = 20_000
 def _parse_axis(text: str) -> tuple[str, object]:
     name, sep, raw = text.partition("=")
     if not sep or not raw:
-        raise ConfigurationError(
-            f"--axis expects FIELD=DISTRIBUTION, got {text!r}"
-        )
+        raise ConfigurationError(f"--axis expects FIELD=DISTRIBUTION, got {text!r}")
     return name.strip(), parse_distribution(raw)
+
+
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """The population study's own flags."""
+    add = parser.add_argument
+    add("--samples", type=int, default=None, metavar="N",
+        help=f"population size (default: {DEFAULT_SAMPLES}, or "
+        f"{DEFAULT_VERIFY_SAMPLES} under --verify)")
+    add("--seed", type=int, default=0,
+        help="RNG seed; identical specs+seeds give byte-identical "
+        "reports (default: %(default)s)")
+    add("--duty", default=None, metavar="DIST",
+        help="duty-cycle distribution, e.g. 'uniform(0,1)' or "
+        "'normal(0.3,0.1,0,1)' (default: the workload's declared "
+        "distribution); must be bounded within [0, 1]")
+    add("--axis", action="append", default=[], metavar="FIELD=DIST",
+        help="configuration-axis distribution (repeatable), e.g. "
+        "fir_taps='choice(63,125,255)' or 'choice(1:0.6,2:0.4)' or "
+        "'trace(63,125,63)'; must be discrete (choice/trace/point); "
+        "default: the workload's declared population axes")
+    add("--battery-wh", type=float, default=3.7,
+        help="battery capacity for life distributions "
+        "(default: %(default)s Wh)")
+    add("--duty-bins", type=int, default=10,
+        help="duty-cycle bins of the winner-probability map "
+        "(default: %(default)s)")
+    add("--chunk-samples", type=int, default=65_536,
+        help="streaming chunk size (execution knob: reports are "
+        "byte-identical across values; default: %(default)s)")
 
 
 def build_spec(args: argparse.Namespace) -> PopulationSpec:
@@ -48,16 +67,12 @@ def build_spec(args: argparse.Namespace) -> PopulationSpec:
     n_samples = args.samples
     if n_samples is None:
         n_samples = DEFAULT_VERIFY_SAMPLES if args.verify else DEFAULT_SAMPLES
-    duty = parse_distribution(args.duty) if args.duty else None
-    axes = None
-    if args.axis:
-        axes = tuple(_parse_axis(a) for a in args.axis)
     return PopulationSpec(
         workload=args.workload,
         n_samples=n_samples,
         seed=args.seed,
-        duty_cycle=duty,
-        axes=axes,
+        duty_cycle=parse_distribution(args.duty) if args.duty else None,
+        axes=tuple(_parse_axis(a) for a in args.axis) if args.axis else None,
         standby_fraction=args.standby_fraction,
         battery_wh=args.battery_wh,
         duty_bins=args.duty_bins,
@@ -66,181 +81,27 @@ def build_spec(args: argparse.Namespace) -> PopulationSpec:
     )
 
 
+COMMAND = cli.Command(
+    prog="python -m repro.montecarlo",
+    description="Population-scale Monte-Carlo scenario simulation.",
+    engines=("vector", "scalar"),
+    add_arguments=add_arguments,
+    build_spec=build_spec,
+    run=lambda args, spec, engine, pooled: run_population(
+        spec, workers=args.workers if pooled else None,
+        backend=args.backend, engine=engine,
+    ),
+    warm_spec=lambda spec: replace(spec, n_samples=64, chunk_samples=32),
+    verify_detail=lambda spec, fast, oracle: (
+        f"{spec.n_samples} samples, {fast.n_distinct_configs} distinct "
+        "configs"
+    ),
+    lost=lambda report: f"{report.n_dropped_samples} sample(s) dropped",
+)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.montecarlo",
-        description="Population-scale Monte-Carlo scenario simulation.",
-    )
-    from ..workloads import available, default_name
-
-    parser.add_argument(
-        "--workload", default=default_name(), metavar="NAME",
-        help="workload to simulate, one of: "
-        f"{', '.join(available())} (default: %(default)s, i.e. "
-        "$REPRO_WORKLOAD or ddc)",
-    )
-    parser.add_argument(
-        "--samples", type=int, default=None, metavar="N",
-        help="population size (default: "
-        f"{DEFAULT_SAMPLES}, or {DEFAULT_VERIFY_SAMPLES} under --verify)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0,
-        help="RNG seed; identical specs+seeds give byte-identical "
-        "reports (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--duty", default=None, metavar="DIST",
-        help="duty-cycle distribution, e.g. 'uniform(0,1)' or "
-        "'normal(0.3,0.1,0,1)' (default: the workload's declared "
-        "distribution); must be bounded within [0, 1]",
-    )
-    parser.add_argument(
-        "--axis", action="append", default=[], metavar="FIELD=DIST",
-        help="configuration-axis distribution (repeatable), e.g. "
-        "fir_taps='choice(63,125,255)' or 'choice(1:0.6,2:0.4)' or "
-        "'trace(63,125,63)'; must be discrete (choice/trace/point); "
-        "default: the workload's declared population axes",
-    )
-    parser.add_argument(
-        "--standby-fraction", type=float, default=0.05,
-        help="fixed-function idle power as a fraction of active power "
-        "(default: %(default)s)",
-    )
-    parser.add_argument(
-        "--battery-wh", type=float, default=3.7,
-        help="battery capacity for life distributions "
-        "(default: %(default)s Wh)",
-    )
-    parser.add_argument(
-        "--duty-bins", type=int, default=10,
-        help="duty-cycle bins of the winner-probability map "
-        "(default: %(default)s)",
-    )
-    parser.add_argument(
-        "--chunk-samples", type=int, default=65_536,
-        help="streaming chunk size (execution knob: reports are "
-        "byte-identical across values; default: %(default)s)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=None,
-        help="fan sample chunks out over a pool (default: serial)",
-    )
-    parser.add_argument(
-        "--backend", choices=("thread", "process"), default="thread",
-        help="pool type for --workers (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--engine", choices=("vector", "scalar"), default="vector",
-        help="estimator path (scalar = the per-sample oracle loop; "
-        "default: %(default)s)",
-    )
-    parser.add_argument(
-        "--output", default="-", metavar="PATH",
-        help="report path, '-' = stdout (default: stdout)",
-    )
-    parser.add_argument(
-        "--on-error", choices=("raise", "skip", "retry"), default="raise",
-        help="failure policy for poisoned configs/chunks: raise = abort, "
-        "skip = record and continue, retry = retry first; a report with "
-        "recorded failures is marked partial and exits with status 3 "
-        "(default: %(default)s)",
-    )
-    parser.add_argument(
-        "--summary", action="store_true",
-        help="print the human-readable percentile/winner table instead "
-        "of the JSON report",
-    )
-    parser.add_argument(
-        "--verify", action="store_true",
-        help="run BOTH engines (vectorised + per-sample scalar oracle), "
-        "require byte-identical reports, report the measured speedup; "
-        "exits 1 on any divergence",
-    )
-    add_telemetry_args(parser)
-    args = parser.parse_args(argv)
-
-    try:
-        with tracing(args.trace):
-            return _run(args)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
-def _run(args: argparse.Namespace) -> int:
-    """The CLI body, inside the (possibly no-op) tracing context."""
-    spec = build_spec(args)
-    cache_before = cache_counts(spec.workload)
-    try:
-        if args.verify:
-            # Warm model/numpy import paths and the report cache so the
-            # timed runs compare estimators, not first-call imports.
-            from dataclasses import replace
-
-            warm = replace(spec, n_samples=64, chunk_samples=32)
-            run_population(warm, engine="vector")
-            run_population(warm, engine="scalar")
-            t0 = time.perf_counter()
-            vector = run_population(
-                spec, workers=args.workers, backend=args.backend,
-                engine="vector",
-            )
-            t_vector = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            scalar = run_population(spec, engine="scalar")
-            t_scalar = time.perf_counter() - t0
-            vector_bytes = vector.render().encode()
-            scalar_bytes = scalar.render().encode()
-            if vector_bytes != scalar_bytes:
-                print(
-                    "VERIFY FAILED: vectorised and scalar-oracle "
-                    "reports differ",
-                    file=sys.stderr,
-                )
-                return 1
-            print(
-                f"verify OK: {len(vector_bytes)} bytes identical across "
-                f"engines ({spec.n_samples} samples, "
-                f"{vector.n_distinct_configs} distinct configs)"
-            )
-            print(
-                f"  vector {t_vector * 1e3:.2f} ms, scalar "
-                f"{t_scalar * 1e3:.2f} ms, speedup "
-                f"{t_scalar / t_vector:.1f}x"
-            )
-            if args.metrics:
-                print_metrics(cache_before, spec.workload)
-            return 0
-
-        report = run_population(
-            spec, workers=args.workers, backend=args.backend,
-            engine=args.engine,
-        )
-        if args.metrics:
-            print_metrics(cache_before, spec.workload)
-        if args.summary:
-            print(report.summary())
-            print(cache_stats_line(cache_before, spec.workload))
-        else:
-            text = report.render()
-            if args.output == "-":
-                sys.stdout.write(text)
-            else:
-                with open(args.output, "w", encoding="utf-8") as fh:
-                    fh.write(text)
-                print(f"wrote {args.output}")
-        if report.partial:
-            print(
-                f"warning: partial report — {report.n_dropped_samples} "
-                f"sample(s) dropped under --on-error {spec.on_error}",
-                file=sys.stderr,
-            )
-            return 3
-        return 0
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return cli.main(COMMAND, argv)
 
 
 if __name__ == "__main__":

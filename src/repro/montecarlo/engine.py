@@ -20,13 +20,17 @@ Execution plan for a :class:`~repro.montecarlo.spec.PopulationSpec`:
 4. **Chunked fused streaming.**  Samples stream through
    :func:`repro.energy.scenarios.effective_power_samples` +
    :func:`~repro.energy.scenarios.winner_counts` in ``chunk_samples``
-   slices fanned out via :func:`repro.parallel.parallel_map`; the only
-   per-sample state ever materialised is one float64 power per
-   architecture (48 MB at 10^6 samples x 6 architectures — needed for
-   exact percentiles), never per-sample reports or python objects.
+   slices fanned out via :func:`repro.parallel.parallel_map`, never as
+   per-sample reports or python objects.  ``chunk_samples`` bounds only
+   the per-chunk temporaries: the ``(n_samples, n_arch)`` float64 power
+   matrix, needed for exact percentiles, is always materialised in full
+   (~48 MB per 10^6 users x 6 architectures), as are the up-front
+   sample arrays.
 
-Failure policy mirrors the sweep engine: ``on_error="raise"`` aborts on
-the first poisoned config; ``"skip"``/``"retry"`` record
+Failure policy mirrors the sweep engine (one
+:func:`repro.resilience.run_guarded` runner under both):
+``on_error="raise"`` aborts on the first poisoned config;
+``"skip"``/``"retry"`` record
 :class:`ConfigFailure`/:class:`ChunkFailure` entries on the report's
 error channel, drop the affected samples, and mark the report partial
 (all-samples-lost raises :class:`~repro.errors.PartialResultError`).
@@ -56,10 +60,10 @@ from ..energy.scenarios import (
     winner_counts,
 )
 from .. import telemetry
-from ..errors import ConfigurationError, PartialResultError
+from ..errors import ConfigurationError
 from ..faults import fault_point
 from ..parallel import parallel_map
-from ..resilience import DEFAULT_RETRY, call_with_retry, failure_cause
+from ..resilience import check_not_all_failed, pool_retry, run_guarded
 from .spec import PopulationSpec
 
 ENGINES = ("vector", "scalar")
@@ -270,64 +274,48 @@ def build_candidate_table(
         valid_rows.append(r)
         configs.append(config)
 
+    valid_configs = [configs[r] for r in valid_rows]
     if engine == "scalar":
         evaluator = wl.evaluator()
-        models = evaluator.models
-        valid_configs = [configs[r] for r in valid_rows]
         batches = [
-            model.implement_batch_scalar(valid_configs) for model in models
+            model.implement_batch_scalar(valid_configs)
+            for model in evaluator.models
         ]
     else:
         evaluator = wl.shared_evaluator()
-        models = evaluator.models
-        valid_configs = [configs[r] for r in valid_rows]
         batches = evaluator.report_batches(valid_configs)
-
-    m, n_arch = len(keys), len(models)
-    active = np.full((m, n_arch), np.nan)
-    idle = np.full((m, n_arch), np.nan)
-    names = [model.name for model in models]
-    reusable = [False] * n_arch
-    named = [False] * n_arch
-    for j, batch in enumerate(batches):
-        for i, r in enumerate(valid_rows):
-            if batch.errors[i] is not None:
-                continue
-            report = batch.reports[i]
-            if report is None or not report.feasible:
-                continue
-            cand = evaluator._candidate(report, spec.standby_fraction)
-            active[r, j] = cand.active_power_w
-            idle[r, j] = cand.idle_power_w
-            if not named[j]:
-                names[j] = cand.name
-                reusable[j] = cand.reusable
-                named[j] = True
-
-    ok = ~np.all(np.isnan(active), axis=1)
-    failures = list(build_failures.values())
-    # Reuse the evaluator's tolerant candidate builder for the
-    # no-feasible-architecture error channel, so messages (and the
+    # One pass of the evaluator's candidate builder fills the table and
+    # the no-feasible-architecture error channel, so messages (and the
     # strict-mode raise) match the rest of the stack exactly.
     outcomes = evaluator.scenario_candidate_outcomes_from_batches(
         batches, valid_configs, spec.standby_fraction
     )
-    for i, r in enumerate(valid_rows):
-        candidates, error = outcomes[i]
-        if error is None:
-            continue
-        if not tolerant:
-            raise error
-        failures.append(
-            ConfigFailure(
-                row=r, phase="infeasible", overrides=_overrides(
-                    spec, keys[r]
-                ),
+
+    m, n_arch = len(keys), len(batches)
+    active = np.full((m, n_arch), np.nan)
+    idle = np.full((m, n_arch), np.nan)
+    names = [model.name for model in evaluator.models]
+    reusable = [False] * n_arch
+    named = [False] * n_arch
+    failures = list(build_failures.values())
+    for i, (r, (candidates, error)) in enumerate(zip(valid_rows, outcomes)):
+        if error is not None:
+            if not tolerant:
+                raise error
+            failures.append(ConfigFailure(
+                row=r, phase="infeasible", overrides=_overrides(spec, keys[r]),
                 error_type=type(error).__name__, message=str(error),
                 n_samples=0,
-            )
-        )
-        ok[r] = False
+            ))
+            continue
+        # Candidates come in model order, one per feasible column.
+        columns = [j for j, batch in enumerate(batches) if batch.feasible[i]]
+        for j, cand in zip(columns, candidates):
+            active[r, j] = cand.active_power_w
+            idle[r, j] = cand.idle_power_w
+            if not named[j]:
+                names[j], reusable[j], named[j] = cand.name, cand.reusable, True
+    ok = ~np.all(np.isnan(active), axis=1)
 
     if len(set(names)) != len(names):
         raise ConfigurationError(
@@ -391,23 +379,15 @@ def _chunk_task(
             fault_point("montecarlo.chunk", key=index)
             return _chunk_pass(table, duty_bins, duty_c, inverse_c)
 
-    if on_error == "raise":
-        powers, counts = run()
-        return (index, start, powers, counts)
-    try:
-        if on_error == "retry":
-            powers, counts = call_with_retry(
-                run, DEFAULT_RETRY, label=f"montecarlo chunk {index}"
-            )
-        else:
-            powers, counts = run()
-    except Exception as exc:  # recorded, never silently swallowed
-        cause = failure_cause(exc)
+    result, error, _ = run_guarded(
+        run, on_error, f"montecarlo chunk {index}"
+    )
+    if error is not None:  # recorded, never silently swallowed
         return ChunkFailure(
             index=index, start=start, stop=start + len(duty_c),
-            error_type=type(cause).__name__, message=str(cause),
+            error_type=type(error).__name__, message=str(error),
         )
-    return (index, start, powers, counts)
+    return (index, start, *result)
 
 
 def _run_vector(
@@ -426,9 +406,9 @@ def _run_vector(
     task = functools.partial(
         _chunk_task, table, spec.duty_bins, spec.on_error
     )
-    pool_retry = DEFAULT_RETRY if spec.on_error == "retry" else None
     raw = parallel_map(
-        task, items, workers=workers, backend=backend, retry=pool_retry
+        task, items, workers=workers, backend=backend,
+        retry=pool_retry(spec.on_error),
     )
     # Every sample row is written exactly once below — by its chunk's
     # result, or with nan for a failed chunk — so the matrix can start
@@ -554,14 +534,11 @@ def run_population(
 
     # Every valid sample lands exactly one winner count, so the counts
     # total is the valid-sample total — no all-nan row scan needed.
-    n_valid = int(counts.sum())
-    if n_valid == 0:
-        first = failures[0] if failures else chunk_failures[0]
-        raise PartialResultError(
-            f"all {spec.n_samples} sampled users dropped under "
-            f"on_error={spec.on_error!r}; first error: "
-            f"{first.error_type}: {first.message}"
-        )
+    check_not_all_failed(
+        int(counts.sum()), spec.n_samples,
+        [(f.error_type, f.message) for f in (*failures, *chunk_failures)],
+        spec.on_error, "sampled user(s)",
+    )
     return build_report(
         spec, table, powers, counts,
         failures=tuple(failures), chunk_failures=tuple(chunk_failures),

@@ -3,8 +3,8 @@
 PRs 3-5 made the design-space stack fast; this module makes it survive
 production-scale operation: flaky tasks, wedged workers and dying
 processes must degrade or recover instead of throwing away a whole run.
-Two primitives live here, shared by :func:`repro.parallel.parallel_map`,
-the sweep engine and the design-space explorer:
+The primitives here are shared by :func:`repro.parallel.parallel_map`
+and the sweep, explore and montecarlo engines:
 
 - :class:`RetryPolicy` — a frozen, picklable description of *how* to
   retry: attempt budget, deterministic exponential backoff and an
@@ -26,6 +26,10 @@ the sweep engine and the design-space explorer:
   - ``"retry"`` — like ``"skip"``, but each failing cell is first
     retried under :data:`DEFAULT_RETRY`; only a cell that fails every
     attempt is recorded.
+- :func:`run_guarded` — the one runner that applies a policy to one
+  item (a sweep point, an explore cell, a montecarlo chunk), plus the
+  two decisions around it: :func:`pool_retry` (the pool-level policy)
+  and :func:`check_not_all_failed` (a run that kept nothing raises).
 
 Transient faults (injected or real) therefore leave ``"retry"`` runs
 byte-identical to fault-free runs — the chaos suite in
@@ -36,9 +40,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, TypeVar
+from typing import Callable, Sequence, TypeVar
 
-from .errors import ConfigurationError, TaskFailedError
+from .errors import ConfigurationError, PartialResultError, TaskFailedError
 
 R = TypeVar("R")
 
@@ -155,21 +159,62 @@ def call_with_retry(
     raise AssertionError("unreachable")  # pragma: no cover
 
 
-def failure_cause(exc: Exception) -> Exception:
-    """The underlying error of a retry failure (or the error itself).
+#: The per-item retry policy of each tolerant ``on_error`` mode.
+_ITEM_POLICY = {"skip": RetryPolicy(max_attempts=1), "retry": DEFAULT_RETRY}
 
-    Error channels record *what went wrong*, not the retry wrapper:
-    a :class:`~repro.errors.TaskFailedError` is unwrapped to its cause.
+
+def run_guarded(
+    thunk: Callable[[], R], on_error: str, label: str = "task"
+) -> tuple[R | None, Exception | None, int]:
+    """Run ``thunk()`` under an ``on_error`` policy.
+
+    The one per-item runner of the sweep, explore and montecarlo engines.
+    ``"raise"`` lets any error propagate; ``"skip"`` records it;
+    ``"retry"`` records it only after every :data:`DEFAULT_RETRY` attempt
+    failed.  Returns ``(result, None, attempts)`` on success and
+    ``(None, cause, attempts)`` on a recorded failure.  ``cause`` is the
+    underlying error, never the retry wrapper, because error channels
+    record what went wrong; ``attempts`` counts the runs of ``thunk``.
     """
-    if isinstance(exc, TaskFailedError) and isinstance(
-        exc.__cause__, Exception
-    ):
-        return exc.__cause__
-    return exc
+    if on_error == "raise":
+        return thunk(), None, 1
+    attempts = 0
+
+    def counted() -> R:
+        nonlocal attempts
+        attempts += 1
+        return thunk()
+
+    try:
+        result = call_with_retry(counted, _ITEM_POLICY[on_error], label=label)
+    except TaskFailedError as exc:
+        return None, exc.__cause__, attempts
+    return result, None, attempts
 
 
-def failure_attempts(exc: Exception) -> int:
-    """How many times the failed task ran (1 when never retried)."""
-    if isinstance(exc, TaskFailedError):
-        return exc.attempts
-    return 1
+def pool_retry(on_error: str) -> RetryPolicy | None:
+    """The pool-level policy of ``on_error``: ``"retry"`` also arms
+    :func:`~repro.parallel.parallel_map`'s broken-pool recovery."""
+    return DEFAULT_RETRY if on_error == "retry" else None
+
+
+def check_not_all_failed(
+    n_ok: int,
+    n_items: int,
+    errors: Sequence[tuple[str, str]],
+    on_error: str,
+    what: str,
+) -> None:
+    """Refuse a tolerant run that kept nothing.
+
+    Raises :class:`~repro.errors.PartialResultError` when none of the
+    ``n_items`` items (named ``what``) succeeded: an all-failure report
+    helps nobody.  ``errors`` are the recorded ``(type name, message)``
+    pairs; the first is quoted.
+    """
+    if n_ok == 0 and errors:
+        kind, message = errors[0]
+        raise PartialResultError(
+            f"all {n_items} {what} failed under on_error={on_error!r}; "
+            f"first error: {kind}: {message}"
+        )

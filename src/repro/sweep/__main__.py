@@ -5,220 +5,66 @@ feasible architectures against the 0..1 duty-cycle grid — through the
 batched engine and prints the JSON report.  ``--axis`` adds configuration
 axes, ``--backend process --workers N`` fans points out over a process
 pool, and ``--verify`` proves the batched run byte-identical to the
-scalar oracle while timing both.
+scalar oracle while timing both (the shared flags: :mod:`repro.cli`).
 """
 
 from __future__ import annotations
 
 import argparse
-import sys
-import time
+from dataclasses import replace
 
-from ..errors import ConfigurationError, ReproError
-from ..telemetry import tracing
-from ..telemetry.cli import (
-    add_telemetry_args,
-    cache_counts,
-    cache_stats_line,
-    print_metrics,
-)
+from .. import cli
 from .engine import run_sweep
 from .report import FORMATS
 from .spec import SweepSpec
 
 
-def _parse_axis(text: str, flag: str = "--axis") -> tuple[str, tuple]:
-    """``name=v1,v2,...`` with int-then-float value coercion.
-
-    Shared with the explore CLI's ``--discrete-axis`` (``flag`` names
-    the option in error messages).
-    """
-    name, sep, raw = text.partition("=")
-    if not sep or not raw:
-        raise ConfigurationError(
-            f"{flag} expects name=v1,v2,... got {text!r}"
-        )
-
-    def coerce(token: str):
-        try:
-            return int(token)
-        except ValueError:
-            try:
-                return float(token)
-            except ValueError:
-                raise ConfigurationError(
-                    f"axis {name!r}: {token!r} is not a number"
-                ) from None
-
-    return name.strip(), tuple(coerce(t) for t in raw.split(",") if t)
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """The sweep's own flags."""
+    add = parser.add_argument
+    add("--axis", action="append", default=[], metavar="FIELD=V1,V2,...",
+        help="add a configuration sweep axis over the workload's fields "
+        "(repeatable); no axes = the workload's reference configuration "
+        "(for ddc, the Table 7 scenario grid)")
+    add("--steps", type=int, default=101,
+        help="duty-cycle grid size over [0, 1] (default: %(default)s)")
+    add("--architectures", default=None, metavar="NAME,NAME,...",
+        help="restrict candidates to these architecture names")
 
 
 def build_spec(args: argparse.Namespace) -> SweepSpec:
     """Translate parsed CLI arguments into a SweepSpec."""
-    axes = dict(_parse_axis(a) for a in args.axis)
-    architectures = None
-    if args.architectures:
-        architectures = tuple(
-            a.strip() for a in args.architectures.split(",") if a.strip()
-        )
     return SweepSpec.from_axes(
-        axes,
+        dict(cli.value_axis(a) for a in args.axis),
         duty_cycle_steps=args.steps,
-        architectures=architectures,
+        architectures=(
+            cli.names(args.architectures) if args.architectures else None
+        ),
         standby_fraction=args.standby_fraction,
         on_error=args.on_error,
         workload=args.workload,
     )
 
 
+COMMAND = cli.Command(
+    prog="python -m repro.sweep",
+    description="Batched scenario sweeps over configuration grids.",
+    engines=("batch", "scalar"),
+    add_arguments=add_arguments,
+    build_spec=build_spec,
+    run=lambda args, spec, engine, pooled: run_sweep(
+        spec, workers=args.workers if pooled else None,
+        backend=args.backend, engine=engine,
+    ),
+    warm_spec=lambda spec: replace(spec, duty_cycle_steps=2),
+    verify_detail=lambda spec, fast, oracle: f"{spec.n_grid_cells} grid cells",
+    lost=lambda report: f"{len(report.failures)} point(s) failed",
+    formats=FORMATS,
+)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.sweep",
-        description="Batched scenario sweeps over configuration grids.",
-    )
-    from ..workloads import available, default_name
-
-    parser.add_argument(
-        "--workload", default=default_name(), metavar="NAME",
-        help="workload to sweep, one of: "
-        f"{', '.join(available())} (default: %(default)s, i.e. "
-        "$REPRO_WORKLOAD or ddc)",
-    )
-    parser.add_argument(
-        "--axis", action="append", default=[], metavar="FIELD=V1,V2,...",
-        help="add a configuration sweep axis over the workload's fields "
-        "(repeatable); no axes = the workload's reference configuration "
-        "(for ddc, the Table 7 scenario grid)",
-    )
-    parser.add_argument(
-        "--steps", type=int, default=101,
-        help="duty-cycle grid size over [0, 1] (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--architectures", default=None, metavar="NAME,NAME,...",
-        help="restrict candidates to these architecture names",
-    )
-    parser.add_argument(
-        "--standby-fraction", type=float, default=0.05,
-        help="fixed-function idle power as a fraction of active power "
-        "(default: %(default)s)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=None,
-        help="fan configuration points out over a pool (default: serial)",
-    )
-    parser.add_argument(
-        "--backend", choices=("thread", "process"), default="thread",
-        help="pool type for --workers (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--engine", choices=("batch", "scalar"), default="batch",
-        help="grid evaluation path (scalar = the seed oracle loop; "
-        "default: %(default)s)",
-    )
-    parser.add_argument(
-        "--format", choices=FORMATS, default="json",
-        help="report format (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--output", default="-", metavar="PATH",
-        help="report path, '-' = stdout (default: stdout)",
-    )
-    parser.add_argument(
-        "--on-error", choices=("raise", "skip", "retry"), default="raise",
-        help="point-failure policy: raise = abort on the first failure, "
-        "skip = record it and continue, retry = retry the point first "
-        "and record only if every attempt fails; a report with recorded "
-        "failures is marked partial and exits with status 3 "
-        "(default: %(default)s)",
-    )
-    parser.add_argument(
-        "--summary", action="store_true",
-        help="print the human-readable winner map instead of the report",
-    )
-    parser.add_argument(
-        "--verify", action="store_true",
-        help="run BOTH engines, require byte-identical reports, report "
-        "the measured speedup; exits 1 on any divergence",
-    )
-    add_telemetry_args(parser)
-    args = parser.parse_args(argv)
-
-    try:
-        with tracing(args.trace):
-            return _run(args)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
-def _run(args: argparse.Namespace) -> int:
-    """The CLI body, inside the (possibly no-op) tracing context."""
-    spec = build_spec(args)
-    cache_before = cache_counts(spec.workload)
-    try:
-        if args.verify:
-            # Warm the model/numpy import paths so the timed runs compare
-            # grid evaluation, not first-call import costs.
-            from dataclasses import replace
-
-            run_sweep(replace(spec, duty_cycle_steps=2), engine="batch")
-            run_sweep(replace(spec, duty_cycle_steps=2), engine="scalar")
-            t0 = time.perf_counter()
-            batch = run_sweep(
-                spec, workers=args.workers, backend=args.backend,
-                engine="batch",
-            )
-            t_batch = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            scalar = run_sweep(spec, engine="scalar")
-            t_scalar = time.perf_counter() - t0
-            batch_bytes = batch.render(args.format).encode()
-            scalar_bytes = scalar.render(args.format).encode()
-            if batch_bytes != scalar_bytes:
-                print(
-                    "VERIFY FAILED: batched and scalar reports differ",
-                    file=sys.stderr,
-                )
-                return 1
-            cells = spec.n_grid_cells
-            print(
-                f"verify OK: {len(batch_bytes)} bytes identical across "
-                f"engines ({cells} grid cells)"
-            )
-            print(
-                f"  batch {t_batch * 1e3:.2f} ms, scalar "
-                f"{t_scalar * 1e3:.2f} ms, speedup "
-                f"{t_scalar / t_batch:.1f}x"
-            )
-            if args.metrics:
-                print_metrics(cache_before, spec.workload)
-            return 0
-
-        report = run_sweep(
-            spec, workers=args.workers, backend=args.backend,
-            engine=args.engine,
-        )
-        if args.summary:
-            print(report.summary())
-            print(cache_stats_line(cache_before, spec.workload))
-        else:
-            report.write(args.output, args.format)
-            if args.output != "-":
-                print(f"wrote {args.output}")
-        if args.metrics:
-            print_metrics(cache_before, spec.workload)
-        if report.partial:
-            print(
-                f"warning: partial report — {len(report.failures)} "
-                f"point(s) failed under --on-error {spec.on_error}",
-                file=sys.stderr,
-            )
-            return 3
-        return 0
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return cli.main(COMMAND, argv)
 
 
 if __name__ == "__main__":

@@ -10,9 +10,10 @@ grid through the batched scenario APIs
 (:meth:`~repro.energy.scenarios.ScenarioAnalysis.evaluate_batch`,
 :func:`~repro.energy.scenarios.duty_cycle_crossover_batch`).
 :func:`run_sweep` goes one level further: the *entire configuration axis*
-is served by one ``scenario_candidates_batch`` call before any grid math
-runs, and the per-process :func:`~repro.core.evaluator.shared_evaluator`
-report cache amortises repeated configurations across sweeps.
+is served by one pass of the evaluator's candidate builder before any
+grid math runs, and the per-process
+:func:`~repro.core.evaluator.shared_evaluator` report cache amortises
+repeated configurations across sweeps.
 
 ``engine="scalar"`` evaluates the same grid through the seed scalar path
 (per-point scalar ``implement`` model runs, one
@@ -42,20 +43,16 @@ from ..energy.scenarios import (
     ScenarioAnalysis,
     ScenarioCandidate,
     ScenarioGrid,
+    ScenarioResult,
     duty_cycle_crossover,
     duty_cycle_crossover_batch,
     duty_grid,
 )
 from .. import telemetry
-from ..errors import ConfigurationError, PartialResultError
+from ..errors import ConfigurationError
 from ..faults import fault_point
 from ..parallel import parallel_map
-from ..resilience import (
-    DEFAULT_RETRY,
-    call_with_retry,
-    failure_attempts,
-    failure_cause,
-)
+from ..resilience import check_not_all_failed, pool_retry, run_guarded
 from .spec import SweepPoint, SweepSpec
 
 #: Engines accepted by :func:`evaluate_point` / :func:`run_sweep`.
@@ -131,15 +128,16 @@ class PointFailure:
         }
 
 
-def _point_failure(point: SweepPoint, exc: Exception) -> PointFailure:
-    cause = failure_cause(exc)
+def _point_failure(
+    point: SweepPoint, error: Exception, attempts: int
+) -> PointFailure:
     return PointFailure(
         index=point.index,
         label=point.label(),
         overrides=point.overrides,
-        error_type=type(cause).__name__,
-        message=str(cause),
-        attempts=failure_attempts(exc),
+        error_type=type(error).__name__,
+        message=str(error),
+        attempts=attempts,
     )
 
 
@@ -176,26 +174,29 @@ def select_candidates(
     return selected
 
 
-def scalar_winner_regions(
-    winners: "list[str]", duty_cycles: "list[float]"
-) -> list[tuple[float, float, str]]:
-    """(start, end, winner) intervals from a scalar winner sequence.
+def scalar_duty_cycle_grid(
+    analysis: ScenarioAnalysis, steps: int
+) -> tuple[list[ScenarioResult], tuple[str, ...], tuple]:
+    """The seed Section 7 loop over the regular 0..1 duty grid.
 
-    The seed Section 7 loop's region reconstruction, factored out so the
-    scalar sweep oracle and the dense explore oracle share it; it is the
-    scalar twin of :meth:`~repro.energy.scenarios.ScenarioGrid.winning_regions`
-    (bit-identical boundaries — both read the same duty grid values).
+    The scalar twin of :func:`duty_cycle_grid`, shared by the scalar
+    sweep oracle and the dense explore oracle: one
+    :meth:`~repro.energy.scenarios.ScenarioAnalysis.evaluate` per step.
+    Returns the per-step results, their winners and the
+    ``(start, end, winner)`` regions, whose boundaries are bit-identical
+    to :meth:`~repro.energy.scenarios.ScenarioGrid.winning_regions`
+    (both read the same duty grid values).
     """
-    regions: list[tuple[float, float, str]] = []
-    start = duty_cycles[0]
-    current = winners[0]
-    for winner, duty in zip(winners[1:], duty_cycles[1:]):
-        if winner != current:
-            regions.append((start, duty, current))
-            start = duty
-            current = winner
-    regions.append((start, duty_cycles[-1], current))
-    return regions
+    results = [analysis.evaluate(i / (steps - 1)) for i in range(steps)]
+    winners = tuple(r.winner for r in results)
+    regions = []
+    start, current = results[0].duty_cycle, winners[0]
+    for result in results[1:]:
+        if result.winner != current:
+            regions.append((start, result.duty_cycle, current))
+            start, current = result.duty_cycle, result.winner
+    regions.append((start, results[-1].duty_cycle, current))
+    return results, winners, tuple(regions)
 
 
 def _check_engine(engine: str) -> None:
@@ -254,12 +255,32 @@ def evaluate_point(
     )
 
 
-def _evaluate_prepared_point(
-    spec: SweepSpec, engine: str, item: tuple[SweepPoint, list]
-) -> PointResult:
-    """Grid math over pre-batched candidates (picklable pool task)."""
+def _point_task(
+    spec: SweepSpec,
+    engine: str,
+    item: "tuple[SweepPoint, list | Exception | None]",
+) -> "PointResult | PointFailure":
+    """One point under the spec's ``on_error`` policy (picklable pool task).
+
+    ``item`` pairs the point with the batch engine's pre-built
+    candidates, with the candidate-phase error that already doomed it (a
+    deterministic model verdict: recorded, never retried), or with
+    ``None`` when the scalar engine builds the candidates in the task.
+    """
     point, candidates = item
-    return _point_result(spec, point, candidates, engine)
+    if isinstance(candidates, Exception):
+        return _point_failure(point, candidates, attempts=1)
+    result, error, attempts = run_guarded(
+        lambda: _point_result(
+            spec, point,
+            point_candidates(spec, point, engine)
+            if candidates is None else candidates,
+            engine,
+        ),
+        spec.on_error,
+        f"sweep point {point.index}",
+    )
+    return result if error is None else _point_failure(point, error, attempts)
 
 
 def _point_result(
@@ -303,17 +324,9 @@ def _point_grid(
             if not math.isnan(matrix[i, j])
         )
     else:
-        results = [
-            analysis.evaluate(i / (steps - 1)) for i in range(steps)
-        ]
+        results, winners, regions = scalar_duty_cycle_grid(analysis, steps)
         powers = tuple(
             tuple(r.powers_w[name] for name in names) for r in results
-        )
-        winners = tuple(r.winner for r in results)
-        regions = tuple(
-            scalar_winner_regions(
-                [r.winner for r in results], [r.duty_cycle for r in results]
-            )
         )
         scalar_pairs = []
         for i in range(len(candidates)):
@@ -337,48 +350,30 @@ def _point_grid(
     )
 
 
-def _evaluate_prepared_tolerant(
-    spec: SweepSpec,
-    engine: str,
-    item: "tuple[SweepPoint, list | None, Exception | None]",
-) -> "PointResult | PointFailure":
-    """Fault-tolerant grid math (pool task for ``on_error != "raise"``).
+def _batch_candidates(
+    spec: SweepSpec, points: list[SweepPoint]
+) -> "list[list[ScenarioCandidate] | Exception]":
+    """Every point's selected candidates, or the error that dooms it,
+    from one ``implement_batch`` pass per model over the whole axis.
 
-    ``item`` carries either the point's pre-batched candidates or the
-    candidate-phase error that already doomed it.  Candidate-phase errors
-    are deterministic model verdicts — retrying cannot change them — so
-    they are recorded directly; grid-math failures are retried under
-    :data:`~repro.resilience.DEFAULT_RETRY` when the policy says so.
+    Under ``on_error="raise"`` the first doomed point aborts the sweep
+    here, before any grid math runs.
     """
-    point, candidates, error = item
-    if error is not None:
-        return _point_failure(point, error)
-    try:
-        if spec.on_error == "retry":
-            return call_with_retry(
-                lambda: _point_result(spec, point, candidates, engine),
-                DEFAULT_RETRY,
-                label=f"sweep point {point.index}",
-            )
-        return _point_result(spec, point, candidates, engine)
-    except Exception as exc:  # noqa: BLE001 — the error channel records it
-        return _point_failure(point, exc)
-
-
-def _evaluate_point_tolerant(
-    spec: SweepSpec, engine: str, point: SweepPoint
-) -> "PointResult | PointFailure":
-    """Fault-tolerant whole-point evaluation (scalar-engine pool task)."""
-    try:
-        if spec.on_error == "retry":
-            return call_with_retry(
-                lambda: evaluate_point(spec, point, engine),
-                DEFAULT_RETRY,
-                label=f"sweep point {point.index}",
-            )
-        return evaluate_point(spec, point, engine)
-    except Exception as exc:  # noqa: BLE001 — the error channel records it
-        return _point_failure(point, exc)
+    ev = _spec_workload(spec).shared_evaluator()
+    configs = [spec.config_at(p) for p in points]
+    prepared: "list[list[ScenarioCandidate] | Exception]" = []
+    for candidates, error in ev.scenario_candidate_outcomes_from_batches(
+        ev.report_batches(configs), configs, spec.standby_fraction
+    ):
+        if error is None:
+            try:
+                candidates = select_candidates(candidates, spec.architectures)
+            except ConfigurationError as exc:
+                error = exc
+        if error is not None and spec.on_error == "raise":
+            raise error
+        prepared.append(candidates if error is None else error)
+    return prepared
 
 
 def run_sweep(
@@ -390,7 +385,7 @@ def run_sweep(
     """Execute the whole grid; returns a :class:`~repro.sweep.report.SweepReport`.
 
     With ``engine="batch"`` the whole configuration axis goes through
-    **one** ``scenario_candidates_batch`` pass (each architecture model's
+    **one** candidate-builder pass (each architecture model's
     ``implement_batch`` runs once over every point) before any grid math;
     ``workers``/``backend`` then fan the per-point duty-cycle grids out
     via :func:`repro.parallel.parallel_map` over picklable
@@ -403,94 +398,36 @@ def run_sweep(
     ``spec.on_error`` selects the failure policy: ``"raise"`` keeps the
     strict first-failure-aborts contract; ``"skip"``/``"retry"`` record
     failing points on the report's error channel instead (see
-    :class:`PointFailure`) and mark the report partial.  Under
-    ``"retry"`` the pooled map additionally arms
-    :func:`~repro.parallel.parallel_map`'s ``BrokenExecutor`` recovery,
-    so a killed process-pool worker costs re-submission, not the sweep.
-    If *every* point fails, :class:`~repro.errors.PartialResultError` is
-    raised — an all-failure "report" helps nobody.
+    :class:`PointFailure`) and mark the report partial, all through
+    :func:`repro.resilience.run_guarded`.  Under ``"retry"`` the pooled
+    map additionally arms :func:`~repro.parallel.parallel_map`'s
+    ``BrokenExecutor`` recovery, so a killed process-pool worker costs
+    re-submission, not the sweep.  If *every* point fails,
+    :class:`~repro.errors.PartialResultError` is raised — an all-failure
+    "report" helps nobody.
     """
     from .report import SweepReport
 
     _check_engine(engine)
     points = spec.points()
-    tolerant = spec.on_error != "raise"
-    pool_retry = DEFAULT_RETRY if spec.on_error == "retry" else None
-    if engine == "batch":
-        configs = [spec.config_at(p) for p in points]
-        per_point = _candidate_outcomes(spec, configs, tolerant)
-        if tolerant:
-            items = []
-            for point, (candidates, error) in zip(points, per_point):
-                if error is None:
-                    try:
-                        items.append((
-                            point,
-                            select_candidates(candidates, spec.architectures),
-                            None,
-                        ))
-                    except ConfigurationError as exc:
-                        items.append((point, None, exc))
-                else:
-                    items.append((point, None, error))
-            task = functools.partial(
-                _evaluate_prepared_tolerant, spec, engine
-            )
-            raw = parallel_map(
-                task, items, workers=workers, backend=backend,
-                retry=pool_retry,
-            )
-        else:
-            items = [
-                (point, select_candidates(candidates, spec.architectures))
-                for point, (candidates, _) in zip(points, per_point)
-            ]
-            task = functools.partial(_evaluate_prepared_point, spec, engine)
-            raw = parallel_map(
-                task, items, workers=workers, backend=backend
-            )
-    else:
-        if tolerant:
-            task = functools.partial(_evaluate_point_tolerant, spec, engine)
-        else:
-            task = functools.partial(evaluate_point, spec, engine=engine)
-        raw = parallel_map(
-            task, points, workers=workers, backend=backend,
-            retry=pool_retry,
-        )
+    prepared = (
+        _batch_candidates(spec, points)
+        if engine == "batch"
+        else [None] * len(points)
+    )
+    raw = parallel_map(
+        functools.partial(_point_task, spec, engine),
+        list(zip(points, prepared)),
+        workers=workers, backend=backend, retry=pool_retry(spec.on_error),
+    )
     results = [r for r in raw if isinstance(r, PointResult)]
     failures = tuple(r for r in raw if isinstance(r, PointFailure))
-    if failures and not results:
-        raise PartialResultError(
-            f"all {len(failures)} sweep point(s) failed under "
-            f"on_error={spec.on_error!r}; first error: "
-            f"{failures[0].error_type}: {failures[0].message}"
-        )
+    check_not_all_failed(
+        len(results), len(raw),
+        [(f.error_type, f.message) for f in failures],
+        spec.on_error, "sweep point(s)",
+    )
     duty = tuple(float(d) for d in np.asarray(spec.duty_cycles()))
     return SweepReport(
         spec=spec, duty_cycles=duty, points=results, failures=failures
-    )
-
-
-def _candidate_outcomes(
-    spec: SweepSpec, configs: list, tolerant: bool
-) -> "list[tuple[list | None, Exception | None]]":
-    """Per-config ``(candidates, error)`` outcomes for the batch engine.
-
-    The strict path keeps the original single-shot
-    ``scenario_candidates_batch`` call (any model error aborts, as
-    before); the tolerant path captures per-config errors instead of
-    raising so one broken configuration cannot take the axis down.
-    """
-    ev = _spec_workload(spec).shared_evaluator()
-    if not tolerant:
-        return [
-            (candidates, None)
-            for candidates in ev.scenario_candidates_batch(
-                configs, spec.standby_fraction, strict=False
-            )
-        ]
-    batches = ev.report_batches(configs)
-    return ev.scenario_candidate_outcomes_from_batches(
-        batches, configs, spec.standby_fraction
     )

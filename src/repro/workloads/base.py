@@ -90,9 +90,9 @@ class Workload(ABC):
         against; pass a :class:`~repro.core.evaluator.ReportCache` to
         memoise per-(model, configuration) reports.
         """
-        from ..core.evaluator import WorkloadEvaluator
+        from ..core.evaluator import DDCEvaluator
 
-        return WorkloadEvaluator(models=self.models(), cache=cache)
+        return DDCEvaluator(models=self.models(), cache=cache)
 
     def shared_evaluator(self):
         """The per-process cached evaluator grid consumers share.

@@ -3,8 +3,8 @@
 Every fast tier must be bit-identical to its python oracle — outputs
 *and* carried state — under arbitrary block splits of the input stream.
 The Hypothesis suites here are that pin.  The dispatch layer, the
-``REPRO_KERNELS`` environment variable, the numba-absent degradation and
-the generated ``Simulator.step`` loop are covered alongside.
+``REPRO_KERNELS`` environment variable and the generated
+``Simulator.step`` loop are covered alongside.
 """
 
 from __future__ import annotations
@@ -18,14 +18,12 @@ from repro.dsp.ddc import FixedDDC
 from repro.dsp.fir import FixedPolyphaseDecimator
 from repro.dsp.nco import NCO, NCOMode
 from repro.errors import ConfigurationError
-from repro.kernels import dispatch, jit
+from repro.kernels import dispatch
 from repro.simkernel import ClockDomain, Component, Simulator
 from repro.simkernel.trace import WaveTrace
 
-HAVE_NUMBA = jit.HAVE_NUMBA
-
-#: The non-python tiers available in this environment.
-FAST_ENGINES = ("fused", "jit") if HAVE_NUMBA else ("fused",)
+#: The non-python tiers.
+FAST_ENGINES = ("fused",)
 
 
 def split_blocks(x: np.ndarray, cuts: list[int]) -> list[np.ndarray]:
@@ -58,8 +56,7 @@ class TestDispatch:
 
     def test_env_default_auto(self, monkeypatch):
         monkeypatch.delenv(dispatch.ENV_VAR, raising=False)
-        expected = "jit" if HAVE_NUMBA else "fused"
-        assert dispatch.resolve("cic") == expected
+        assert dispatch.resolve("cic") == "fused"
 
     def test_env_unknown_engine_rejected(self, monkeypatch):
         monkeypatch.setenv(dispatch.ENV_VAR, "turbo")
@@ -89,27 +86,15 @@ class TestDispatch:
         assert np.array_equal(y_default, y_forced)
 
 
-class TestNumbaAbsentFallback:
-    def test_jit_degrades_without_numba(self, monkeypatch):
-        # Simulate a numba-free install regardless of this environment.
-        monkeypatch.setattr(jit, "HAVE_NUMBA", False)
-        assert dispatch.resolve("cic", "jit") == "fused"
-        assert dispatch.resolve("nco", "auto") == "fused"
-
-    def test_jit_selector_still_runs(self, monkeypatch, rng):
-        monkeypatch.setattr(jit, "HAVE_NUMBA", False)
-        cic = FixedCICDecimator(2, 16, input_width=12)
-        ref = FixedCICDecimator(2, 16, input_width=12)
-        x = rng.integers(-2048, 2048, 320)
-        assert np.array_equal(
-            cic.process(x, engine="jit"), ref.process(x, engine="python")
+    def test_select_has_no_side_effects(self):
+        before = dispatch.dispatch_counts()
+        assert dispatch.select("cic", "auto") == "fused"
+        assert dispatch.active_engines()
+        assert dispatch.dispatch_counts() == before
+        dispatch.resolve("cic", "auto")
+        assert dispatch.dispatch_counts()[("cic", "fused")] == (
+            before.get(("cic", "fused"), 0) + 1
         )
-
-    def test_import_is_guarded(self):
-        # The module must carry the flag and define no registrations
-        # when numba is absent (the default container).
-        if not HAVE_NUMBA:
-            assert "jit" not in dispatch._REGISTRY.get("cic", {})
 
 
 # ------------------------------------------------------------------- NCO
@@ -473,22 +458,3 @@ class TestSimStepKernel:
         sim.compile(engine="fused")
         sim.step(10)
         assert sim.cycle == 10
-
-
-# ---------------------------------------------------------------- jit tier
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-class TestJitTier:
-    def test_jit_registered(self):
-        for prim in ("nco", "cic", "fir", "fixed_ddc"):
-            assert "jit" in dispatch.registered(prim)
-
-    def test_auto_prefers_jit(self, monkeypatch):
-        monkeypatch.delenv(dispatch.ENV_VAR, raising=False)
-        assert dispatch.resolve("cic") == "jit"
-
-    def test_jit_ddc_matches_oracle(self, rng):
-        x = rng.integers(-2048, 2048, 2688)
-        a, b = FixedDDC(), FixedDDC()
-        ia, qa = a.process(x, engine="jit")
-        ib, qb = b.process(x, engine="python")
-        assert np.array_equal(ia, ib) and np.array_equal(qa, qb)

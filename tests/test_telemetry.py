@@ -339,6 +339,16 @@ class TestCLIByteIdentity:
         assert "report-cache:" in captured.err
         assert "kernel tiers:" in captured.err
 
+    def test_metrics_dispatches_no_kernel(self, tmp_path, capsys):
+        """Measuring must not change the measurement: a montecarlo run
+        touches no DSP kernel, and ``--metrics`` must not add any."""
+        trace = tmp_path / "t.jsonl"
+        argv = ["--samples", "500", "--metrics", "--trace", str(trace)]
+        assert montecarlo_main(argv) == 0
+        assert "kernel tiers: none dispatched" in capsys.readouterr().err
+        names = [r["name"] for r in load_trace(trace)]
+        assert "kernel.dispatch" not in names
+
     def test_summary_surfaces_cache_and_warm_hit_rate(self, tmp_path, capsys):
         assert sweep_main(["--steps", "5", "--summary"]) == 0
         assert "report-cache:" in self._stdout(capsys)

@@ -263,35 +263,6 @@ class TestRegistry:
 
 # ------------------------------------------------------- deprecation shims
 class TestEngineKwargShims:
-    def test_tile_mode_warns_and_matches_engine(self):
-        from repro.archs.montium.ddc_mapping import run_ddc_on_tile
-
-        x = (np.arange(2688) % 211 - 105).astype(np.int64)
-        with pytest.deprecated_call(match="mode= keyword is deprecated"):
-            legacy = run_ddc_on_tile(x, mode="block")
-        current = run_ddc_on_tile(x, engine="block")
-        np.testing.assert_array_equal(legacy.i, current.i)
-        np.testing.assert_array_equal(legacy.q, current.q)
-        assert legacy.cycles == current.cycles
-
-    def test_tile_conflicting_spellings_raise(self):
-        from repro.archs.montium.ddc_mapping import run_ddc_on_tile
-
-        x = np.zeros(16, dtype=np.int64)
-        with pytest.deprecated_call():
-            with pytest.raises(ConfigurationError, match="conflicting"):
-                run_ddc_on_tile(x, mode="block", engine="step")
-
-    def test_rtl_mode_warns_and_matches_engine(self):
-        from repro.archs.fpga.rtl_ddc import RTLDDC
-
-        x = (np.arange(2688) % 97 - 48).astype(np.int64)
-        with pytest.deprecated_call(match="mode= keyword is deprecated"):
-            legacy = RTLDDC().run(x, mode="block", activity=False)
-        current = RTLDDC().run(x, engine="block", activity=False)
-        np.testing.assert_array_equal(legacy.i, current.i)
-        np.testing.assert_array_equal(legacy.q, current.q)
-
     def test_rtl_unknown_engine(self):
         from repro.archs.fpga.rtl_ddc import RTLDDC
 
