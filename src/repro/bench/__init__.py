@@ -2,18 +2,18 @@
 
 The paper's product is a quantitative architecture comparison, so the
 repository's own execution speed is a tracked artefact: ``BENCH_dsp.json``
-at the repo root records samples-per-second for every stage of the
-bit-true stack (NCO, CIC, FIR, FixedDDC, gold DDC, the RTL DDC in both
-cycle-accurate and block mode, the GPP instruction-set simulation in both
-interpreted and trace-compiled form, the Montium tile in stepped and
-block form, and the ``Simulator.step`` microkernel).  Future PRs
-regenerate the file with
+at the repo root records, for every row of :data:`runner.BENCHES`, the
+throughput of one fast path (the fused DSP kernels, the RTL, ARM9 and
+Montium simulators, the ``Simulator.step`` microkernel and the batched
+sweep, explore and population engines) next to its bit-true oracle or
+frozen seed loop, timed in the same run.  Future PRs regenerate the file
+with
 
     PYTHONPATH=src python -m repro.bench
 
-and CI guards every architecture fast path (``rtl_ddc``, ``gpp_ddc``,
-``montium_ddc``) against >30 % regressions with
-``python -m repro.bench --quick --check BENCH_dsp.json``.
+and CI guards every fast path marked ``guarded`` in the table (15 of
+the 16 benches; see ``python -m repro.bench --list``) against >30 %
+regressions with ``python -m repro.bench --quick --check BENCH_dsp.json``.
 
 See ``benchmarks/README.md`` for the JSON schema and usage guide.
 """

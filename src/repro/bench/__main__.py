@@ -12,8 +12,8 @@ import sys
 
 from ..errors import ConfigurationError
 from ..telemetry import tracing
-from .report import GUARDED_BENCHES, check_regression, load_report, write_report
-from .runner import BENCH_NAMES, run_dsp_suite
+from .report import check_regression, load_report, write_report
+from .runner import BENCH_NAMES, BENCHES, run_dsp_suite, select
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -42,8 +42,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--check", metavar="BASELINE",
-        help="compare against a committed report instead of writing; "
-        "exits 1 if RTL-DDC throughput regressed beyond --max-regression",
+        help="compare against a committed report and exit 1 if any guarded "
+        "bench regressed (the run itself goes to bench-measured.json)",
     )
     parser.add_argument(
         "--max-regression", type=float, default=0.30,
@@ -59,24 +59,17 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.list:
-        for name in BENCH_NAMES:
-            suffix = "  [guarded]" if name in GUARDED_BENCHES else ""
-            print(f"{name}{suffix}")
+        for bench in BENCHES:
+            print(bench.name + ("  [guarded]" if bench.guarded else ""))
         return 0
 
     only = None
     if args.only:
         only = {b.strip() for b in args.only.split(",") if b.strip()}
-        if not only:
-            print("--only: no bench names given", file=sys.stderr)
-            return 2
-        unknown = sorted(only - set(BENCH_NAMES))
-        if unknown:
-            print(
-                f"--only: unknown bench name(s): {', '.join(unknown)} "
-                f"(known: {', '.join(BENCH_NAMES)})",
-                file=sys.stderr,
-            )
+        try:
+            select(only)
+        except ConfigurationError as exc:
+            print(f"--only: {exc}", file=sys.stderr)
             return 2
 
     committed = None
@@ -96,8 +89,9 @@ def main(argv: list[str] | None = None) -> int:
         )
 
     print()
+    width = max(map(len, results), default=0)
     for name, r in sorted(results.items()):
-        line = f"{name:>10}: {r.samples_per_sec:>14,.0f} samples/s"
+        line = f"{name:>{width}}: {r.samples_per_sec:>14,.0f} {r.unit}"
         if r.baseline_samples_per_sec:
             line += (
                 f"   (baseline {r.baseline_samples_per_sec:>12,.0f},"
@@ -105,37 +99,28 @@ def main(argv: list[str] | None = None) -> int:
             )
         print(line)
 
-    if committed is not None:
-        # Write the measured report too (to a separate default name so the
-        # committed baseline is never clobbered) — CI publishes it as a
-        # workflow artifact, making the perf trajectory inspectable per-PR.
-        out = args.output
-        if out == "BENCH_dsp.json":
-            out = "bench-measured.json"
-        write_report(out, results, quick=args.quick)
-        print(f"\nwrote {out}")
-        guard_names = GUARDED_BENCHES
-        if only is not None:
-            # A deliberate partial run can only check what it measured.
-            guard_names = tuple(b for b in GUARDED_BENCHES if b in only)
-        failures = check_regression(
-            results, committed,
-            names=guard_names, max_regression=args.max_regression,
-        )
-        if failures:
-            print("\nREGRESSION CHECK FAILED:", file=sys.stderr)
-            for f in failures:
-                print(f"  - {f}", file=sys.stderr)
-            return 1
-        print(f"regression check against {args.check}: OK")
-        return 0
-
     out = args.output
-    if only is not None and out == "BENCH_dsp.json":
-        # Never clobber the committed full report with a partial run.
+    if out == "BENCH_dsp.json" and (committed is not None or only is not None):
+        # Never clobber the committed full report with a check or partial
+        # run.  CI publishes the check run's measured report as a workflow
+        # artifact, making the perf trajectory inspectable per-PR.
         out = "bench-measured.json"
     write_report(out, results, quick=args.quick)
     print(f"\nwrote {out}")
+    if committed is None:
+        return 0
+
+    # A deliberate partial run can only check what it measured.
+    guard_names = tuple(b.name for b in select(only) if b.guarded)
+    failures = check_regression(
+        results, committed, names=guard_names, max_regression=args.max_regression
+    )
+    if failures:
+        print("\nREGRESSION CHECK FAILED:", file=sys.stderr)
+        for f in failures:
+            print(f"  - {f}", file=sys.stderr)
+        return 1
+    print(f"regression check against {args.check}: OK")
     return 0
 
 

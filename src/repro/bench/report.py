@@ -28,7 +28,7 @@ import json
 from pathlib import Path
 
 from ..errors import ConfigurationError
-from .runner import BenchResult
+from .runner import GUARDED_BENCHES, BenchResult
 
 SCHEMA = "repro-bench-dsp/v1"
 
@@ -57,34 +57,6 @@ def load_report(path: str | Path) -> dict:
     return doc
 
 
-#: Benches guarded by CI: the streaming DSP front end's compiled kernel
-#: tier (nco/cic/fir/fixed_ddc and the generated ``Simulator.step``
-#: loop), every architecture's fast path, the batched scenario-sweep
-#: grid of ``repro.sweep``, the batched architecture-model layer
-#: (``implement_batch`` vs the scalar loop), the adaptive design-space
-#: explorer of ``repro.explore``, the fault-tolerant sweep path
-#: (retry recovery under injection), the non-default workloads'
-#: scenario grids (``repro.workloads``) and the population Monte-Carlo
-#: engine (``repro.montecarlo``).
-GUARDED_BENCHES = (
-    "nco",
-    "cic",
-    "fir",
-    "fixed_ddc",
-    "sim_step",
-    "rtl_ddc",
-    "gpp_ddc",
-    "montium_ddc",
-    "scenario_sweep",
-    "evaluator_batch",
-    "explore_frontier",
-    "sweep_faulty",
-    "drm_sweep",
-    "ofdm_sweep",
-    "montecarlo_population",
-)
-
-
 def check_regression(
     results: dict[str, BenchResult],
     committed: dict,
@@ -94,7 +66,7 @@ def check_regression(
     """Compare current throughput against the committed baseline file.
 
     Returns a list of human-readable failure strings (empty = pass).  A
-    bench fails when its current samples/sec falls more than
+    bench fails when its current throughput falls more than
     ``max_regression`` below the committed value; missing benches on
     either side are reported as failures too, so the guard cannot rot
     silently.
@@ -116,7 +88,7 @@ def check_regression(
             failures.append(f"{name}: missing from committed baseline")
             continue
         ref = float(benches[name]["samples_per_sec"])
-        cur = results[name].samples_per_sec
+        cur, unit = results[name].samples_per_sec, results[name].unit
         floor = (1.0 - max_regression) * ref
         if cur >= floor:
             continue
@@ -126,8 +98,7 @@ def check_regression(
             if cur_speedup >= (1.0 - max_regression) * float(ref_speedup):
                 continue  # machine-normalised ratio held: not a regression
         failures.append(
-            f"{name}: {cur:,.0f} samples/s is >"
-            f"{max_regression:.0%} below the committed "
-            f"{ref:,.0f} samples/s"
+            f"{name}: {cur:,.0f} {unit} is >{max_regression:.0%} below the "
+            f"committed {ref:,.0f} {unit}"
         )
     return failures

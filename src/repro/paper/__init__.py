@@ -2,8 +2,8 @@
 
 Each ``tableN()`` / ``figureN()`` function recomputes the published
 artefact from the library's models and returns a structured result with a
-``render()`` text form; ``benchmarks/`` wraps each in a pytest-benchmark
-target, and ``EXPERIMENTS.md`` records paper-vs-measured values.
+``render()`` text form.  ``tests/test_paper.py`` checks each against the
+published values and ``tests/goldens/`` pins the rendered tables.
 """
 
 from .tables import (

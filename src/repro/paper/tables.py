@@ -2,7 +2,7 @@
 
 Every function returns a :class:`TableResult`: named rows (list of tuples)
 plus a ``render()``-able text form and, where the paper published numbers
-we can compare against, the published values for EXPERIMENTS.md.
+we can compare against, the published values.
 """
 
 from __future__ import annotations

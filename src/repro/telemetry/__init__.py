@@ -234,19 +234,6 @@ def span(name: str, **attrs: Any) -> "_Span | _NullSpan":
     return _Span(name, attrs)
 
 
-def record_span(name: str, t0: float, dur: float, **attrs: Any) -> None:
-    """Emit a span retroactively from an externally measured interval.
-
-    For call sites that already time themselves (the bench harness):
-    ``t0`` is a ``time.time()`` epoch instant, ``dur`` seconds.
-    """
-    if not _enabled:
-        return
-    _emit(
-        {"kind": "span", "name": name, "t0": t0, "dur": dur, "attrs": attrs}
-    )
-
-
 def event(name: str, **attrs: Any) -> None:
     """Emit a point-in-time marker (``pool.drain``, ...)."""
     if not _enabled:

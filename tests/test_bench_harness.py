@@ -6,9 +6,19 @@ import json
 
 import pytest
 
+from repro import telemetry
+from repro.bench.__main__ import main
 from repro.bench.report import SCHEMA, check_regression, load_report, write_report
-from repro.bench.runner import BenchResult, time_fn
+from repro.bench.runner import (
+    BENCH_NAMES,
+    BENCHES,
+    GUARDED_BENCHES,
+    BenchResult,
+    run_dsp_suite,
+    time_fn,
+)
 from repro.errors import ConfigurationError
+from repro.telemetry.collect import load_trace
 
 
 def _result(name: str, sps: float, baseline: float | None = None) -> BenchResult:
@@ -71,8 +81,8 @@ class TestRegressionCheck:
         from repro.bench.report import GUARDED_BENCHES
 
         assert GUARDED_BENCHES == (
-            "nco", "cic", "fir", "fixed_ddc", "sim_step",
-            "rtl_ddc", "gpp_ddc", "montium_ddc", "scenario_sweep",
+            "nco", "cic", "fir", "fixed_ddc", "rtl_ddc",
+            "sim_step", "gpp_ddc", "montium_ddc", "scenario_sweep",
             "evaluator_batch", "explore_frontier", "sweep_faulty",
             "drm_sweep", "ofdm_sweep", "montecarlo_population",
         )
@@ -86,6 +96,27 @@ class TestRegressionCheck:
         assert check_regression(results, committed) == []
         del results["montium_ddc"]
         assert check_regression(results, committed) != []
+
+    def test_bench_names_are_the_table_rows_in_order(self):
+        assert BENCH_NAMES == tuple(b.name for b in BENCHES)
+        assert len(set(BENCH_NAMES)) == len(BENCH_NAMES)
+
+    def test_guarded_benches_are_exactly_the_guarded_rows(self, capsys):
+        from repro.bench import report
+
+        assert report.GUARDED_BENCHES is GUARDED_BENCHES
+        assert GUARDED_BENCHES == tuple(b.name for b in BENCHES if b.guarded)
+        assert main(["--list"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == list(BENCH_NAMES)
+        marked = tuple(line.split()[0] for line in lines if "[guarded]" in line)
+        assert marked == GUARDED_BENCHES
+
+    def test_unknown_only_name_is_refused(self, capsys):
+        assert main(["--only", "nco,no_such_bench"]) == 2
+        assert "no_such_bench" in capsys.readouterr().err
+        with pytest.raises(ConfigurationError, match="no_such_bench"):
+            run_dsp_suite(quick=True, only={"nco", "no_such_bench"})
 
     def test_fail_beyond_threshold(self):
         results = {"rtl_ddc": _result("rtl_ddc", 6e6)}
@@ -132,3 +163,14 @@ class TestBenchResult:
     def test_json_omits_absent_baseline(self):
         j = _result("x", 1e6).to_json()
         assert "baseline_samples_per_sec" not in j and "speedup" not in j
+
+    def test_quick_single_bench_run_is_traced_once(self, tmp_path):
+        trace = tmp_path / "bench-trace.jsonl"
+        with telemetry.tracing(trace):
+            results = run_dsp_suite(quick=True, only={"nco"})
+        assert list(results) == ["nco"]
+        r = results["nco"]
+        assert r.samples_per_sec > 0 and r.baseline_samples_per_sec > 0
+        assert r.speedup is not None and r.notes and r.unit == "samples/s"
+        spans = [s for s in load_trace(trace) if s["name"] == "bench.run"]
+        assert [s["attrs"]["bench"] for s in spans] == ["nco"]
