@@ -1,12 +1,13 @@
-"""Throughput benches of the DSP kernels.
+"""The DSP kernels on the bench input, run once and checked.
 
-Not a paper artefact, but the numbers a library user cares about: samples
-per second each stage and the whole gold-model DDC sustain in this
-implementation.
+These are the stages whose throughput ``repro.bench`` times (see
+``benchmarks/README.md``); here each runs untimed on the same ~86k-sample
+block so the paths the bench table measures stay functionally covered.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro import DDC, FixedDDC, REFERENCE_DDC
@@ -16,7 +17,7 @@ from repro.dsp.firdesign import reference_fir_taps
 from repro.dsp.nco import NCO
 from repro.dsp.signals import quantize_to_adc, tone
 
-N = 2688 * 32  # ~86k input samples
+N = 2688 * 32  # ~86k input samples: 32 outputs of the full chain
 
 
 @pytest.fixture(scope="module")
@@ -29,38 +30,44 @@ def adc_block(tone_block):
     return quantize_to_adc(tone_block, 12)
 
 
-def test_bench_nco_generate(benchmark):
-    nco = NCO(REFERENCE_DDC.input_rate_hz, 10e6)
-    benchmark(nco.generate, N)
+def test_bench_nco_generate():
+    cos_v, sin_v = NCO(REFERENCE_DDC.input_rate_hz, 10e6).generate(N)
+    assert cos_v.shape == sin_v.shape == (N,)
+    assert np.abs(cos_v).max() <= 1.0 and np.abs(sin_v).max() <= 1.0
 
 
-def test_bench_cic2_float(benchmark, tone_block):
-    cic = CICDecimator(2, 16)
-    benchmark(cic.process, tone_block)
+def test_bench_cic2_float(tone_block):
+    out = CICDecimator(2, 16).process(tone_block)
+    assert out.shape == (N // 16,)
+    assert np.all(np.isfinite(out))
 
 
-def test_bench_cic5_float(benchmark, tone_block):
-    cic = CICDecimator(5, 21)
-    benchmark(cic.process, tone_block[: N // 16])
+def test_bench_cic5_float(tone_block):
+    out = CICDecimator(5, 21).process(tone_block[: N // 16])
+    assert out.shape == (N // 16 // 21,)
+    assert np.all(np.isfinite(out))
 
 
-def test_bench_cic2_fixed(benchmark, adc_block):
-    cic = FixedCICDecimator(2, 16, input_width=12)
-    benchmark(cic.process, adc_block)
+def test_bench_cic2_fixed(adc_block):
+    out = FixedCICDecimator(2, 16, input_width=12).process(adc_block)
+    assert out.shape == (N // 16,)
+    assert np.issubdtype(out.dtype, np.integer)
 
 
-def test_bench_polyphase_fir(benchmark, tone_block):
-    fir = PolyphaseDecimator(reference_fir_taps(), 8)
-    benchmark(fir.process, tone_block[: N // 336].astype(complex))
+def test_bench_polyphase_fir(tone_block):
+    out = PolyphaseDecimator(reference_fir_taps(), 8).process(
+        tone_block[: N // 336].astype(complex)
+    )
+    assert out.shape == (N // 336 // 8,)
+    assert np.all(np.isfinite(out))
 
 
-def test_bench_full_ddc_gold(benchmark, tone_block):
-    ddc = DDC()
-    result = benchmark(ddc.process, tone_block)
-    assert len(result.baseband) >= 1
+def test_bench_full_ddc_gold(tone_block):
+    result = DDC().process(tone_block)
+    assert len(result.baseband) == N // REFERENCE_DDC.total_decimation
 
 
-def test_bench_full_ddc_fixed(benchmark, adc_block):
-    ddc = FixedDDC()
-    i, q = benchmark(ddc.process, adc_block)
-    assert len(i) >= 1
+def test_bench_full_ddc_fixed(adc_block):
+    i, q = FixedDDC().process(adc_block)
+    assert len(i) == len(q) == N // REFERENCE_DDC.total_decimation
+    assert np.issubdtype(i.dtype, np.integer)

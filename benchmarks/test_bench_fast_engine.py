@@ -1,14 +1,14 @@
-"""Throughput benches of the fast-execution engine.
+"""The fast-execution engine's hot paths, run once and checked.
 
-Complements ``test_bench_dsp_throughput.py`` with the new hot paths: the
-compiled ``Simulator.step`` loop and the block-mode RTL DDC.  The
-persistent before/after trajectory lives in ``BENCH_dsp.json`` (see
-``benchmarks/README.md``); these pytest-benchmark entries give per-PR
-relative numbers on the same paths.
+The compiled ``Simulator.step`` loop and the RTL DDC in cycle and block
+mode are the paths ``repro.bench`` times against their oracles (see
+``benchmarks/README.md``); here each runs untimed and its result is
+checked.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro import REFERENCE_DDC
@@ -27,48 +27,56 @@ def adc_block():
     return quantize_to_adc(x, 12)
 
 
-def test_bench_sim_step_compiled(benchmark):
+def _total_toggles(sim):
+    return sum(w.toggles for w in sim._wires.values())
+
+
+def test_bench_sim_step_compiled():
     sim = _build_step_sim()
     sim.compile()
-    benchmark(sim.step, 1000)
+    sim.step(1000)
+    assert sim.cycle == 1000
+    assert _total_toggles(sim) > 0
 
 
-def test_bench_sim_step_no_activity(benchmark):
+def test_bench_sim_step_no_activity():
+    counted = _build_step_sim()
+    counted.compile()
+    counted.step(1000)
     sim = _build_step_sim()
     sim.activity = False
     sim.compile()
-    benchmark(sim.step, 1000)
+    sim.step(1000)
+    assert sim.cycle == 1000
+    assert _total_toggles(sim) == 0
+    assert [w.value for w in sim._wires.values()] == [
+        w.value for w in counted._wires.values()
+    ]
 
 
-def test_bench_rtl_ddc_cycle(benchmark, adc_block):
+def test_bench_rtl_ddc_cycle(adc_block):
     rtl = RTLDDC()
-    x = adc_block[:N_CYCLE]
-
-    def run():
-        rtl.reset()
-        return rtl.run(x)
-
-    res = benchmark(run)
-    assert len(res.i) >= 1
+    rtl.reset()
+    res = rtl.run(adc_block[:N_CYCLE])
+    assert len(res.i) == len(res.q) == N_CYCLE // REFERENCE_DDC.total_decimation
+    assert res.cycles > N_CYCLE
+    assert res.activity.cycles == res.cycles
 
 
-def test_bench_rtl_ddc_block(benchmark, adc_block):
+def test_bench_rtl_ddc_block(adc_block):
     rtl = RTLDDC()
-
-    def run():
-        rtl.reset()
-        return rtl.run(adc_block, engine="block")
-
-    res = benchmark(run)
-    assert len(res.i) >= 1
+    rtl.reset()
+    res = rtl.run(adc_block, engine="block")
+    assert len(res.i) == len(res.q) == N_BLOCK // REFERENCE_DDC.total_decimation
+    assert sum(w.toggles for w in res.activity.wires) > 0
 
 
-def test_bench_rtl_ddc_block_no_activity(benchmark, adc_block):
+def test_bench_rtl_ddc_block_no_activity(adc_block):
     rtl = RTLDDC()
-
-    def run():
-        rtl.reset()
-        return rtl.run(adc_block, engine="block", activity=False)
-
-    res = benchmark(run)
-    assert len(res.i) >= 1
+    rtl.reset()
+    counted = rtl.run(adc_block, engine="block")
+    rtl.reset()
+    res = rtl.run(adc_block, engine="block", activity=False)
+    np.testing.assert_array_equal(res.i, counted.i)
+    np.testing.assert_array_equal(res.q, counted.q)
+    assert sum(w.toggles for w in res.activity.wires) == 0
