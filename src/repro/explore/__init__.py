@@ -45,16 +45,10 @@ from .refine import (
     run_explore,
 )
 from .report import FORMATS, SCHEMA, ExploreReport
-from .spec import (
-    CONTINUOUS_AXES,
-    OBJECTIVES,
-    ExplorePoint,
-    ExploreSpec,
-)
+from .spec import OBJECTIVES, ExploreSpec
 from .store import ReportStore, model_digest, space_digest
 
 __all__ = [
-    "CONTINUOUS_AXES",
     "ENGINES",
     "FORMATS",
     "OBJECTIVES",
@@ -62,7 +56,6 @@ __all__ = [
     "ArchSnapshot",
     "CellOutcome",
     "CellSnapshot",
-    "ExplorePoint",
     "ExploreReport",
     "ExploreSpec",
     "PointExploration",

@@ -17,9 +17,17 @@ objectives, and the duty-cycle winner map.
   cells inherit the outcome their surrounding neighbours agree on.
   Every round is **one batched model pass**: all newly requested cells
   across every discrete point go through
-  :meth:`~repro.core.evaluator.DDCEvaluator.report_batches` and the
-  evaluator's one candidate builder together, and the frontier masks come
-  from one vectorised dominance broadcast over the batch arrays.
+  :meth:`~repro.core.evaluator.DDCEvaluator.report_batches` together,
+  and the frontier masks come from one vectorised dominance broadcast
+  over the batch arrays.
+
+One cell builder, :func:`_evaluate_cells`, turns model batches into
+cells for both engines: the evaluator's one candidate builder, the
+failure policy, the fault site and the snapshots are shared.  The
+engines differ only in what they hand it — batched reports, vectorised
+frontier masks and the batched duty grid (adaptive), or one
+``implement_batch_scalar`` batch per discrete point, the scalar
+frontier oracle's masks and the scalar duty loop (dense).
 
 On spaces whose outcomes flip at most once between adjacent coarse
 points — which holds for the monotone feasibility/power structure of the
@@ -35,7 +43,6 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from .. import telemetry
-from ..config import DDCConfig
 from ..core.evaluator import DDCEvaluator
 from ..energy.scenarios import ScenarioAnalysis
 from ..errors import ConfigurationError
@@ -202,71 +209,28 @@ _CellData = tuple[CellOutcome, CellSnapshot]
 
 # -------------------------------------------------- checkpoint round-trips
 # Unlike ``CellOutcome.to_json`` (a *report* view that drops the winners
-# tuple for compactness), these serialisers round-trip the full outcome
-# and snapshot state bit for bit — floats survive through json's
-# shortest-repr encoding — so a resumed run is byte-identical to an
-# uninterrupted one.
+# tuple for compactness), the checkpoint keeps every field of the outcome
+# and snapshot dataclasses; floats survive json's shortest-repr encoding,
+# so a resumed run is byte-identical to an uninterrupted one.
 def _cell_to_doc(cell: _CellData) -> list:
-    outcome, snapshot = cell
-    return [
-        {
-            "index": outcome.index,
-            "value": outcome.value,
-            "candidates": list(outcome.candidates),
-            "frontier": list(outcome.frontier),
-            "winners": list(outcome.winners),
-            "winning_regions": [list(r) for r in outcome.winning_regions],
-            "error": None if outcome.error is None else list(outcome.error),
-        },
-        {
-            "index": snapshot.index,
-            "value": snapshot.value,
-            "architectures": [
-                {
-                    "name": a.name,
-                    "mappable": a.mappable,
-                    "feasible": a.feasible,
-                    "on_frontier": a.on_frontier,
-                    "objectives": list(a.objectives),
-                }
-                for a in snapshot.architectures
-            ],
-        },
-    ]
+    return [dataclasses.asdict(part) for part in cell]
+
+
+def _tuples(value: Any) -> Any:
+    """json arrays back to the tuples the dataclasses hold."""
+    if isinstance(value, list):
+        return tuple(_tuples(v) for v in value)
+    return value
 
 
 def _cell_from_doc(doc: list) -> _CellData:
     out_doc, snap_doc = doc
-    outcome = CellOutcome(
-        index=out_doc["index"],
-        value=out_doc["value"],
-        candidates=tuple(out_doc["candidates"]),
-        frontier=tuple(out_doc["frontier"]),
-        winners=tuple(out_doc["winners"]),
-        winning_regions=tuple(
-            (r[0], r[1], r[2]) for r in out_doc["winning_regions"]
-        ),
-        error=(
-            None
-            if out_doc["error"] is None
-            else (out_doc["error"][0], out_doc["error"][1])
-        ),
+    outcome = CellOutcome(**{k: _tuples(v) for k, v in out_doc.items()})
+    archs = tuple(
+        ArchSnapshot(**{k: _tuples(v) for k, v in a.items()})
+        for a in snap_doc["architectures"]
     )
-    snapshot = CellSnapshot(
-        index=snap_doc["index"],
-        value=snap_doc["value"],
-        architectures=tuple(
-            ArchSnapshot(
-                name=a["name"],
-                mappable=a["mappable"],
-                feasible=a["feasible"],
-                on_frontier=a["on_frontier"],
-                objectives=tuple(a["objectives"]),
-            )
-            for a in snap_doc["architectures"]
-        ),
-    )
-    return outcome, snapshot
+    return outcome, CellSnapshot(snap_doc["index"], snap_doc["value"], archs)
 
 
 def _check_engine(engine: str) -> None:
@@ -306,54 +270,57 @@ def _guarded_cell(
     )
 
 
-# ------------------------------------------------------------ batched cells
-def _evaluate_cells_batch(
+# -------------------------------------------------------------------- cells
+def _evaluate_cells(
     evaluator: DDCEvaluator,
     spec: ExploreSpec,
-    indices: Sequence[int],
-    configs: Sequence[DDCConfig],
-    keys: Sequence[Any] | None = None,
+    keys: Sequence[tuple[int, int]],
+    configs: Sequence[Any],
+    batches: Sequence,
+    masks,
+    winner_map,
 ) -> list[_CellData]:
-    """Evaluate a round of cells in one batched model pass.
+    """Build the cells of one model pass, for either engine.
 
-    ``keys`` are the cells' content identities (``(point, index)``
-    pairs) for the ``"explore.cell"`` fault site; snapshots are built
-    from the already-materialised batches regardless of the cell's
-    outcome, so a recorded failure never loses the model numbers.
+    ``keys`` are the cells' ``(point, index)`` fault-site keys, aligned
+    with ``configs``; ``batches`` holds one labelled report column per
+    model; ``masks[i][j]`` marks model ``j`` on cell ``i``'s frontier;
+    ``winner_map(analysis, steps)`` returns ``(winners, regions)``.
+    Snapshots come from the batches whatever the cell's outcome, so a
+    recorded failure never loses the model numbers.
     """
-    batches = evaluator.report_batches(configs)
     outcomes = evaluator.scenario_candidate_outcomes_from_batches(
         batches, configs, spec.standby_fraction
     )
-    wanted = set(spec.architectures) if spec.architectures else None
-    masks = frontier_from_batches(batches, spec.objectives, wanted)
     labels = [b.architecture for b in batches]
     out: list[_CellData] = []
-    for i, index in enumerate(indices):
-        key = keys[i] if keys is not None else index
+    for i, key in enumerate(keys):
+        index = key[1]
         value = spec.value_at(index)
         candidates_i, error_i = outcomes[i]
+        mask = masks[i]
         frontier = tuple(
-            labels[j] for j in range(len(labels)) if masks[i, j]
+            labels[j] for j in range(len(labels)) if mask[j]
         )
 
         def build(
-            index=index, key=key, value=value,
+            key=key, index=index, value=value,
             candidates_i=candidates_i, error_i=error_i, frontier=frontier,
         ) -> CellOutcome:
             fault_point("explore.cell", key=key)
             if error_i is not None:
                 raise error_i
             selected = select_candidates(candidates_i, spec.architectures)
-            analysis = ScenarioAnalysis(selected)
-            grid = duty_cycle_grid(analysis, spec.duty_cycle_steps)
+            winners, regions = winner_map(
+                ScenarioAnalysis(selected), spec.duty_cycle_steps
+            )
             return CellOutcome(
                 index=index,
                 value=value,
                 candidates=tuple(c.name for c in selected),
                 frontier=frontier,
-                winners=tuple(grid.winners()),
-                winning_regions=tuple(grid.winning_regions()),
+                winners=winners,
+                winning_regions=regions,
             )
 
         outcome = _guarded_cell(spec, index, value, key, build)
@@ -362,7 +329,7 @@ def _evaluate_cells_batch(
                 name=labels[j],
                 mappable=bool(batches[j].mappable[i]),
                 feasible=bool(batches[j].feasible[i]),
-                on_frontier=bool(masks[i, j]),
+                on_frontier=bool(mask[j]),
                 objectives=_snapshot_objectives(
                     batches[j].reports[i], spec.objectives
                 ),
@@ -373,79 +340,25 @@ def _evaluate_cells_batch(
     return out
 
 
+def _batch_winner_map(analysis: ScenarioAnalysis, steps: int) -> tuple:
+    grid = duty_cycle_grid(analysis, steps)
+    return tuple(grid.winners()), tuple(grid.winning_regions())
+
+
+def _scalar_winner_map(analysis: ScenarioAnalysis, steps: int) -> tuple:
+    _, winners, regions = scalar_duty_cycle_grid(analysis, steps)
+    return winners, regions
+
+
 def _snapshot_objectives(report, objectives) -> tuple[float | None, ...]:
     """Raw objective values for a snapshot (None where unpublished or
-    unmappable) — shared verbatim by both engines."""
+    unmappable)."""
     if report is None:
         return tuple(None for _ in objectives)
     return tuple(
         None if (v := getattr(report, name)) is None else float(v)
         for name in objectives
     )
-
-
-# ------------------------------------------------------------- scalar cells
-def _evaluate_cell_scalar(
-    evaluator: DDCEvaluator,
-    labels: Sequence[str],
-    spec: ExploreSpec,
-    index: int,
-    config: DDCConfig,
-    key: Any = None,
-) -> _CellData:
-    """One cell through the seed-shaped scalar paths (the oracle).
-
-    Every model runs its scalar ``implement`` (through
-    ``implement_batch_scalar``); shares the batch evaluator's candidate
-    builder, failure policy and fault-site key convention, so the two
-    engines record byte-identical cells, error cells included.
-    """
-    batches = [
-        model.implement_batch_scalar([config]) for model in evaluator.models
-    ]
-    reports = [batch.reports[0] for batch in batches]
-    ((candidates, error),) = (
-        evaluator.scenario_candidate_outcomes_from_batches(
-            batches, [config], spec.standby_fraction
-        )
-    )
-    wanted = set(spec.architectures) if spec.architectures else None
-    mask = frontier_scalar(reports, spec.objectives, wanted)
-    value = spec.value_at(index)
-    if key is None:
-        key = index
-
-    def build() -> CellOutcome:
-        fault_point("explore.cell", key=key)
-        if error is not None:
-            raise error
-        selected = select_candidates(candidates, spec.architectures)
-        _, winners, regions = scalar_duty_cycle_grid(
-            ScenarioAnalysis(selected), spec.duty_cycle_steps
-        )
-        return CellOutcome(
-            index=index,
-            value=value,
-            candidates=tuple(c.name for c in selected),
-            frontier=tuple(
-                labels[j] for j in range(len(labels)) if mask[j]
-            ),
-            winners=winners,
-            winning_regions=regions,
-        )
-
-    outcome = _guarded_cell(spec, index, value, key, build)
-    archs = tuple(
-        ArchSnapshot(
-            name=labels[j],
-            mappable=reports[j] is not None,
-            feasible=reports[j] is not None and reports[j].feasible,
-            on_frontier=bool(mask[j]),
-            objectives=_snapshot_objectives(reports[j], spec.objectives),
-        )
-        for j in range(len(labels))
-    )
-    return outcome, CellSnapshot(index, value, archs)
 
 
 # ------------------------------------------------------------------ engines
@@ -486,36 +399,46 @@ def run_explore(
     points = spec.points()
     from ..workloads import get as get_workload
 
-    workload = get_workload(getattr(spec, "workload", "ddc"))
+    workload = get_workload(spec.workload)
+    wanted = set(spec.architectures) if spec.architectures else None
     if engine == "dense":
         ev = evaluator if evaluator is not None else workload.evaluator()
         # The per-model batch-report labels (a per-model constant, also
-        # used for models that map nothing anywhere).
+        # used for models that map nothing anywhere); the scalar batches
+        # carry the models' own names, which may differ.
         labels = [m.implement_batch([]).architecture for m in ev.models]
         coarse_set = set(spec.coarse_indices())
+        indices = range(spec.target_steps)
         results = []
-        evaluations = 0
         for point in points:
-            cells = []
-            snapshots = []
-            for index in range(spec.target_steps):
-                outcome, snapshot = _evaluate_cell_scalar(
-                    ev, labels, spec, index,
-                    spec.config_at(point, index),
-                    key=(point.index, index),
+            configs = [spec.config_at(point, index) for index in indices]
+            batches = [
+                dataclasses.replace(
+                    m.implement_batch_scalar(configs), architecture=label
                 )
-                evaluations += 1
-                cells.append(outcome)
-                if index in coarse_set:
-                    snapshots.append(snapshot)
+                for m, label in zip(ev.models, labels)
+            ]
+            masks = [
+                frontier_scalar(
+                    [b.reports[i] for b in batches], spec.objectives, wanted
+                )
+                for i in indices
+            ]
+            data = _evaluate_cells(
+                ev, spec, [(point.index, index) for index in indices],
+                configs, batches, masks, _scalar_winner_map,
+            )
             results.append(
                 PointExploration(
                     point.index, point.label(), point.overrides,
-                    tuple(cells), tuple(snapshots),
+                    tuple(outcome for outcome, _ in data),
+                    tuple(
+                        snap for _, snap in data if snap.index in coarse_set
+                    ),
                 )
             )
         _check_not_all_failed(spec, results)
-        return ExploreReport(spec, results, evaluations)
+        return ExploreReport(spec, results, len(points) * spec.target_steps)
 
     ev = evaluator if evaluator is not None else workload.shared_evaluator()
     checkpoint = (
@@ -551,9 +474,13 @@ def run_explore(
             configs = [
                 spec.config_at(points[p], index) for p, index in pending
             ]
-            data = _evaluate_cells_batch(
-                ev, spec, [index for _, index in pending], configs,
-                keys=[(points[p].index, index) for p, index in pending],
+            batches = ev.report_batches(configs)
+            data = _evaluate_cells(
+                ev, spec,
+                [(points[p].index, index) for p, index in pending],
+                configs, batches,
+                frontier_from_batches(batches, spec.objectives, wanted),
+                _batch_winner_map,
             )
             for (p, index), cell in zip(pending, data):
                 evaluated[p][index] = cell

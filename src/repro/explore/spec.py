@@ -11,6 +11,10 @@ produce byte-identical reports on spaces whose outcome flips are
 resolvable at the target resolution, which ``python -m repro.explore
 --verify`` proves on the reference space.
 
+The discrete axes are the sweep's grid
+(:class:`~repro.sweep.spec.ConfigGrid`): the same
+:class:`~repro.sweep.spec.SweepPoint` s and the same axis checks.
+
 Everything here is a frozen dataclass of primitives: specs pickle, hash
 by content (the store keys frontier snapshots on ``repr``-digests) and
 enumerate their grids as pure functions of their fields — the
@@ -21,26 +25,13 @@ same order.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, fields, replace
-from typing import Any, Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Any
 
 import numpy as np
 
-from ..config import DDCConfig
 from ..errors import ConfigurationError
-from ..resilience import check_on_error
-
-#: DDCConfig fields a discrete axis may range over (the default
-#: workload's axes; other workloads validate against their own
-#: configuration via :meth:`repro.workloads.base.Workload.check_axes`).
-CONFIG_AXES: tuple[str, ...] = tuple(f.name for f in fields(DDCConfig))
-
-#: DDCConfig fields the continuous refinement axis may range over (the
-#: float-typed fields — integer fields belong on discrete axes; other
-#: workloads declare theirs via
-#: :meth:`repro.workloads.base.Workload.continuous_axes`).
-CONTINUOUS_AXES: tuple[str, ...] = ("input_rate_hz", "nco_frequency_hz")
+from ..sweep.spec import ConfigGrid, SweepPoint
 
 #: Report quantities an objective may minimise.  ``area_mm2`` treats a
 #: report without a published area as ``inf`` (it can never win on
@@ -54,26 +45,7 @@ OBJECTIVES: tuple[str, ...] = (
 
 
 @dataclass(frozen=True)
-class ExplorePoint:
-    """One discrete grid point: a picklable task descriptor.
-
-    ``overrides`` is the tuple of ``(field, value)`` pairs applied on top
-    of the spec's base configuration, in discrete-axis order — the same
-    shape as :class:`repro.sweep.spec.SweepPoint`.
-    """
-
-    index: int
-    overrides: tuple[tuple[str, Any], ...] = ()
-
-    def label(self) -> str:
-        """Human-readable point name for reports."""
-        if not self.overrides:
-            return "reference"
-        return ",".join(f"{k}={v}" for k, v in self.overrides)
-
-
-@dataclass(frozen=True)
-class ExploreSpec:
+class ExploreSpec(ConfigGrid):
     """A declarative search space for the design-space explorer.
 
     Parameters
@@ -101,8 +73,8 @@ class ExploreSpec:
         whose outcome could differ from a neighbour's.
     discrete_axes:
         Ordered ``(field, values)`` pairs enumerated densely (cartesian
-        product, last axis fastest) — the same grid shape as
-        :class:`repro.sweep.spec.SweepSpec`.
+        product, last axis fastest) — the sweep's grid
+        (:class:`~repro.sweep.spec.ConfigGrid`).
     duty_cycle_steps:
         Duty-cycle grid size for the per-cell winner map (>= 2).
     objectives:
@@ -149,17 +121,14 @@ class ExploreSpec:
     on_error: str = "raise"
     workload: str = "ddc"
 
-    def __post_init__(self) -> None:
-        from ..workloads import get as get_workload
+    _axes_field = "discrete_axes"
 
-        wl = get_workload(self.workload)
+    def __post_init__(self) -> None:
+        from ..workloads import check_study_spec
+
+        wl = check_study_spec(self)
         if self.axis is None:
             object.__setattr__(self, "axis", wl.default_explore_axis())
-        if self.base_config is None:
-            object.__setattr__(self, "base_config", wl.default_config)
-        else:
-            wl.check_config(self.base_config)
-        check_on_error(self.on_error)
         if len(self.axis) != 3:
             raise ConfigurationError(
                 f"axis must be (field, lo, hi), got {self.axis!r}"
@@ -189,25 +158,7 @@ class ExploreSpec:
                 f"bisection lands on grid indices; got {self.target_steps} "
                 f"targets over {self.coarse_steps} coarse steps"
             )
-        seen: set[str] = {field}
-        for axis in self.discrete_axes:
-            if len(axis) != 2:
-                raise ConfigurationError(
-                    f"discrete axis must be a (field, values) pair, got "
-                    f"{axis!r}"
-                )
-            name, values = axis
-            if name in seen:
-                raise ConfigurationError(f"duplicate axis {name!r}")
-            seen.add(name)
-            if not isinstance(values, tuple) or not values:
-                raise ConfigurationError(
-                    f"discrete axis {name!r} needs a non-empty tuple of "
-                    "values"
-                )
-        wl.check_axes(self.discrete_axes, kind="discrete")
-        if self.duty_cycle_steps < 2:
-            raise ConfigurationError("duty_cycle_steps must be >= 2")
+        self._check_grid(wl, "discrete", taken=(field,))
         if not self.objectives:
             raise ConfigurationError("need at least one objective")
         for obj in self.objectives:
@@ -218,12 +169,6 @@ class ExploreSpec:
                 )
         if len(set(self.objectives)) != len(self.objectives):
             raise ConfigurationError("objectives must be unique")
-        if not 0.0 <= self.standby_fraction <= 1.0:
-            raise ConfigurationError("standby_fraction must be in [0, 1]")
-        if self.architectures is not None and not self.architectures:
-            raise ConfigurationError(
-                "architectures must be None or a non-empty tuple"
-            )
         if self.probe_points < 0:
             raise ConfigurationError("probe_points must be >= 0")
         if self.max_evaluations is not None and self.max_evaluations < 1:
@@ -231,32 +176,11 @@ class ExploreSpec:
                 "max_evaluations must be None or >= 1"
             )
 
-    @classmethod
-    def from_axes(
-        cls,
-        discrete_axes: Mapping[str, Sequence[Any]] | None = None,
-        **kwargs: Any,
-    ) -> "ExploreSpec":
-        """Build a spec from a mapping of discrete axis name to values."""
-        normalised = tuple(
-            (name, tuple(values))
-            for name, values in (discrete_axes or {}).items()
-        )
-        return cls(discrete_axes=normalised, **kwargs)
-
     # ------------------------------------------------------------- geometry
     @property
     def coarse_stride(self) -> int:
         """Target-grid index distance between adjacent coarse points."""
         return (self.target_steps - 1) // (self.coarse_steps - 1)
-
-    @property
-    def n_points(self) -> int:
-        """Number of discrete grid points."""
-        n = 1
-        for _, values in self.discrete_axes:
-            n *= len(values)
-        return n
 
     @property
     def n_cells(self) -> int:
@@ -296,20 +220,7 @@ class ExploreSpec:
         picked = rng.choice(len(pool), size=take, replace=False)
         return sorted(pool[int(i)] for i in picked)
 
-    def points(self) -> list[ExplorePoint]:
-        """Expand the discrete axes into grid points, deterministic order
-        (last axis fastest, exactly like the sweep grid)."""
-        if not self.discrete_axes:
-            return [ExplorePoint(0)]
-        names = [name for name, _ in self.discrete_axes]
-        out = []
-        for index, combo in enumerate(
-            itertools.product(*(values for _, values in self.discrete_axes))
-        ):
-            out.append(ExplorePoint(index, tuple(zip(names, combo))))
-        return out
-
-    def config_at(self, point: ExplorePoint, index: int) -> Any:
+    def config_at(self, point: SweepPoint, index: int) -> Any:
         """Bind one (discrete point, axis index) cell to a configuration."""
         overrides: dict[str, Any] = dict(point.overrides)
         overrides[self.axis[0]] = self.value_at(index)

@@ -35,12 +35,14 @@ hit-rate warm-start contract, in ``tests/test_explore.py``.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from ..archs.base import (
     ArchitectureModel,
@@ -131,11 +133,12 @@ class ReportStore:
     it: every record line that still parses is kept, the bad lines are
     quarantined to a ``<name>.quarantine`` sidecar for inspection, and
     the next save rewrites a clean file.  A file whose *header* declares
-    a different schema is a real error and still raises.  Concurrent
-    writers are last-merge-wins: each rewrites its own union of what it
-    last read, which converges for disjoint model sets but offers no
-    cross-process locking; serialise explorations that must share one
-    store file.
+    a different schema is a real error and still raises.
+
+    Concurrent writers are **serialised**: every read-merge-write holds
+    an exclusive :func:`fcntl.flock` on the store's directory (no
+    sidecar lock file), so two processes saving to one file both keep
+    their records.  Readers need no lock: writes are atomic.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -260,7 +263,6 @@ class ReportStore:
                     sort_keys=True,
                 )
             )
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         # Atomic replace: a concurrent reader (or a crash mid-write)
         # sees either the old complete file or the new one, never a
         # torn mix.  The temp file is fsynced before the replace so the
@@ -295,6 +297,23 @@ class ReportStore:
         fault_point(
             "store.write", key=self.path.name, path=str(self.path)
         )
+
+    @contextmanager
+    def _update(self) -> Iterator[tuple[dict, dict, dict, dict]]:
+        """Lock the store for one read-modify-write: yields the records
+        of :meth:`_read_records` for the caller to merge and write back
+        (:meth:`_write_records`) inside the block."""
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        dir_fd = os.open(self.path.parent, os.O_RDONLY)
+        try:
+            fcntl.flock(dir_fd, fcntl.LOCK_EX)
+            records = self._read_records()
+            # Chaos site: a "sleep" spec holds this writer between its
+            # read and its write, the window a lost update needs.
+            fault_point("store.update", key=self.path.name)
+            yield records
+        finally:
+            os.close(dir_fd)
 
     # ------------------------------------------------------------- reports
     def load(
@@ -347,9 +366,10 @@ class ReportStore:
         error type falls outside the cache contract are skipped.
         """
         with telemetry.span("store.save", path=str(self.path)):
-            labels, reports, frontiers, checkpoints = self._read_records()
-            self._merge_cache(labels, reports, cache)
-            self._write_records(labels, reports, frontiers, checkpoints)
+            with self._update() as records:
+                labels, reports, _, _ = records
+                self._merge_cache(labels, reports, cache)
+                self._write_records(*records)
             telemetry.counter("store.saved", len(reports))
             return len(reports)
 
@@ -388,10 +408,11 @@ class ReportStore:
         doc: dict,
     ) -> str:
         """Record one exploration's report document; returns its digest."""
-        labels, reports, frontiers, checkpoints = self._read_records()
         digest = space_digest(spec, models)
-        frontiers[digest] = doc
-        self._write_records(labels, reports, frontiers, checkpoints)
+        with self._update() as records:
+            _, _, frontiers, _ = records
+            frontiers[digest] = doc
+            self._write_records(*records)
         return digest
 
     def load_frontier(
@@ -418,12 +439,13 @@ class ReportStore:
         harmlessly.  Passing ``cache`` folds the report cache into the
         same atomic write, so a resumed run warm-starts both.
         """
-        labels, reports, frontiers, checkpoints = self._read_records()
-        if cache is not None:
-            self._merge_cache(labels, reports, cache)
         digest = space_digest(spec, models)
-        checkpoints[digest] = doc
-        self._write_records(labels, reports, frontiers, checkpoints)
+        with self._update() as records:
+            labels, reports, _, checkpoints = records
+            if cache is not None:
+                self._merge_cache(labels, reports, cache)
+            checkpoints[digest] = doc
+            self._write_records(*records)
         return digest
 
     def load_checkpoint(
@@ -437,6 +459,7 @@ class ReportStore:
         self, spec: ExploreSpec, models: Sequence[ArchitectureModel]
     ) -> None:
         """Drop this space's resume state (the run completed)."""
-        labels, reports, frontiers, checkpoints = self._read_records()
-        if checkpoints.pop(space_digest(spec, models), None) is not None:
-            self._write_records(labels, reports, frontiers, checkpoints)
+        with self._update() as records:
+            _, _, _, checkpoints = records
+            if checkpoints.pop(space_digest(spec, models), None) is not None:
+                self._write_records(*records)

@@ -43,7 +43,6 @@ from typing import Any
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..resilience import check_on_error
 
 #: Execution knobs excluded from ``PopulationSpec.describe()``: they pick
 #: how the estimator is *run*, not what it estimates, and the seeded
@@ -502,14 +501,9 @@ class PopulationSpec:
     on_error: str = "raise"
 
     def __post_init__(self) -> None:
-        from ..workloads import get as get_workload
+        from ..workloads import check_study_spec
 
-        wl = get_workload(self.workload)
-        object.__setattr__(self, "workload", wl.name)
-        if self.base_config is None:
-            object.__setattr__(self, "base_config", wl.default_config)
-        wl.check_config(self.base_config)
-
+        wl = check_study_spec(self)
         if self.n_samples < 1:
             raise ConfigurationError(
                 f"n_samples must be >= 1, got {self.n_samples!r}"
@@ -522,11 +516,6 @@ class PopulationSpec:
             raise ConfigurationError(
                 f"duty_bins must be >= 1, got {self.duty_bins!r}"
             )
-        if not 0.0 <= self.standby_fraction <= 1.0:
-            raise ConfigurationError(
-                f"standby_fraction {self.standby_fraction!r} is outside "
-                "[0, 1]"
-            )
         if self.battery_wh <= 0:
             raise ConfigurationError(
                 f"battery_wh must be > 0, got {self.battery_wh!r}"
@@ -538,7 +527,6 @@ class PopulationSpec:
                 raise ConfigurationError(
                     f"percentile {q!r} is outside (0, 100]"
                 )
-        check_on_error(self.on_error)
 
         duty = self.duty_cycle
         if duty is None:

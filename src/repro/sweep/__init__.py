@@ -29,10 +29,9 @@ from .engine import (
     run_sweep,
 )
 from .report import FORMATS, SCHEMA, SweepReport
-from .spec import CONFIG_AXES, SweepPoint, SweepSpec
+from .spec import SweepPoint, SweepSpec
 
 __all__ = [
-    "CONFIG_AXES",
     "ENGINES",
     "FORMATS",
     "SCHEMA",

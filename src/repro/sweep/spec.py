@@ -8,27 +8,22 @@ architecture subset — without saying how to execute it.  The engine
 points are frozen dataclasses of primitives, they pickle cleanly and the
 same sweep can fan out over threads or processes
 (:func:`repro.parallel.parallel_map`) with byte-identical results.
+
+The grid itself, :class:`ConfigGrid`, is shared with
+:class:`~repro.explore.spec.ExploreSpec`'s discrete axes.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, fields, replace
+import math
+from dataclasses import dataclass, replace
 from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from ..config import DDCConfig
 from ..energy.scenarios import duty_grid
 from ..errors import ConfigurationError
-from ..resilience import check_on_error
-
-#: DDCConfig fields a sweep axis may range over (the default workload's
-#: axes; other workloads validate against their own configuration via
-#: :meth:`repro.workloads.base.Workload.check_axes`).
-CONFIG_AXES: tuple[str, ...] = tuple(
-    f.name for f in fields(DDCConfig)
-)
 
 
 @dataclass(frozen=True)
@@ -49,8 +44,83 @@ class SweepPoint:
         return ",".join(f"{k}={v}" for k, v in self.overrides)
 
 
+class ConfigGrid:
+    """Grid enumeration and validation shared by the sweep and explore
+    specs: a field-less mixin over the ``(field, values)`` axes held in
+    the dataclass field named by ``_axes_field``."""
+
+    _axes_field = "axes"
+
+    @classmethod
+    def from_axes(
+        cls,
+        axes: Mapping[str, Sequence[Any]] | None = None,
+        **kwargs: Any,
+    ):
+        """Build a spec from a mapping of axis name to values.
+
+        Axis order is the mapping's iteration order (insertion order for
+        a dict), which fixes the grid enumeration order.
+        """
+        normalised = tuple(
+            (name, tuple(values)) for name, values in (axes or {}).items()
+        )
+        return cls(**{cls._axes_field: normalised}, **kwargs)
+
+    @property
+    def n_points(self) -> int:
+        """Number of configuration grid points."""
+        return math.prod(
+            len(values) for _, values in getattr(self, self._axes_field)
+        )
+
+    def points(self) -> list[SweepPoint]:
+        """Expand the axes into grid points, deterministic order.
+
+        The cartesian product iterates the *last* axis fastest
+        (:func:`itertools.product` semantics), so point order — and hence
+        report order — is a pure function of the spec.
+        """
+        axes = getattr(self, self._axes_field)
+        names = [name for name, _ in axes]
+        combos = itertools.product(*(values for _, values in axes))
+        return [
+            SweepPoint(index, tuple(zip(names, combo)))
+            for index, combo in enumerate(combos)
+        ]
+
+    def _check_grid(
+        self, workload, kind: str, taken: tuple[str, ...] = ()
+    ) -> None:
+        """Validate the axes, the duty-cycle grid and the subset; an axis
+        may not repeat a ``taken`` field (the explorer's continuous axis)."""
+        axes = getattr(self, self._axes_field)
+        seen = set(taken)
+        for axis in axes:
+            if len(axis) != 2:
+                raise ConfigurationError(
+                    f"{kind} axis must be a (field, values) pair, got "
+                    f"{axis!r}"
+                )
+            name, values = axis
+            if name in seen:
+                raise ConfigurationError(f"duplicate {kind} axis {name!r}")
+            seen.add(name)
+            if not isinstance(values, tuple) or not values:
+                raise ConfigurationError(
+                    f"{kind} axis {name!r} needs a non-empty tuple of values"
+                )
+        workload.check_axes(axes, kind=kind)
+        if self.duty_cycle_steps < 2:
+            raise ConfigurationError("duty_cycle_steps must be >= 2")
+        if self.architectures is not None and not self.architectures:
+            raise ConfigurationError(
+                "architectures must be None or a non-empty tuple"
+            )
+
+
 @dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(ConfigGrid):
     """A declarative grid over configurations x duty cycles x architectures.
 
     Parameters
@@ -95,61 +165,9 @@ class SweepSpec:
     workload: str = "ddc"
 
     def __post_init__(self) -> None:
-        from ..workloads import get as get_workload
+        from ..workloads import check_study_spec
 
-        wl = get_workload(self.workload)
-        if self.base_config is None:
-            object.__setattr__(self, "base_config", wl.default_config)
-        else:
-            wl.check_config(self.base_config)
-        check_on_error(self.on_error)
-        seen: set[str] = set()
-        for axis in self.axes:
-            if len(axis) != 2:
-                raise ConfigurationError(
-                    f"axis must be a (field, values) pair, got {axis!r}"
-                )
-            name, values = axis
-            if name in seen:
-                raise ConfigurationError(f"duplicate sweep axis {name!r}")
-            seen.add(name)
-            if not isinstance(values, tuple) or not values:
-                raise ConfigurationError(
-                    f"axis {name!r} needs a non-empty tuple of values"
-                )
-        wl.check_axes(self.axes, kind="sweep")
-        if self.duty_cycle_steps < 2:
-            raise ConfigurationError("duty_cycle_steps must be >= 2")
-        if not 0.0 <= self.standby_fraction <= 1.0:
-            raise ConfigurationError("standby_fraction must be in [0, 1]")
-        if self.architectures is not None and not self.architectures:
-            raise ConfigurationError(
-                "architectures must be None or a non-empty tuple"
-            )
-
-    @classmethod
-    def from_axes(
-        cls,
-        axes: Mapping[str, Sequence[Any]] | None = None,
-        **kwargs: Any,
-    ) -> "SweepSpec":
-        """Build a spec from a mapping of axis name to values.
-
-        Axis order is the mapping's iteration order (insertion order for
-        a dict), which fixes the grid enumeration order.
-        """
-        normalised = tuple(
-            (name, tuple(values)) for name, values in (axes or {}).items()
-        )
-        return cls(axes=normalised, **kwargs)
-
-    @property
-    def n_points(self) -> int:
-        """Number of configuration grid points."""
-        n = 1
-        for _, values in self.axes:
-            n *= len(values)
-        return n
+        self._check_grid(check_study_spec(self), "sweep")
 
     @property
     def n_grid_cells(self) -> int:
@@ -159,23 +177,6 @@ class SweepSpec:
     def duty_cycles(self) -> np.ndarray:
         """The duty-cycle grid, identical to the scalar ``i/(steps-1)``."""
         return duty_grid(self.duty_cycle_steps)
-
-    def points(self) -> list[SweepPoint]:
-        """Expand the axes into grid points, deterministic order.
-
-        The cartesian product iterates the *last* axis fastest
-        (:func:`itertools.product` semantics), so point order — and hence
-        report order — is a pure function of the spec.
-        """
-        if not self.axes:
-            return [SweepPoint(0)]
-        names = [name for name, _ in self.axes]
-        out = []
-        for index, combo in enumerate(
-            itertools.product(*(values for _, values in self.axes))
-        ):
-            out.append(SweepPoint(index, tuple(zip(names, combo))))
-        return out
 
     def config_at(self, point: SweepPoint) -> Any:
         """Bind one grid point to a concrete configuration."""

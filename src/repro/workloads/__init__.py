@@ -117,6 +117,25 @@ def get(name: str | None = None) -> Workload:
     return instance
 
 
+def check_study_spec(spec) -> Workload:
+    """Check the ``workload``, ``base_config``, ``on_error`` and
+    ``standby_fraction`` fields every study spec has, filling in the
+    workload's default configuration; returns the workload."""
+    from ..resilience import check_on_error
+
+    wl = get(spec.workload)
+    object.__setattr__(spec, "workload", wl.name)
+    if spec.base_config is None:
+        object.__setattr__(spec, "base_config", wl.default_config)
+    wl.check_config(spec.base_config)
+    check_on_error(spec.on_error)
+    if not 0.0 <= spec.standby_fraction <= 1.0:
+        raise ConfigurationError(
+            f"standby_fraction {spec.standby_fraction!r} is outside [0, 1]"
+        )
+    return wl
+
+
 __all__ = [
     "Workload",
     "WorkloadMapping",
@@ -126,4 +145,5 @@ __all__ = [
     "available",
     "default_name",
     "get",
+    "check_study_spec",
 ]

@@ -165,6 +165,13 @@ class TestExploreSpec:
         with pytest.raises(ConfigurationError, match="lo < hi"):
             ExploreSpec(axis=("input_rate_hz", 9e7, 9e7))
 
+    def test_discrete_axis_may_not_repeat_the_continuous_axis(self):
+        with pytest.raises(ConfigurationError, match="duplicate"):
+            ExploreSpec.from_axes(
+                {"input_rate_hz": (8e7,)},
+                axis=("input_rate_hz", 6e7, 9e7),
+            )
+
     def test_validates_bisection_geometry(self):
         with pytest.raises(ConfigurationError, match="2\\*\\*k"):
             ExploreSpec(coarse_steps=5, target_steps=13)  # stride 3

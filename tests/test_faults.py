@@ -10,15 +10,19 @@ failure recorded (for ``skip``).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from repro import faults, parallel
+from repro.archs.asic.lowpower import LowPowerDDCModel
+from repro.config import REFERENCE_DDC
 from repro.core.evaluator import DDCEvaluator, ReportCache
 from repro.errors import ConfigurationError, PartialResultError
 from repro.explore.refine import run_explore
@@ -228,6 +232,38 @@ class TestCheckpointResume:
             explore_spec(), DDCEvaluator().models
         ) is None
 
+    def test_error_cell_round_trips_byte_identical(self, tmp_path):
+        """The checkpoint codec keeps an error cell and ``None`` snapshot
+        objectives: a skip run interrupted at round 1 resumes to exactly
+        the report of an uninterrupted skip run."""
+        spec = explore_spec(on_error="skip")
+        cell_fault = FaultSpec("explore.cell", keys=((0, 4),))
+        with faults.inject(FaultPlan((cell_fault,))):
+            baseline = run_explore(
+                spec, "adaptive", DDCEvaluator(cache=ReportCache())
+            ).render()
+        store = ReportStore(tmp_path / "store.jsonl")
+        plan = FaultPlan((cell_fault, FaultSpec("explore.round", keys=(1,))))
+        with faults.inject(plan):
+            with pytest.raises(InjectedFault):
+                run_explore(
+                    spec, "adaptive",
+                    DDCEvaluator(cache=ReportCache()), store=store,
+                )
+        checkpoint = store.load_checkpoint(spec, DDCEvaluator().models)
+        cells = [c for point in checkpoint["evaluated"] for c in point.values()]
+        assert [o["index"] for o, _ in cells if o["error"]] == [4]
+        assert any(
+            None in arch["objectives"]
+            for _, snapshot in cells
+            for arch in snapshot["architectures"]
+        )
+        resumed = run_explore(
+            spec, "adaptive", DDCEvaluator(cache=ReportCache()), store=store
+        )
+        assert resumed.partial
+        assert resumed.render() == baseline
+
     def test_store_needs_adaptive_engine(self, tmp_path):
         with pytest.raises(ConfigurationError, match="adaptive"):
             run_explore(
@@ -271,6 +307,71 @@ class TestCheckpointResume:
         assert resumed.returncode == 0, resumed.stderr
         assert "resuming from checkpoint" in resumed.stderr
         assert resumed.stdout == baseline.stdout
+
+
+#: Writer A as its own process: saves LowPowerDDC reports for the
+#: comma-separated ``fir_taps`` in argv[2] to the store at argv[1].
+STORE_WRITER = """
+import sys
+from dataclasses import replace
+from repro.archs.asic.lowpower import LowPowerDDCModel
+from repro.config import REFERENCE_DDC
+from repro.core.evaluator import ReportCache
+from repro.explore.store import ReportStore
+
+cache = ReportCache()
+for n in sys.argv[2].split(","):
+    cache.implement(LowPowerDDCModel(), replace(REFERENCE_DDC, fir_taps=int(n)))
+ReportStore(sys.argv[1]).save(cache)
+"""
+
+
+class TestStoreConcurrency:
+    def test_concurrent_writers_keep_every_record(self, tmp_path):
+        """Writer A (a child process) is held by a sleep fault between
+        its read and its write; writer B (this process) saves during
+        that sleep.  The store lock makes B wait for A and merge on top
+        of it, so no record is lost."""
+        path = tmp_path / "store" / "store.jsonl"
+        claims = tmp_path / "claims"
+        claims.mkdir()
+        plan = FaultPlan(
+            (
+                FaultSpec(
+                    "store.update", kind="sleep",
+                    keys=("store.jsonl",), delay_s=2.0,
+                ),
+            ),
+            scratch=str(claims),
+        )
+        cache_b = ReportCache()
+        for n in (69, 71, 73):
+            config = dataclasses.replace(REFERENCE_DDC, fir_taps=n)
+            cache_b.implement(LowPowerDDCModel(), config)
+        repo_src = str(Path(__file__).resolve().parent.parent / "src")
+        writer_a = subprocess.Popen(
+            [sys.executable, "-c", STORE_WRITER, str(path), "63,65,67"],
+            env={
+                **os.environ, "PYTHONPATH": repo_src,
+                faults.ENV_VAR: plan.to_json(),
+            },
+            stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            # The fault's claim marker appears as A starts its sleep,
+            # after its read: B's save lands inside A's read-modify-write.
+            deadline = time.monotonic() + 60
+            while not any(claims.iterdir()):
+                assert writer_a.poll() is None, writer_a.communicate()[1]
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            ReportStore(path).save(cache_b)
+            assert writer_a.wait(timeout=60) == 0, writer_a.communicate()[1]
+        finally:
+            writer_a.kill()
+        loaded = ReportStore(path).load(ReportCache(), [LowPowerDDCModel()])
+        assert loaded == 6
+        assert [p.name for p in path.parent.iterdir()] == ["store.jsonl"]
 
 
 class TestTornWrites:

@@ -13,6 +13,7 @@ import pytest
 
 from repro.config import DDCConfig, REFERENCE_DDC
 from repro.errors import ConfigurationError
+from repro.explore import ExploreSpec
 from repro.sweep import (
     SweepPoint,
     SweepSpec,
@@ -25,6 +26,16 @@ from repro.sweep.__main__ import main as sweep_main
 SMALL = SweepSpec(duty_cycle_steps=11)
 TWO_POINT = SweepSpec.from_axes(
     {"nco_frequency_hz": (5e6, 10e6)}, duty_cycle_steps=9
+)
+
+#: The sweep's axes and the explorer's discrete axes are one grid with
+#: one validation, so every grid rejection is checked on both specs.
+GRID_SPECS = {
+    "sweep": lambda axes=(), **kw: SweepSpec(axes=axes, **kw),
+    "explore": lambda axes=(), **kw: ExploreSpec(discrete_axes=axes, **kw),
+}
+both_grid_specs = pytest.mark.parametrize(
+    "make", list(GRID_SPECS.values()), ids=list(GRID_SPECS)
 )
 
 
@@ -61,21 +72,25 @@ class TestSweepSpec:
         with pytest.raises(ConfigurationError, match="unknown sweep axis"):
             SweepSpec.from_axes({"warp_factor": (9,)})
 
-    def test_duplicate_axis_rejected(self):
+    @both_grid_specs
+    def test_duplicate_axis_rejected(self, make):
         with pytest.raises(ConfigurationError, match="duplicate"):
-            SweepSpec(axes=(("fir_taps", (63,)), ("fir_taps", (125,))))
+            make((("fir_taps", (63,)), ("fir_taps", (125,))))
 
-    def test_empty_axis_values_rejected(self):
+    @both_grid_specs
+    def test_empty_axis_values_rejected(self, make):
         with pytest.raises(ConfigurationError, match="non-empty"):
-            SweepSpec.from_axes({"fir_taps": ()})
+            make((("fir_taps", ()),))
 
-    def test_bad_steps_and_standby_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SweepSpec(duty_cycle_steps=1)
-        with pytest.raises(ConfigurationError):
-            SweepSpec(standby_fraction=1.5)
-        with pytest.raises(ConfigurationError):
-            SweepSpec(architectures=())
+    @both_grid_specs
+    def test_bad_steps_and_standby_rejected(self, make):
+        with pytest.raises(ConfigurationError, match="duty_cycle_steps"):
+            make(duty_cycle_steps=1)
+        for fraction in (1.5, -0.1):
+            with pytest.raises(ConfigurationError, match="standby_fraction"):
+                make(standby_fraction=fraction)
+        with pytest.raises(ConfigurationError, match="architectures"):
+            make(architectures=())
 
     def test_duty_cycles_match_scalar_grid(self):
         d = SweepSpec(duty_cycle_steps=5).duty_cycles()
