@@ -29,9 +29,7 @@ from .fir import (
     polyphase_decompose,
 )
 from .firdesign import (
-    design_lowpass,
     design_kaiser_lowpass,
-    design_remez_lowpass,
     design_cic_compensator,
     reference_fir_taps,
     quantize_taps,
@@ -78,9 +76,7 @@ __all__ = [
     "PolyphaseDecimator",
     "FixedPolyphaseDecimator",
     "polyphase_decompose",
-    "design_lowpass",
     "design_kaiser_lowpass",
-    "design_remez_lowpass",
     "design_cic_compensator",
     "reference_fir_taps",
     "quantize_taps",

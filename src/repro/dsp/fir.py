@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as _signal
 
 from ..errors import ConfigurationError
 from ..fixedpoint import QFormat, fir_accumulator_bits, quantize, saturate
@@ -61,7 +60,9 @@ class FIRFilter:
             return np.empty(0, dtype=np.complex128)
         if len(self.taps) == 1:
             return self.taps[0] * x.astype(np.complex128)
-        y, self._zi = _signal.lfilter(
+        from scipy import signal
+
+        y, self._zi = signal.lfilter(
             self.taps, [1.0], x.astype(np.complex128), zi=self._zi
         )
         return y

@@ -1,32 +1,51 @@
 """FIR coefficient design for the DDC's final filter stage.
 
 The paper fixes the final filter at 125 taps (124 on the FPGA) but does not
-publish the coefficients, so this module provides the standard designs a DDC
+publish the coefficients, so this module provides the designs a DDC
 implementer would choose from:
 
-- :func:`design_lowpass` — windowed-sinc with a selectable window;
 - :func:`design_kaiser_lowpass` — Kaiser window from an attenuation spec;
-- :func:`design_remez_lowpass` — equiripple (Parks-McClellan via
-  ``scipy.signal.remez``);
 - :func:`design_cic_compensator` — lowpass with inverse-CIC droop shaping in
   the passband, the textbook choice after a CIC chain whose "drawback ... is
   their sub-optimal frequency attenuation" (Section 2.1);
 - :func:`reference_fir_taps` — the 125-tap filter used throughout this
-  reproduction (Kaiser design with CIC5 droop compensation, cut for the
-  24 kHz output band).
+  reproduction (frequency sampling with a Hamming window and CIC5 droop
+  compensation, cut for the 24 kHz output band).
 
 :func:`quantize_taps` converts any design to the 12-bit ROM contents of the
-FPGA implementation (Fig. 5).
+FPGA implementation (Fig. 5).  Only :func:`design_kaiser_lowpass` imports
+scipy, inside its body, so ``import repro`` never loads it.
 """
 
 from __future__ import annotations
 
+from math import ceil, log
+
 import numpy as np
-from scipy import signal as _signal
 
 from ..errors import ConfigurationError
 from ..fixedpoint import QFormat, to_fixed
 from .response import cic_response
+
+# scipy builds Hamming as (alpha, 1 - alpha); 1 - 0.54 != 0.46 in binary.
+HAMMING = (0.54, 1.0 - 0.54)
+BLACKMAN_HARRIS = (0.35875, 0.48829, 0.14128, 0.01168)
+
+
+def cosine_window(M: int, coeffs: tuple[float, ...]) -> np.ndarray:
+    """Symmetric generalised cosine window ``sum_k a_k cos(k x)``.
+
+    Bit-identical to ``scipy.signal.windows.general_cosine(M, coeffs)``
+    (``HAMMING`` gives ``windows.hamming``, ``BLACKMAN_HARRIS``
+    ``windows.blackmanharris``).
+    """
+    if M <= 1:
+        return np.ones(M)
+    fac = np.linspace(-np.pi, np.pi, M)
+    w = np.zeros(M)
+    for k, a in enumerate(coeffs):
+        w += a * np.cos(k * fac)
+    return w
 
 
 def _check_taps(num_taps: int) -> None:
@@ -34,20 +53,19 @@ def _check_taps(num_taps: int) -> None:
         raise ConfigurationError(f"num_taps must be a positive int, got {num_taps!r}")
 
 
-def design_lowpass(
-    num_taps: int,
-    cutoff_hz: float,
-    sample_rate_hz: float,
-    window: str = "hamming",
+def _firwin2(
+    numtaps: int, freq: np.ndarray, gain: np.ndarray, fs: float
 ) -> np.ndarray:
-    """Windowed-sinc lowpass, unit DC gain."""
-    _check_taps(num_taps)
-    if not 0 < cutoff_hz < sample_rate_hz / 2:
-        raise ConfigurationError("cutoff must be in (0, Nyquist)")
-    taps = _signal.firwin(
-        num_taps, cutoff_hz, fs=sample_rate_hz, window=window, pass_zero=True
-    )
-    return taps / taps.sum()
+    """Type-I Hamming-window ``scipy.signal.firwin2``, bit for bit.
+
+    ``numtaps`` is odd and ``freq`` runs strictly increasing from 0 to
+    ``fs / 2``; the caller guarantees both.
+    """
+    nyq = 0.5 * fs
+    x = np.linspace(0.0, nyq, 1 + 2 ** int(ceil(log(numtaps, 2))))
+    fx = np.interp(x, freq, gain)
+    shift = np.exp(-(numtaps - 1) / 2.0 * 1j * np.pi * x / nyq)
+    return np.fft.irfft(fx * shift)[:numtaps] * cosine_window(numtaps, HAMMING)
 
 
 def design_kaiser_lowpass(
@@ -57,38 +75,17 @@ def design_kaiser_lowpass(
     attenuation_db: float = 60.0,
 ) -> np.ndarray:
     """Kaiser-window lowpass with the beta implied by ``attenuation_db``."""
+    from scipy import signal
+
     _check_taps(num_taps)
+    if not 0 < cutoff_hz < sample_rate_hz / 2:
+        raise ConfigurationError("cutoff must be in (0, Nyquist)")
     if attenuation_db <= 0:
         raise ConfigurationError("attenuation_db must be positive")
-    beta = _signal.kaiser_beta(attenuation_db)
-    taps = _signal.firwin(
+    beta = signal.kaiser_beta(attenuation_db)
+    taps = signal.firwin(
         num_taps, cutoff_hz, fs=sample_rate_hz, window=("kaiser", beta),
         pass_zero=True,
-    )
-    return taps / taps.sum()
-
-
-def design_remez_lowpass(
-    num_taps: int,
-    passband_hz: float,
-    stopband_hz: float,
-    sample_rate_hz: float,
-    passband_weight: float = 1.0,
-    stopband_weight: float = 10.0,
-) -> np.ndarray:
-    """Equiripple lowpass via Parks-McClellan."""
-    _check_taps(num_taps)
-    if not 0 < passband_hz < stopband_hz < sample_rate_hz / 2:
-        raise ConfigurationError(
-            "need 0 < passband < stopband < Nyquist, got "
-            f"{passband_hz}, {stopband_hz}, fs={sample_rate_hz}"
-        )
-    taps = _signal.remez(
-        num_taps,
-        [0, passband_hz, stopband_hz, sample_rate_hz / 2],
-        [1, 0],
-        weight=[passband_weight, stopband_weight],
-        fs=sample_rate_hz,
     )
     return taps / taps.sum()
 
@@ -105,10 +102,12 @@ def design_cic_compensator(
 ) -> np.ndarray:
     """Lowpass whose passband boosts the inverse of the preceding CIC droop.
 
-    Designed by frequency sampling (``scipy.signal.firwin2``): below
-    ``cutoff_hz`` the target gain is ``1 / |H_cic(f)|`` (normalised to 1 at
-    DC), above it the target is 0.  This flattens the cascade passband —
-    the role of the paper's 125-tap FIR after the CIC2/CIC5 pair.
+    Designed by frequency sampling with a Hamming window (:func:`_firwin2`,
+    the in-tree port of ``scipy.signal.firwin2``, pinned to scipy bit for
+    bit by the tests): below ``cutoff_hz`` the target gain is
+    ``1 / |H_cic(f)|`` (normalised to 1 at DC), above it the target is 0.
+    This flattens the cascade passband — the role of the paper's 125-tap
+    FIR after the CIC2/CIC5 pair.
     """
     _check_taps(num_taps)
     if num_taps % 2 == 0:
@@ -126,7 +125,7 @@ def design_cic_compensator(
     edge = np.searchsorted(freqs, cutoff_hz)
     if 0 < edge < grid_points - 1:
         gains[edge] = gains[max(edge - 1, 0)] / 2
-    taps = _signal.firwin2(num_taps, freqs, gains, fs=sample_rate_hz)
+    taps = _firwin2(num_taps, freqs, gains, sample_rate_hz)
     dc = taps.sum()
     if abs(dc) < 1e-12:
         raise ConfigurationError("designed filter has zero DC gain")

@@ -9,9 +9,9 @@ the GC4016-style chain).
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import windows as _windows
 
 from ..errors import ConfigurationError
+from .firdesign import BLACKMAN_HARRIS, cosine_window
 
 
 def _spectrum(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -23,7 +23,7 @@ def _spectrum(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x)
     if x.size < 8:
         raise ConfigurationError("need at least 8 samples for spectral metrics")
-    w = _windows.blackmanharris(len(x))
+    w = cosine_window(len(x), BLACKMAN_HARRIS)
     xw = x * w
     spec = np.fft.rfft(xw) if not np.iscomplexobj(x) else np.fft.fft(xw)
     power = np.abs(spec) ** 2
