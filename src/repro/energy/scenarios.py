@@ -99,7 +99,7 @@ def duty_grid(steps: int) -> np.ndarray:
     return np.arange(steps) / (steps - 1)
 
 
-def check_duty_cycles(duty_cycles) -> np.ndarray:
+def check_duty_cycles(duty_cycles, offset: int = 0) -> np.ndarray:
     """Validate a 1-D float64 duty-cycle array, naming the offender.
 
     The shared gatekeeper of every batched duty-cycle consumer
@@ -109,7 +109,8 @@ def check_duty_cycles(duty_cycles) -> np.ndarray:
     through while the scalar path raised — fails with a
     :class:`~repro.errors.ConfigurationError` naming the first
     offending value and its position, instead of silently extrapolating
-    negative idle energy.
+    negative idle energy.  ``offset`` shifts the index named (a chunk's
+    start).
     """
     d = np.asarray(duty_cycles, dtype=np.float64)
     if d.ndim != 1:
@@ -120,7 +121,7 @@ def check_duty_cycles(duty_cycles) -> np.ndarray:
     if not ok.all():
         i = int(np.argmin(ok))
         raise ConfigurationError(
-            f"duty cycle {float(d[i])!r} at index {i} is outside [0, 1]"
+            f"duty cycle {float(d[i])!r} at index {i + offset} is outside [0, 1]"
         )
     return d
 

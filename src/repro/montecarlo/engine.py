@@ -1,31 +1,33 @@
-"""The population engine: million-user runs in one vectorised pass.
+"""The population engine: million-user runs streamed in bounded memory.
 
 Execution plan for a :class:`~repro.montecarlo.spec.PopulationSpec`:
 
-1. **Sample once, up front.**  One ``np.random.default_rng(seed)`` pass
-   draws the duty-cycle array and the per-axis index arrays in
-   declaration order.  Everything downstream only *slices* these — which
-   is why reports are byte-identical across chunk sizes, worker counts
-   and thread/process backends.
+1. **Snapshot every draw, then stream.**  A pre-pass runs the spec's
+   fixed sequence of size-``n`` draws (duty first, then the axes in
+   declaration order) on ``np.random.default_rng(seed)``, keeping only a
+   snapshot of the generator at the start of each.  Every pass gives
+   each draw a copy of its snapshot and advances them in lockstep, chunk
+   by chunk: chunked PCG64 draws equal one full draw, which is why
+   reports are byte-identical across chunk sizes, worker counts and
+   thread/process backends.
 2. **Deduplicate to distinct configurations.**  Axis index tuples are
-   packed into mixed-radix codes; ``np.unique(..., return_inverse=True)``
-   maps every sample to a distinct-config row.  10^6 samples over
-   ``choice(63,125,255)`` cost three model evaluations, not a million.
+   packed into mixed-radix codes and histogrammed chunk by chunk.  10^6
+   samples over ``choice(63,125,255)`` cost three model evaluations.
 3. **One batched model evaluation per distinct config.**  The candidate
    table (architectures x distinct configs of active/idle watts, ``nan``
    marking infeasible cells) is built from
    ``DDCEvaluator.report_batches`` — or, in the scalar oracle, from each
    model's ``implement_batch_scalar`` loop, so ``--verify`` covers the
    model layer too.
-4. **Chunked fused streaming.**  Samples stream through
+4. **Chunked fused streaming.**  Chunks go through
    :func:`repro.energy.scenarios.effective_power_samples` +
-   :func:`~repro.energy.scenarios.winner_counts` in ``chunk_samples``
-   slices fanned out via :func:`repro.parallel.parallel_map`, never as
-   per-sample reports or python objects.  ``chunk_samples`` bounds only
-   the per-chunk temporaries: the ``(n_samples, n_arch)`` float64 power
-   matrix, needed for exact percentiles, is always materialised in full
-   (~48 MB per 10^6 users x 6 architectures), as are the up-front
-   sample arrays.
+   :func:`~repro.energy.scenarios.winner_counts` via
+   :func:`repro.parallel.parallel_map`, at most ``workers`` in flight.
+   The table and the histogram fix each column's feasible count, hence
+   the sorted positions the report reads; per position only values in
+   a narrowing bracket are kept (:class:`_Brackets`), so memory does not
+   grow with ``n_samples``.  Positions a bracket missed are selected by
+   re-streaming from the snapshots (:func:`_restream`).
 
 Failure policy mirrors the sweep engine (one
 :func:`repro.resilience.run_guarded` runner under both):
@@ -36,20 +38,24 @@ error channel, drop the affected samples, and mark the report partial
 (all-samples-lost raises :class:`~repro.errors.PartialResultError`).
 Chunks declare the ``montecarlo.chunk`` fault-injection site.
 
-The scalar oracle (``engine="scalar"``) re-derives every per-sample
-number through the scalar seed APIs — a python dict lookup from the
-sample's axis-index tuple to its config row, a
+The scalar oracle (``engine="scalar"``) draws one chunk through the
+same sampler and dedup, then re-derives every per-sample number through
+the scalar seed APIs — a python dict lookup from the sample's
+axis-index tuple to its config row, a
 :meth:`~repro.energy.scenarios.ScenarioCandidate.effective_power_w`
-call per architecture, a python ``min`` winner — and feeds the *same*
-aggregation code, so ``--verify`` byte-compares full reports.
+call per architecture, a python ``min`` winner — and sorts whole
+columns, so ``--verify`` byte-compares full reports.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import functools
+import itertools
+import math
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -67,16 +73,25 @@ from ..resilience import check_not_all_failed, pool_retry, run_guarded
 from .spec import PopulationSpec
 
 ENGINES = ("vector", "scalar")
+#: Largest population per engine.  Vector memory stays flat, but at ~5e6
+#: users/s (2-CPU box) 10^10 users take half an hour; the scalar oracle is
+#: a per-sample python loop (~10^4 users/s) over an ``(n, n_arch)`` matrix.
+MAX_VECTOR_SAMPLES, MAX_SCALAR_SAMPLES = 10**10, 10**6
 
 #: Mixed-radix codes must fit int64 with headroom.
 _MAX_DISTINCT = 2**62
 
 
-def _check_engine(engine: str) -> None:
+def _check_engine(engine: str, n_samples: int) -> None:
     if engine not in ENGINES:
         raise ConfigurationError(
             f"unknown engine {engine!r}; choose one of: "
             + ", ".join(ENGINES)
+        )
+    limit = MAX_VECTOR_SAMPLES if engine == "vector" else MAX_SCALAR_SAMPLES
+    if n_samples > limit:
+        raise ConfigurationError(
+            f"n_samples={n_samples} exceeds the {engine} engine's limit of {limit}"
         )
 
 
@@ -134,70 +149,110 @@ class ChunkFailure:
 # --------------------------------------------------------------------------
 # sampling + dedup
 # --------------------------------------------------------------------------
+class _DrawRecorder:
+    """Pre-pass generator stand-in: each ``<method>(..., size=k)`` draw
+    snapshots the generator, then advances it past all ``n`` variates in
+    discarded ``block``-sized draws and returns ``k`` of them."""
+
+    def __init__(self, rng: np.random.Generator, n: int, block: int) -> None:
+        self.rng, self.n, self.block, self.snapshots = rng, n, block, []
+
+    def __getattr__(self, method: str) -> Callable[..., np.ndarray]:
+        def record(*args: Any, size: int, **kwargs: Any) -> np.ndarray:
+            self.snapshots.append(copy.deepcopy(self.rng))
+            for start in range(0, self.n, self.block):
+                block = min(self.block, self.n - start)
+                out = getattr(self.rng, method)(*args, size=block, **kwargs)
+            return out[:size]
+
+        return record
+
+
+class _Lockstep:
+    """Streamed-pass generator stand-in: the k-th draw of each ``sample``
+    call comes from a copy of the k-th snapshot, which keeps its place."""
+
+    def __init__(self, snapshots: Sequence[np.random.Generator]) -> None:
+        self.gens, self.next = copy.deepcopy(snapshots), 0
+
+    def __getattr__(self, method: str) -> Any:
+        gen = self.gens[self.next]
+        self.next = (self.next + 1) % len(self.gens)
+        return getattr(gen, method)
+
+
 def sample_population(
     spec: PopulationSpec,
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Draw the whole population in one seeded pass.
-
-    Returns the duty-cycle array (validated through the shared
-    :func:`~repro.energy.scenarios.check_duty_cycles` gate — the spec's
-    bounds proof makes this a no-op assertion) and one int64 index array
-    per config axis, in declaration order.
-    """
-    rng = np.random.default_rng(spec.seed)
-    duty = np.asarray(
-        spec.duty_cycle.sample(rng, spec.n_samples), dtype=np.float64
-    )
-    duty = check_duty_cycles(duty)
-    axis_indices = [
-        dist.sample_indices(rng, spec.n_samples) for _, dist in spec.axes
+    streams: Sequence[Any],
+    start: int,
+    stop: int,
+    duty: bool = True,
+) -> tuple[np.ndarray | None, list[np.ndarray]]:
+    """Users ``[start, stop)`` from ``streams`` (one per distribution: duty,
+    then each axis): duty cycles (``None`` unless ``duty``) checked by
+    :func:`~repro.energy.scenarios.check_duty_cycles` with global indices,
+    and one index array per axis."""
+    duty_c = None
+    if duty:
+        drawn = spec.duty_cycle.sample(streams[0], stop - start, start)
+        duty_c = check_duty_cycles(np.asarray(drawn, dtype=np.float64), start)
+    return duty_c, [
+        dist.sample_indices(stream, stop - start, start)
+        for (_, dist), stream in zip(spec.axes, streams[1:])
     ]
-    return duty, axis_indices
+
+
+def _chunks(
+    spec: PopulationSpec, snapshots: list, size: int, duty: bool = True
+) -> Iterator[tuple[int, int, np.ndarray | None, list[np.ndarray], np.ndarray]]:
+    """``(index, start, duty, axis_indices, codes)`` per chunk of ``size``
+    users, in order, from fresh lockstep streams."""
+    streams = [_Lockstep(s) for s in snapshots]
+    for k, start in enumerate(range(0, spec.n_samples, size)):
+        stop = min(start + size, spec.n_samples)
+        duty_c, axis_indices = sample_population(spec, streams, start, stop, duty)
+        codes = np.zeros(stop - start, dtype=np.int64)
+        for idx, (_, dist) in zip(axis_indices, spec.axes):
+            codes = codes * len(dist.support) + idx
+        yield k, start, duty_c, axis_indices, codes
 
 
 def dedup_axis_indices(
-    spec: PopulationSpec, axis_indices: Sequence[np.ndarray]
-) -> tuple[np.ndarray, list[tuple[int, ...]]]:
-    """Unique-point deduplication over the discrete axes.
+    spec: PopulationSpec, chunks: Iterable[np.ndarray]
+) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray, list[tuple[int, ...]]]:
+    """Unique-point deduplication over streamed mixed-radix code chunks.
 
-    Packs each sample's axis-index tuple into a mixed-radix int64 code
-    and uniquifies.  Returns ``(inverse, keys)``: ``inverse[i]`` is the
-    distinct-config row of sample ``i`` and ``keys[r]`` the axis-index
-    tuple of row ``r`` (rows in ascending code order — deterministic).
-    """
-    n = spec.n_samples
-    if not axis_indices:
-        return np.zeros(n, dtype=np.int64), [()]
-    if spec.n_distinct_bound() > _MAX_DISTINCT:
+    Returns ``(rows_of, counts, keys)``: ``rows_of`` maps codes to rows
+    (ascending code order — deterministic), ``counts[r]`` and ``keys[r]``
+    are row ``r``'s users and axis indices."""
+    total = spec.n_distinct_bound()
+    if total > _MAX_DISTINCT:
         raise ConfigurationError(
             "population axes span more than 2^62 distinct configurations; "
             "thin the axis supports"
         )
-    radices = [len(dist.support) for _, dist in spec.axes]
-    codes = np.zeros(n, dtype=np.int64)
-    for idx, radix in zip(axis_indices, radices):
-        codes = codes * radix + idx
-    total = spec.n_distinct_bound()
-    if total <= (1 << 22):
-        # Small code spaces (the common case: a few discrete axes) take
-        # the O(n) bincount route instead of np.unique's O(n log n)
-        # sort; the distinct rows come out in the same ascending-code
-        # order either way.
-        hist = np.bincount(codes, minlength=total)
-        uniq = np.nonzero(hist)[0]
-        lookup = np.zeros(total, dtype=np.int64)
-        lookup[uniq] = np.arange(len(uniq), dtype=np.int64)
-        inverse = lookup[codes]
+    # Small code spaces (a few discrete axes) take the O(n) bincount route.
+    small = total <= (1 << 22)
+    uniq = np.empty(0, dtype=np.int64)
+    counts = np.zeros(total if small else 0, dtype=np.int64)
+    for codes in chunks:
+        if small:
+            counts += np.bincount(codes, minlength=total)
+            continue
+        chunk_uniq, chunk_counts = np.unique(codes, return_counts=True)
+        uniq, inverse = np.unique(np.append(uniq, chunk_uniq), return_inverse=True)
+        counts = np.bincount(inverse, np.append(counts, chunk_counts)).astype(int)
+    if small:
+        rows_of = (np.cumsum(counts > 0) - 1).__getitem__
+        uniq = np.flatnonzero(counts)
+        counts = counts[uniq]
     else:
-        uniq, inverse = np.unique(codes, return_inverse=True)
-    keys = []
-    for code in uniq.tolist():
-        key = []
-        for radix in reversed(radices):
-            key.append(int(code % radix))
-            code //= radix
-        keys.append(tuple(reversed(key)))
-    return inverse.astype(np.int64), keys
+        rows_of = functools.partial(np.searchsorted, uniq)
+    radices = [len(dist.support) for _, dist in spec.axes]
+    if not radices:  # every user has the base configuration
+        return rows_of, counts, [()]
+    keys = list(zip(*(i.tolist() for i in np.unravel_index(uniq, radices))))
+    return rows_of, counts, keys
 
 
 def _overrides(
@@ -342,23 +397,24 @@ def _chunk_pass(
     table: CandidateTable,
     duty_bins: int,
     duty_c: np.ndarray,
-    inverse_c: np.ndarray,
+    rows_c: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One fused numpy pass over a sample slice.
 
-    Gathers each sample's candidate row, computes every effective power
-    in one :func:`effective_power_samples` call, and aggregates winners
-    with :func:`winner_counts`.  Dropped/infeasible cells ride the
-    ``nan`` channel throughout.
+    Computes every effective power in one :func:`effective_power_samples`
+    call (laid out architecture-major: the same elementwise math) and
+    aggregates winners with :func:`winner_counts`.  Returns each
+    architecture's powers sorted ascending (``nan`` last) and the counts.
     """
-    active = table.active_w[inverse_c]
-    idle = table.idle_w[inverse_c]
-    powers = effective_power_samples(active, idle, duty_c)
+    active = np.take(table.active_w.T, rows_c, axis=1)
+    idle = np.take(table.idle_w.T, rows_c, axis=1)
+    powers = effective_power_samples(active.T, idle.T, duty_c)
     bins_idx = np.minimum(
         (duty_c * duty_bins).astype(np.int64), duty_bins - 1
     )
     counts = winner_counts(powers, bins_idx, duty_bins)
-    return powers, counts
+    powers.T.sort(axis=1)
+    return powers.T, counts
 
 
 def _chunk_task(
@@ -368,7 +424,7 @@ def _chunk_task(
     item: tuple[int, int, np.ndarray, np.ndarray],
 ) -> tuple[int, int, np.ndarray, np.ndarray] | ChunkFailure:
     """Pool task for one chunk (module-level + partial: picklable)."""
-    index, start, duty_c, inverse_c = item
+    index, start, duty_c, rows_c = item
 
     def run() -> tuple[np.ndarray, np.ndarray]:
         # Span and fault site share the "montecarlo.chunk" vocabulary;
@@ -377,7 +433,7 @@ def _chunk_task(
             "montecarlo.chunk", index=index, size=int(len(duty_c))
         ):
             fault_point("montecarlo.chunk", key=index)
-            return _chunk_pass(table, duty_bins, duty_c, inverse_c)
+            return _chunk_pass(table, duty_bins, duty_c, rows_c)
 
     result, error, _ = run_guarded(
         run, on_error, f"montecarlo chunk {index}"
@@ -390,41 +446,167 @@ def _chunk_task(
     return (index, start, *result)
 
 
+def _merge(
+    runs: tuple[np.ndarray, np.ndarray], new: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending ``new`` values merged into ascending ``(values, counts)``."""
+    values = np.append(runs[0], new)
+    order = np.argsort(values, kind="stable")  # merges two sorted runs
+    return values[order], np.append(runs[1], np.ones(new.size, int))[order]
+
+
+class _Brackets:
+    """Exact order statistics of one column's streamed values.
+
+    Per target position ``t`` (0-based, of ``n`` expected) it keeps the
+    values of a closed bracket — its first and last entries, ``-inf`` /
+    ``inf`` until they move — as ascending values with counts (ties merged
+    as it narrows), and counts those below.  Brackets narrow to ``t``'s
+    expected place among the values seen, +- 8 hypergeometric standard
+    deviations + 16; that only counts values below or drops values above,
+    so a target still inside is exact.
+    """
+
+    def __init__(self, n: int, targets: Iterable[int], chunk: int) -> None:
+        self.n, self.targets, self.seen = n, sorted(targets), 0
+        self.below = np.zeros(len(self.targets), dtype=np.int64)
+        self.runs = [(np.array([-np.inf, np.inf]), np.zeros(2, int))] * len(targets)
+        self.waiting, self.n_waiting = [[] for _ in self.targets], 0
+        self.capacity = chunk * len(self.targets)
+
+    def add(self, values: np.ndarray) -> None:
+        """Take one chunk's values (ascending, ``nan``-free).  The first
+        seeds every bracket; later ones wait until about a chunk per target
+        has come in, then merge and narrow."""
+        if not self.seen and values.size:  # one merge seeds every bracket
+            self.seen = values.size
+            self.runs = [_merge(self.runs[0], values)] * len(self.targets)
+            if self.seen < self.n:  # else every value is in already
+                self._narrow()
+            return
+        self.seen += values.size
+        first = np.searchsorted(values, [r[0][0] for r in self.runs], "left")
+        last = np.searchsorted(values, [r[0][-1] for r in self.runs], "right")
+        self.below += first
+        for waiting, a, b in zip(self.waiting, first, last):
+            waiting.append(values[a:b].copy())  # a copy frees the chunk
+        self.n_waiting += int((last - first).sum())
+        if self.n_waiting >= self.capacity:
+            self._narrow()
+
+    def _merged(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Target ``k``'s kept values with its waiting ones merged in."""
+        if not self.waiting[k]:
+            return self.runs[k]
+        return _merge(self.runs[k], np.sort(np.concatenate(self.waiting[k])))
+
+    def _narrow(self) -> None:
+        for k, t in enumerate(self.targets):
+            kept, counts = self._merged(k)
+            frac, p = min(self.seen / self.n, 1.0), t / self.n
+            margin = 16 + 8 * math.sqrt(self.seen * p * (1 - p) * (1 - frac))
+            centre, ends = t * frac - self.below[k], np.cumsum(counts)
+            # An end moves only where the window ends inside the kept
+            # values, and only to a whole tie, so ``below`` stays below.
+            a = np.searchsorted(ends, centre - margin, "right")
+            b = np.searchsorted(ends, centre + margin, "right")
+            lo, hi = kept[min(a, kept.size - 1)], kept[min(b, kept.size - 1)]
+            a, b = np.searchsorted(kept, lo, "left"), np.searchsorted(kept, hi, "right")
+            self.below[k] += ends[a] - counts[a]
+            starts = np.flatnonzero(np.append(True, kept[a + 1:b] != kept[a:b - 1]))
+            self.runs[k] = kept[a:b][starts], np.add.reduceat(counts[a:b], starts)
+        self.waiting, self.n_waiting = [[] for _ in self.targets], 0
+
+    def select(self, wanted: Iterable[int]) -> dict[int, float]:
+        """``{position: value}`` for the wanted positions inside a bracket."""
+        found = {}
+        for k, below in enumerate(self.below):
+            kept, counts = self._merged(k)
+            ends = below + np.cumsum(counts)
+            for i in wanted:
+                if below <= i < ends[-1]:
+                    found[i] = float(kept[np.searchsorted(ends, i, "right")])
+        return found
+
+
+def _restream(
+    table: CandidateTable,
+    chunks: Callable[[], Iterator[tuple]],
+    skip: set[int],
+    targets: list[tuple[int, int]],
+) -> dict[tuple[int, int], float]:
+    """Exact ``(column, position)`` order statistics by radix selection:
+    values map to uint64 keys in the same order, and each of four passes
+    over re-streamed ``chunks()`` (``skip``: failed ones) fixes 16 more key
+    bits of every target from a histogram of the values sharing its prefix.
+    """
+    telemetry.counter("montecarlo.restreams", 1)
+    prefix, below = dict.fromkeys(targets, 0), dict.fromkeys(targets, 0)
+    with telemetry.span("montecarlo.restream", targets=len(targets)):
+        for shift in (48, 32, 16, 0):
+            hists = {key: np.zeros(1 << 16, dtype=np.int64) for key in targets}
+            for index, _, duty_c, rows_c in chunks():
+                powers = _chunk_pass(table, 1, duty_c, rows_c)[0]
+                for j, i in () if index in skip else targets:
+                    bits = powers[j][~np.isnan(powers[j])].view(np.uint64)
+                    keys = np.where(bits >> 63, ~bits, bits | np.uint64(1 << 63))
+                    if shift < 48:
+                        keys = keys[keys >> (shift + 16) == prefix[j, i]]
+                    digits = ((keys >> shift) & 0xFFFF).astype(np.intp)
+                    hists[j, i] += np.bincount(digits, minlength=1 << 16)
+            for (j, i), hist in hists.items():
+                ends = np.cumsum(hist)
+                digit = int(np.searchsorted(ends, i - below[j, i], "right"))
+                below[j, i] += int(ends[digit] - hist[digit])
+                prefix[j, i] = prefix[j, i] << 16 | digit
+    # Invert the key map: a set top bit marks a non-negative value.
+    bits = {key: k ^ 1 << 63 if k >> 63 else ~k % 2**64 for key, k in prefix.items()}
+    return {key: float(np.uint64(b).view(np.float64)) for key, b in bits.items()}
+
+
 def _run_vector(
     spec: PopulationSpec,
     table: CandidateTable,
-    duty: np.ndarray,
-    inverse: np.ndarray,
+    snapshots: list[list[np.random.Generator]],
+    rows_of: Callable[[np.ndarray], np.ndarray],
+    row_samples: np.ndarray,
     workers: int | None,
     backend: str,
-) -> tuple[np.ndarray, np.ndarray, list[ChunkFailure]]:
-    n, n_arch = spec.n_samples, len(table.names)
-    items = []
-    for k, start in enumerate(range(0, n, spec.chunk_samples)):
-        stop = min(start + spec.chunk_samples, n)
-        items.append((k, start, duty[start:stop], inverse[start:stop]))
-    task = functools.partial(
-        _chunk_task, table, spec.duty_bins, spec.on_error
-    )
-    raw = parallel_map(
-        task, items, workers=workers, backend=backend,
-        retry=pool_retry(spec.on_error),
-    )
-    # Every sample row is written exactly once below — by its chunk's
-    # result, or with nan for a failed chunk — so the matrix can start
-    # uninitialised instead of paying an n x n_arch fill pass.
-    powers = np.empty((n, n_arch))
-    counts = np.zeros((spec.duty_bins, n_arch), dtype=np.int64)
+) -> tuple[list[Any], np.ndarray, list[ChunkFailure]]:
+    from .report import OrderStatistics, rank_indices
+
+    def chunks() -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+        stream = _chunks(spec, snapshots, spec.chunk_samples)
+        return ((k, s, d, rows_of(codes)) for k, s, d, _, codes in stream)
+
+    feasible = ~np.isnan(table.active_w + table.idle_w)
+    brackets = [
+        _Brackets(int(m), rank_indices(int(m), spec.percentiles), spec.chunk_samples)
+        for m in row_samples @ feasible
+    ]
+    counts = np.zeros((spec.duty_bins, len(table.names)), dtype=np.int64)
     chunk_failures: list[ChunkFailure] = []
-    for result in raw:
-        if isinstance(result, ChunkFailure):
-            chunk_failures.append(result)
-            powers[result.start:result.stop] = np.nan
-            continue
-        index, start, chunk_powers, chunk_counts = result
-        powers[start:start + len(chunk_powers)] = chunk_powers
-        counts += chunk_counts
-    return powers, counts, chunk_failures
+    task = functools.partial(_chunk_task, table, spec.duty_bins, spec.on_error)
+    retry, stream = pool_retry(spec.on_error), chunks()
+    # At most ``workers`` chunks in flight, so memory stays per-chunk.
+    while window := list(itertools.islice(stream, max(1, workers or 1))):
+        for result in parallel_map(task, window, workers, backend, retry):
+            if isinstance(result, ChunkFailure):
+                chunk_failures.append(result)
+                continue
+            counts += result[3]
+            for column, values in zip(brackets, result[2]):
+                column.add(values[: np.searchsorted(values, np.nan)])
+    columns, misses = [], []
+    for j, column in enumerate(brackets):
+        wanted = rank_indices(column.seen, spec.percentiles)
+        columns.append(OrderStatistics(column.seen, column.select(wanted)))
+        misses += [(j, i) for i in sorted(wanted - columns[j].keys())]
+    if misses:
+        skip = {f.index for f in chunk_failures}
+        for (j, i), value in _restream(table, chunks, skip, misses).items():
+            columns[j][i] = value
+    return columns, counts, chunk_failures
 
 
 # --------------------------------------------------------------------------
@@ -510,15 +692,26 @@ def run_population(
     ``engine="scalar"`` is the per-sample oracle loop (always serial —
     it *is* the reference).  Identical specs produce byte-identical
     reports across engines, chunk sizes, worker counts and backends.
+    Populations over the engine's ``MAX_*_SAMPLES`` are refused up front.
     """
     from .report import build_report
 
-    _check_engine(engine)
-    duty, axis_indices = sample_population(spec)
-    inverse, keys = dedup_axis_indices(spec, axis_indices)
+    _check_engine(engine, spec.n_samples)
+    with telemetry.span("montecarlo.prepass", n_samples=spec.n_samples):
+        rng = np.random.default_rng(spec.seed)
+        n, size = spec.n_samples, spec.chunk_samples
+        recorders = [_DrawRecorder(rng, n, size) for _ in (0, *spec.axes)]
+        sample_population(spec, recorders, 0, 1)
+    snapshots = [r.snapshots for r in recorders]
+    if engine == "scalar":
+        # The oracle draws its whole population as one chunk.
+        (_, _, duty, axis_indices, codes), = _chunks(spec, snapshots, spec.n_samples)
+        code_chunks = [codes]
+    else:
+        chunks = _chunks(spec, snapshots, spec.chunk_samples, duty=False)
+        code_chunks = (codes for *_, codes in chunks)
+    rows_of, row_samples, keys = dedup_axis_indices(spec, code_chunks)
     table, failures, _ = build_candidate_table(spec, keys, engine)
-
-    row_samples = np.bincount(inverse, minlength=len(keys))
     failures = [
         dataclasses.replace(f, n_samples=int(row_samples[f.row]))
         for f in failures
@@ -526,10 +719,11 @@ def run_population(
 
     if engine == "scalar":
         powers, counts = _run_scalar(spec, table, duty, axis_indices)
+        columns = [np.sort(c[~np.isnan(c)]) for c in powers.T]
         chunk_failures: list[ChunkFailure] = []
     else:
-        powers, counts, chunk_failures = _run_vector(
-            spec, table, duty, inverse, workers, backend
+        columns, counts, chunk_failures = _run_vector(
+            spec, table, snapshots, rows_of, row_samples, workers, backend
         )
 
     # Every valid sample lands exactly one winner count, so the counts
@@ -540,6 +734,6 @@ def run_population(
         spec.on_error, "sampled user(s)",
     )
     return build_report(
-        spec, table, powers, counts,
+        spec, table, columns, counts,
         failures=tuple(failures), chunk_failures=tuple(chunk_failures),
     )

@@ -1,15 +1,16 @@
 """Deterministic population reports (percentiles, winner maps, JSON).
 
-Both engines hand this module the same two artefacts — the per-sample
-power matrix (``nan`` = infeasible/dropped) and the duty-bin x
-architecture winner counts — and every derived number (nearest-rank
-percentiles, battery-life distributions, winner probabilities) is
-computed here exactly once, so the vector engine and the scalar oracle
-cannot diverge in aggregation, only in estimation.  The JSON document
-is a pure function of the :class:`~repro.montecarlo.spec.PopulationSpec`
-(sorted keys, no timings, no host info, execution knobs excluded from
-the spec block), which is what the seeded-determinism tests
-byte-compare across seeds, engines, chunk sizes and pool backends.
+Both engines hand this module the same two artefacts — each column's
+sorted feasible powers (in full, or as :class:`OrderStatistics`) and the
+duty-bin x architecture winner counts — and every derived number
+(nearest-rank percentiles, battery-life distributions, winner
+probabilities) is computed here exactly once, so the vector engine and
+the scalar oracle cannot diverge in aggregation, only in estimation.
+The JSON document is a pure function of the
+:class:`~repro.montecarlo.spec.PopulationSpec` (sorted keys, no
+timings, no host info, execution knobs excluded from the spec block),
+which is what the seeded-determinism tests byte-compare across seeds,
+engines, chunk sizes and pool backends.
 
 Percentiles use the **nearest-rank** definition (the value at index
 ``ceil(q * m / 100)`` of the sorted sample, 1-based): an actual sample
@@ -25,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -35,13 +36,33 @@ from .spec import PopulationSpec
 SCHEMA = "repro-montecarlo/v1"
 
 
+def _rank(m: int, q: float) -> int:
+    """The 1-based nearest rank of the q-th percentile of ``m`` values."""
+    return min(max(1, math.ceil(q * m / 100.0)), m)
+
+
+def rank_indices(m: int, percentiles: Iterable[float]) -> set[int]:
+    """The sorted positions (0-based) the report reads of ``m`` values."""
+    ranks = [_rank(m, q) for q in percentiles] if m else []
+    return {r - 1 for r in ranks} | {m - r for r in ranks}
+
+
+class OrderStatistics(dict):
+    """``{i: i-th smallest}`` at selected positions of an ascending sort of
+    ``size`` values: the full sorted array, where only the
+    :func:`rank_indices` entries are read."""
+
+    def __init__(self, size: int, values: dict[int, float]) -> None:
+        super().__init__(values)
+        self.size = size
+
+
 def nearest_rank(sorted_values: np.ndarray, q: float) -> float | None:
     """The q-th nearest-rank percentile of an ascending-sorted sample."""
     m = int(sorted_values.size)
     if m == 0:
         return None
-    rank = max(1, math.ceil(q * m / 100.0))
-    return float(sorted_values[min(rank, m) - 1])
+    return float(sorted_values[_rank(m, q) - 1])
 
 
 def battery_life_percentile(
@@ -56,8 +77,7 @@ def battery_life_percentile(
     m = int(sorted_powers.size)
     if m == 0:
         return None
-    rank = max(1, math.ceil(q * m / 100.0))
-    power = float(sorted_powers[m - min(rank, m)])
+    power = float(sorted_powers[m - _rank(m, q)])
     if power <= 0.0:
         return None
     return battery_wh / power
@@ -181,20 +201,20 @@ class PopulationReport:
 def build_report(
     spec: PopulationSpec,
     table: CandidateTable,
-    powers: np.ndarray,
+    columns: Sequence[np.ndarray | OrderStatistics],
     counts: np.ndarray,
     failures: tuple[ConfigFailure, ...] = (),
     chunk_failures: tuple[ChunkFailure, ...] = (),
 ) -> PopulationReport:
-    """Aggregate per-sample powers + winner counts into the report.
+    """Aggregate per-column order statistics + winner counts.
 
-    The single shared aggregation path: ``powers`` is the ``(n_samples,
-    n_architectures)`` effective-power matrix (``nan`` where infeasible
-    or dropped), ``counts`` the ``(duty_bins, n_architectures)`` winner
-    counts.  Everything here is deterministic elementwise float64 math
-    on identical inputs, so engine equality lifts to byte equality.
+    The single shared aggregation path: ``columns[j]`` is the ascending
+    sort of architecture ``j``'s feasible powers, in full or as
+    :class:`OrderStatistics`; ``counts`` the ``(duty_bins,
+    n_architectures)`` winner counts.  Everything here is deterministic
+    float64 math on identical inputs, so engine equality lifts to byte
+    equality.
     """
-    n_arch = len(table.names)
     # Every valid sample lands exactly one winner count.
     n_valid = int(counts.sum())
     bin_samples = counts.sum(axis=1)
@@ -202,16 +222,13 @@ def build_report(
     labels = [percentile_label(q) for q in spec.percentiles]
 
     stats = []
-    for j in range(n_arch):
-        column = powers[:, j]
-        finite = column[~np.isnan(column)]
-        finite.sort()
+    for j, column in enumerate(columns):
         power_p: dict[str, float | None] = {}
         life_p: dict[str, float | None] = {}
         for q, label in zip(spec.percentiles, labels):
-            power_p[label] = nearest_rank(finite, q)
+            power_p[label] = nearest_rank(column, q)
             life_p[label] = battery_life_percentile(
-                finite, q, spec.battery_wh
+                column, q, spec.battery_wh
             )
         by_duty = tuple(
             (int(counts[b, j]) / int(bin_samples[b]))
@@ -222,7 +239,7 @@ def build_report(
             ArchitectureStats(
                 name=table.names[j],
                 reusable=table.reusable[j],
-                n_feasible=int(finite.size),
+                n_feasible=int(column.size),
                 power_w=power_p,
                 battery_life_h=life_p,
                 win_probability=int(total_wins[j]) / n_valid,

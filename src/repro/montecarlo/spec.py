@@ -27,14 +27,16 @@ All distributions are frozen dataclasses of primitives/tuples: picklable
 (process-pool chunk fan-out), comparable, and serialisable via
 :meth:`Distribution.describe` into the deterministic report JSON.
 Sampling draws from a single ``numpy.random.Generator`` in declaration
-order — duty cycle first, then axes — which is what makes reports
-byte-identical across chunk sizes, worker counts and backends: the
-engine samples once up front and only *slices* per chunk.
+order — duty cycle first, then axes — and the engine replays each draw
+chunk by chunk from a snapshot (see :class:`Distribution`), which is
+what makes reports byte-identical across chunk sizes, worker counts and
+backends.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import re
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -61,7 +63,11 @@ class Distribution(ABC):
     config axes (the dedup contract).  Every subclass draws a fixed,
     size-dependent number of variates from the generator it is handed —
     never a data-dependent number — so multi-axis sampling stays
-    reproducible in declaration order.
+    reproducible in declaration order.  The streaming engine relies on
+    this: each draw is one generator call taking ``size=n`` by keyword,
+    which it replays from a snapshot one chunk at a time (a distribution
+    that cannot promise this cannot stream).  ``offset`` is the
+    population index of the first variate (``Trace(replay="cycle")``).
     """
 
     #: Registry name used by :func:`parse_distribution` and ``describe``.
@@ -70,7 +76,7 @@ class Distribution(ABC):
     discrete: bool = False
 
     @abstractmethod
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, n: int, offset: int = 0) -> np.ndarray:
         """``n`` float64 variates."""
 
     def bounds(self) -> tuple[float, float] | None:
@@ -101,18 +107,27 @@ class DiscreteDistribution(Distribution):
         """The distinct values, in a deterministic declared order."""
 
     @abstractmethod
-    def sample_indices(self, rng: np.random.Generator, n: int) -> np.ndarray:
+    def sample_indices(self, rng: np.random.Generator, n: int, offset=0) -> np.ndarray:
         """``n`` int64 indices into :attr:`support`."""
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, n: int, offset: int = 0) -> np.ndarray:
         values = np.asarray(self.support, dtype=np.float64)
-        return values[self.sample_indices(rng, n)]
+        return values[self.sample_indices(rng, n, offset)]
 
     def bounds(self) -> tuple[float, float] | None:
         try:
             return (float(min(self.support)), float(max(self.support)))
         except (TypeError, ValueError):
             return None
+
+
+def check_finite(owner: Any) -> None:
+    """Refuse a dataclass's nan/±inf number fields, naming the field."""
+    for f in dataclasses.fields(owner):
+        value = getattr(owner, f.name)
+        if isinstance(value, (int, float)) and not math.isfinite(value):
+            name = f"{type(owner).__name__}.{f.name}"
+            raise ConfigurationError(f"{name} must be finite, got {value!r}")
 
 
 def _check_clip(low: float | None, high: float | None) -> None:
@@ -147,7 +162,7 @@ def _weighted_indices(
     # is already < len(cumulative) whenever the cumulative tail reaches
     # 1.0 exactly; the clip guards the float-rounding case where it
     # lands at 1 - ulp.
-    u = rng.random(n)
+    u = rng.random(size=n)
     idx = np.searchsorted(cumulative, u, side="right")
     return np.minimum(idx, len(cumulative) - 1).astype(np.int64)
 
@@ -161,14 +176,15 @@ class Uniform(Distribution):
     kind = "uniform"
 
     def __post_init__(self) -> None:
+        check_finite(self)
         if not self.low <= self.high:
             raise ConfigurationError(
                 f"uniform bounds are inverted: low={self.low!r} > "
                 f"high={self.high!r}"
             )
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.uniform(self.low, self.high, n)
+    def sample(self, rng: np.random.Generator, n: int, offset: int = 0) -> np.ndarray:
+        return rng.uniform(self.low, self.high, size=n)
 
     def bounds(self) -> tuple[float, float]:
         return (float(self.low), float(self.high))
@@ -190,12 +206,13 @@ class Normal(Distribution):
     kind = "normal"
 
     def __post_init__(self) -> None:
+        check_finite(self)
         if self.std < 0:
             raise ConfigurationError(f"std must be >= 0, got {self.std!r}")
         _check_clip(self.low, self.high)
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return _clip(rng.normal(self.mean, self.std, n), self.low, self.high)
+    def sample(self, rng: np.random.Generator, n: int, offset: int = 0) -> np.ndarray:
+        return _clip(rng.normal(self.mean, self.std, size=n), self.low, self.high)
 
     def bounds(self) -> tuple[float, float] | None:
         if self.low is None or self.high is None:
@@ -214,15 +231,16 @@ class LogNormal(Distribution):
     kind = "lognormal"
 
     def __post_init__(self) -> None:
+        check_finite(self)
         if self.sigma < 0:
             raise ConfigurationError(
                 f"sigma must be >= 0, got {self.sigma!r}"
             )
         _check_clip(self.low, self.high)
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, n: int, offset: int = 0) -> np.ndarray:
         return _clip(
-            rng.lognormal(self.mu, self.sigma, n), self.low, self.high
+            rng.lognormal(self.mu, self.sigma, size=n), self.low, self.high
         )
 
     def bounds(self) -> tuple[float, float] | None:
@@ -263,14 +281,14 @@ class Mixture(Distribution):
                 )
         _cumulative(tuple(w for w, _ in self.components), "mixture weights")
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, n: int, offset: int = 0) -> np.ndarray:
         cum = _cumulative(
             tuple(w for w, _ in self.components), "mixture weights"
         )
         which = _weighted_indices(cum, rng, n)
         out = np.empty(n, dtype=np.float64)
         for k, (_, dist) in enumerate(self.components):
-            draws = dist.sample(rng, n)
+            draws = dist.sample(rng, n, offset)
             mask = which == k
             out[mask] = draws[mask]
         return out
@@ -321,9 +339,9 @@ class Choice(DiscreteDistribution):
     def support(self) -> tuple[Any, ...]:
         return self.values
 
-    def sample_indices(self, rng: np.random.Generator, n: int) -> np.ndarray:
+    def sample_indices(self, rng: np.random.Generator, n: int, offset=0) -> np.ndarray:
         if self.weights is None:
-            return rng.integers(0, len(self.values), n, dtype=np.int64)
+            return rng.integers(0, len(self.values), size=n, dtype=np.int64)
         return _weighted_indices(
             _cumulative(self.weights, "choice weights"), rng, n
         )
@@ -335,8 +353,9 @@ class Trace(DiscreteDistribution):
 
     ``replay="bootstrap"`` resamples trace positions uniformly with
     replacement (the empirical distribution); ``replay="cycle"`` replays
-    the trace in order, wrapping — sample ``i`` takes trace position
-    ``i mod len(trace)``, independent of the RNG (it still participates
+    the trace in order, wrapping — sample ``i`` (the population index,
+    ``offset`` included) takes trace position ``i mod len(trace)``,
+    independent of the RNG (it still participates
     in the seeded pass for draw-order stability of *other* axes by
     consuming zero draws).  The support is the distinct trace values in
     first-appearance order, so dedup cost scales with distinct values,
@@ -377,12 +396,12 @@ class Trace(DiscreteDistribution):
     def support(self) -> tuple[Any, ...]:
         return self._support
 
-    def sample_indices(self, rng: np.random.Generator, n: int) -> np.ndarray:
+    def sample_indices(self, rng: np.random.Generator, n: int, offset=0) -> np.ndarray:
         pos_to_support = np.asarray(self._position_index, dtype=np.int64)
         if self.replay == "cycle":
-            pos = np.arange(n, dtype=np.int64) % len(self.trace)
+            pos = np.arange(offset, offset + n, dtype=np.int64) % len(self.trace)
         else:
-            pos = rng.integers(0, len(self.trace), n, dtype=np.int64)
+            pos = rng.integers(0, len(self.trace), size=n, dtype=np.int64)
         return pos_to_support[pos]
 
 
@@ -516,6 +535,7 @@ class PopulationSpec:
             raise ConfigurationError(
                 f"duty_bins must be >= 1, got {self.duty_bins!r}"
             )
+        check_finite(self)
         if self.battery_wh <= 0:
             raise ConfigurationError(
                 f"battery_wh must be > 0, got {self.battery_wh!r}"
