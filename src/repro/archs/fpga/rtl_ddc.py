@@ -223,6 +223,8 @@ class RTLDDC:
         returned report then carries zero toggles — which is the right
         setting for functional and throughput runs.
         """
+        if engine not in ("cycle", "block"):
+            raise ConfigurationError(f"unknown RTL run engine {engine!r}")
         samples = np.asarray(samples)
         if not np.issubdtype(samples.dtype, np.integer):
             raise ConfigurationError("RTL DDC input must be raw integers")
@@ -245,9 +247,7 @@ class RTLDDC:
                 cycles=self.sim.cycle,
                 activity=report,
             )
-        if engine == "block":
-            return self._run_block(samples, drain_cycles, activity)
-        raise ConfigurationError(f"unknown RTL run engine {engine!r}")
+        return self._run_block(samples, drain_cycles, activity)
 
     def _run_block(
         self, samples: np.ndarray, drain_cycles: int, activity: bool

@@ -8,13 +8,13 @@ role entirely in Python:
   per-class cycle costs modelled on the ARM9 pipeline;
 - :mod:`~repro.archs.gpp.assembler` — a two-pass textual assembler;
 - :mod:`~repro.archs.gpp.cpu` — the instruction-level simulator with cycle
-  accounting (the per-instruction oracle) and the array-backed
-  :class:`WordMemory`;
-- :mod:`~repro.archs.gpp.engine` — the basic-block compiling fast engine
-  with per-block cycle/region accounting (``CPU.run(engine="blocks")``);
-- :mod:`~repro.archs.gpp.ddc_kernel` — the numpy-vectorised executor for
-  the codegen-emitted DDC program (``engine="auto"``), bit-identical
-  statistics at >100x interpreter speed;
+  accounting (the per-instruction oracle, ``CPU.run(engine="interp")``)
+  and the array-backed :class:`WordMemory`;
+- :mod:`~repro.archs.gpp.ddc_kernel` — the one fast path: the
+  numpy-vectorised executor for the codegen-emitted DDC program
+  (``engine="auto"``) with per-block cycle/region accounting,
+  bit-identical statistics at >100x interpreter speed; any other program
+  runs on the interpreter;
 - :mod:`~repro.archs.gpp.codegen` — emits the DDC inner loops the way a C
   compiler would (the paper's note "the code was not optimized" applies to
   this straightforward translation as well);
@@ -29,7 +29,6 @@ from .isa import Instruction, Mnemonic, Operand, Register
 from .assembler import assemble, Program
 from .cpu import CPU, ExecutionStats, WordMemory
 from .codegen import generate_ddc_program, DDC_REGIONS, DDCKernelMeta
-from .engine import CompiledProgram, discover_blocks
 from .profiler import RegionProfile, profile_ddc
 from .arm9 import ARM9Model, ARM922T
 
@@ -43,8 +42,6 @@ __all__ = [
     "CPU",
     "ExecutionStats",
     "WordMemory",
-    "CompiledProgram",
-    "discover_blocks",
     "generate_ddc_program",
     "DDC_REGIONS",
     "DDCKernelMeta",

@@ -94,7 +94,7 @@ class DDCKernelMeta:
     before trusting it; the Hypothesis suite in
     ``tests/test_fast_engine.py`` pins the data path bit-for-bit against
     the interpreter.  If you change the emitted code shape, update the
-    kernel (or drop the metadata and fall back to the block engine).
+    kernel (or drop the metadata and fall back to the interpreter).
     """
 
     n_samples: int

@@ -11,10 +11,9 @@ word-addressed memory (array-backed, zero-default — see
 :class:`WordMemory`).  Arithmetic is 32-bit two's-complement like the ARM.
 
 :meth:`CPU.step` is the per-instruction *oracle*; :meth:`CPU.run` can also
-dispatch to the fast engines (``engine="blocks"`` for the generic
-basic-block compiler, ``engine="auto"`` to additionally use the vectorised
-DDC kernel when the program carries codegen metadata) — both produce
-bit-identical registers, memory and :class:`ExecutionStats`.
+dispatch to the fast path (``engine="auto"``: the vectorised DDC kernel of
+:mod:`~repro.archs.gpp.ddc_kernel` when the program carries codegen
+metadata) — bit-identical registers, memory and :class:`ExecutionStats`.
 """
 
 from __future__ import annotations
@@ -22,12 +21,25 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from ...errors import ExecutionError
+from ...errors import ConfigurationError, ExecutionError
 from .assembler import Program
 from .isa import BRANCHES, CYCLES, FLAG_SETTERS, Instruction, Mnemonic
 
 _WORD_MASK = (1 << 32) - 1
 _SIGN_BIT = 1 << 31
+
+
+#: The execution strategies of :meth:`CPU.run`.
+ENGINES = ("interp", "auto")
+
+
+def check_engine(engine: str) -> None:
+    """Refuse an engine name :meth:`CPU.run` does not know."""
+    if engine not in ENGINES:
+        raise ConfigurationError(
+            f"unknown GPP engine {engine!r} (expected one of "
+            f"{', '.join(ENGINES)})"
+        )
 
 
 def _to_signed(v: int) -> int:
@@ -275,31 +287,22 @@ class CPU:
     ) -> ExecutionStats:
         """Run until HALT; returns the statistics.
 
-        ``engine`` selects the execution strategy — all three produce
+        ``engine`` selects the execution strategy — both produce
         bit-identical registers, memory and statistics:
 
         - ``"interp"`` — the per-instruction oracle loop (seed behaviour);
-        - ``"blocks"`` — the basic-block compiler of
-          :mod:`~repro.archs.gpp.engine`;
-        - ``"auto"`` — the vectorised DDC kernel when the program carries
-          :mod:`~repro.archs.gpp.codegen` metadata, else ``"blocks"``.
+        - ``"auto"`` — the vectorised DDC kernel of
+          :mod:`~repro.archs.gpp.ddc_kernel` when the program carries
+          :mod:`~repro.archs.gpp.codegen` metadata; when the kernel
+          declines (a foreign program, an instruction budget it would
+          exceed), the ``"interp"`` loop, which is the specification.
         """
+        check_engine(engine)
         if engine == "auto":
             from .ddc_kernel import run_ddc_kernel
 
             if run_ddc_kernel(self, max_instructions):
                 return self.stats
-            engine = "blocks"
-        if engine == "blocks":
-            from .engine import CompiledProgram
-
-            compiled = getattr(self.program, "_compiled", None)
-            if compiled is None or compiled.program is not self.program:
-                compiled = CompiledProgram(self.program)
-                self.program._compiled = compiled
-            return compiled.run(self, max_instructions)
-        if engine != "interp":
-            raise ExecutionError(f"unknown engine {engine!r}")
         executed = 0
         while not self.halted:
             if executed >= max_instructions:

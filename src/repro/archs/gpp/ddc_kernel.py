@@ -2,14 +2,17 @@
 
 The generated DDC (see :mod:`~repro.archs.gpp.codegen`) is a fixed loop
 nest whose control flow depends only on counters, never on sample values.
-That makes it the ideal target for the second half of the fast engine:
-instead of interpreting ~25 instructions per input sample, this kernel
+That makes it the one fast path of the GPP simulator: instead of
+interpreting ~25 instructions per input sample, this kernel
 
+- partitions the program into basic blocks (:func:`discover_blocks`) with
+  static per-block instruction/cycle/region cost tables;
 - counts every basic-block execution and taken branch *in closed form*
-  (floor divisions over the decimation counters), and prices them with the
-  same per-block static cost tables the block engine uses — so the
-  resulting :class:`~repro.archs.gpp.cpu.ExecutionStats` is bit-identical
-  to the interpreter's, per region;
+  (floor divisions over the decimation counters), and folds them through
+  those tables (:func:`accumulate_block_stats`) — so the resulting
+  :class:`~repro.archs.gpp.cpu.ExecutionStats` is bit-identical to the
+  interpreter's, per region (every instruction's cost class and region is
+  static; only taken-branch cycles vary, and they are counted per block);
 - replays the data path with numpy over the whole sample block: the
   NCO/mixer and both CIC integrator cascades become ``cumsum`` chains
   (32-bit wrapping commutes with prefix sums modulo 2**32), the combs
@@ -24,25 +27,128 @@ Safety: the kernel only runs when the program carries
 skeleton matches the shape codegen emits (verified against the discovered
 basic blocks).  Anything unexpected — a foreign program, a preloaded
 out-of-range FIR index, an instruction budget the program would exceed —
-returns ``False`` and the caller falls back to the block engine, which
-handles the general case with identical semantics.
+returns ``False`` and :meth:`~repro.archs.gpp.cpu.CPU.run` falls back to
+the per-instruction interpreter, the specification, which then truncates
+or fails exactly where it must.
 """
-
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ...fastpath import delay_chain as _delay_chain, wrap32 as _wrap32
 from .assembler import Program
-from .cpu import CPU, _to_signed
-from .engine import BasicBlock, accumulate_block_stats, discover_blocks
-from .isa import Mnemonic
+from .cpu import CPU, ExecutionStats, _to_signed
+from .isa import BRANCHES, CYCLES, Mnemonic
 
 _MASK = np.int64(0xFFFFFFFF)
 
 
+# ------------------------------------------------------------ basic blocks
+@dataclass
+class BasicBlock:
+    """One straight-line run of instructions.
+
+    ``start``/``end`` delimit ``program.instructions[start:end]``; the last
+    instruction may be a branch or HALT (the terminator).  Static per-block
+    cost tables let the runtime count block executions instead of
+    instructions.
+    """
+
+    index: int
+    start: int
+    end: int  # exclusive
+    #: successor pc when the terminator is not taken / absent
+    fallthrough: int
+    #: branch target pc (branches only)
+    target: int | None = None
+    terminator: Mnemonic | None = None
+    n_instr: int = 0
+    base_cycles: int = 0  # with branches priced as not-taken
+    taken_extra: int = 0
+    branch_region: str | None = None
+    #: region -> (instructions, not-taken cycles)
+    region_costs: dict[str, tuple[int, int]] = field(default_factory=dict)
+
+
+def discover_blocks(program: Program) -> list[BasicBlock]:
+    """Partition ``program`` into basic blocks (in program order)."""
+    n = len(program)
+    leaders = {0}
+    for pc, instr in enumerate(program.instructions):
+        if instr.mnemonic in BRANCHES:
+            leaders.add(instr.target)
+            if pc + 1 < n:
+                leaders.add(pc + 1)
+        elif instr.mnemonic is Mnemonic.HALT and pc + 1 < n:
+            leaders.add(pc + 1)
+    ordered = sorted(leaders)
+    blocks: list[BasicBlock] = []
+    for bi, start in enumerate(ordered):
+        limit = ordered[bi + 1] if bi + 1 < len(ordered) else n
+        end = start
+        terminator = None
+        target = None
+        while end < limit:
+            instr = program.instructions[end]
+            end += 1
+            if instr.mnemonic in BRANCHES or instr.mnemonic is Mnemonic.HALT:
+                terminator = instr.mnemonic
+                target = instr.target if instr.mnemonic in BRANCHES else None
+                break
+        blk = BasicBlock(bi, start, end, fallthrough=end,
+                         terminator=terminator, target=target)
+        _price_block(program, blk)
+        blocks.append(blk)
+    return blocks
+
+
+def _price_block(program: Program, blk: BasicBlock) -> None:
+    """Fill the static instruction/cycle/region tables of ``blk``."""
+    costs: dict[str, list[int]] = {}
+    for pc in range(blk.start, blk.end):
+        instr = program.instructions[pc]
+        region = program.region_of(pc)
+        cyc = CYCLES[instr.cost_class(False)]
+        entry = costs.setdefault(region, [0, 0])
+        entry[0] += 1
+        entry[1] += cyc
+        blk.n_instr += 1
+        blk.base_cycles += cyc
+        if instr.mnemonic in BRANCHES:
+            blk.taken_extra = (
+                CYCLES["branch_taken"] - CYCLES["branch_not_taken"]
+            )
+            blk.branch_region = region
+    blk.region_costs = {r: (i, c) for r, (i, c) in costs.items()}
+
+
+def accumulate_block_stats(
+    stats: ExecutionStats,
+    blocks: list[BasicBlock],
+    counts: list[int],
+    takens: list[int],
+) -> None:
+    """Fold per-block execution counters into ``stats``.
+
+    Bit-identical to per-instruction accounting because every instruction's
+    cost class and region are static; only branch-taken cycles vary, and
+    those are counted separately per block.
+    """
+    for blk, count, taken in zip(blocks, counts, takens):
+        if not count:
+            continue
+        stats.instructions += count * blk.n_instr
+        stats.cycles += count * blk.base_cycles + taken * blk.taken_extra
+        for region, (ri, rc) in blk.region_costs.items():
+            stats.region_instructions[region] += count * ri
+            stats.region_cycles[region] += count * rc
+        if taken and blk.branch_region is not None:
+            stats.region_cycles[blk.branch_region] += taken * blk.taken_extra
+
+
+# ------------------------------------------------------------ the DDC kernel
 @dataclass(frozen=True)
 class _Skeleton:
     """The 13 basic blocks of a generated DDC program, by role."""
@@ -123,7 +229,7 @@ def ddc_block_plan(
     Pure counter algebra over the decimation structure — no execution —
     shared by :func:`run_ddc_kernel` and the analytic profile behind
     ``ARM9Model.implement_batch``.  Feeding the plan to
-    :func:`~repro.archs.gpp.engine.accumulate_block_stats` produces an
+    :func:`accumulate_block_stats` produces an
     :class:`~repro.archs.gpp.cpu.ExecutionStats` bit-identical to
     actually executing the program.
     """
@@ -178,7 +284,7 @@ def run_ddc_kernel(cpu: CPU, max_instructions: int) -> bool:
     f = c5 // d8               # FIR summation executions
     plan = ddc_block_plan(sk, n, d2, d5, d8, taps, w0)
     if plan_instructions(plan) > max_instructions:
-        return False  # the block engine truncates identically
+        return False  # the interpreter truncates at the exact instruction
 
     # ------------------------------------------------------- NCO + mixer
     lut_words = 1 << meta.lut_bits

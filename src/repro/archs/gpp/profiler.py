@@ -24,7 +24,7 @@ from .codegen import (
     build_memory_image,
     generate_ddc_program,
 )
-from .cpu import CPU, ExecutionStats
+from .cpu import CPU, ExecutionStats, check_engine
 
 
 @dataclass(frozen=True)
@@ -112,12 +112,15 @@ def profile_ddc_analytic(
 
     Returns ``None`` when the analytic path does not apply — non-reference
     CIC orders (codegen rejects them) or a run that would exceed
-    :func:`profile_ddc`'s instruction budget (the engine truncates there)
+    :func:`profile_ddc`'s instruction budget (the interpreter truncates there)
     — and the caller must fall back to :func:`profile_ddc`, which
     reproduces the scalar behaviour exactly, errors included.
     """
-    from .ddc_kernel import ddc_block_plan, plan_instructions
-    from .engine import accumulate_block_stats
+    from .ddc_kernel import (
+        accumulate_block_stats,
+        ddc_block_plan,
+        plan_instructions,
+    )
 
     if config.cic2_order != 2 or config.cic5_order != 5:
         return None
@@ -174,6 +177,7 @@ def profile_ddc(
     vectorised DDC kernel, which is >100x faster than the seed interpreter
     (``engine="interp"``) with bit-identical statistics and outputs.
     """
+    check_engine(engine)
     if n_samples is None:
         n_samples = (
             config.total_decimation if input_samples is None

@@ -271,6 +271,8 @@ def run_ddc_on_tile(
     bit-identical to ``engine="step"`` (the per-cycle oracle, the seed
     path), including cycle counts, ALU utilisation and all tile state.
     """
+    if engine not in ("block", "step"):
+        raise ConfigurationError(f"unknown tile engine {engine!r}")
     samples = np.asarray(samples)
     if not np.issubdtype(samples.dtype, np.integer):
         raise ConfigurationError("tile input must be raw integers")
@@ -301,10 +303,8 @@ def run_ddc_on_tile(
     tile.load_inputs([int(v) for v in samples])
     if engine == "block":
         tile.process_block(program, len(samples))
-    elif engine == "step":
-        tile.run(program, len(samples))
     else:
-        raise ConfigurationError(f"unknown tile engine {engine!r}")
+        tile.run(program, len(samples))
     out = np.array(tile.outputs, dtype=np.int64)
     return DDCMappingResult(
         i=out[0::2].copy() if out.size else out,

@@ -205,8 +205,8 @@ class Bench:
 # Quick mode only shortens the unguarded benches and the slow baselines,
 # whose throughput does not depend on the input length.
 #
-# The streaming benches' fast path is the fused kernel tier (what auto
-# dispatch picks); their baselines are the python oracles or frozen seed
+# The streaming benches' fast path is the fused kernel tier (the default
+# engine); their baselines are the python oracles or frozen seed
 # loops, pinned in seed_paths so later optimisation of the live
 # primitives cannot drift them.  All are vectorised and cost milliseconds.
 def _nco(ctx):

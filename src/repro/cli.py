@@ -89,8 +89,8 @@ def _add_shared(parser: argparse.ArgumentParser, command: Command) -> None:
         "workers included) to PATH; summarise it with "
         "`python -m repro.telemetry PATH`")
     add("--metrics", action="store_true",
-        help="print report-cache hit rates and the kernel tiers this run "
-        "dispatched to stderr (never touches the report on stdout)")
+        help="print report-cache hit rates to stderr (never touches the "
+        "report on stdout)")
 
 
 def main(command: Command, argv: list[str] | None = None) -> int:
@@ -104,10 +104,7 @@ def main(command: Command, argv: list[str] | None = None) -> int:
     try:
         with tracing(args.trace):
             spec = command.build_spec(args)
-            before = (
-                cache_counts(spec.workload),
-                _dispatched() if args.metrics else {},
-            )
+            before = cache_counts(spec.workload)
             run = _verify if args.verify else _report
             return run(command, args, spec, before)
     except ReproError as exc:
@@ -207,7 +204,7 @@ def cache_counts(workload: str) -> tuple[int, int]:
 
 def _cache_delta(before, workload: str) -> tuple[int, int]:
     hits, misses = cache_counts(workload)
-    return hits - before[0][0], misses - before[0][1]
+    return hits - before[0], misses - before[1]
 
 
 def _cache_line(before, workload: str) -> str:
@@ -226,19 +223,6 @@ def _cache_line(before, workload: str) -> str:
     )
 
 
-def _dispatched() -> dict[tuple[str, str], int]:
-    # Lazy: the study CLIs import no DSP kernel module unless they run one.
-    from .kernels.dispatch import dispatch_counts
-
-    return dispatch_counts()
-
-
 def _print_metrics(before, workload: str, extra: list[str]) -> None:
-    """The ``--metrics`` epilogue: cache behaviour, then the tier of every
-    kernel primitive this run dispatched."""
-    used = sorted(k for k, n in _dispatched().items() if n > before[1].get(k, 0))
-    tiers = " ".join(f"{p}={e}" for p, e in used) or "none dispatched"
-    print(
-        _cache_line(before, workload), *extra, f"kernel tiers: {tiers}",
-        sep="\n", file=sys.stderr,
-    )
+    """The ``--metrics`` epilogue: cache behaviour on stderr."""
+    print(_cache_line(before, workload), *extra, sep="\n", file=sys.stderr)

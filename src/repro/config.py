@@ -21,7 +21,10 @@ magic numbers.
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from dataclasses import dataclass
+from typing import Any
 
 from .errors import ConfigurationError
 
@@ -56,6 +59,20 @@ DATA_WIDTH_BITS: int = 12
 #: Clock cycles available to compute one FIR output sample on the FPGA
 #: (192 ksps input to the FIR, decimation 8, logic clocked at 64.512 MHz).
 FPGA_CYCLES_PER_FIR_OUTPUT: int = 2688
+
+
+def check_finite(owner: Any) -> None:
+    """Refuse a dataclass's nan/±inf number fields, naming the field.
+
+    The one finiteness gate of every workload config and population spec:
+    nan slips through ordered comparisons (``nan <= 0`` is False), so each
+    ``__post_init__`` calls this first.
+    """
+    for f in dataclasses.fields(owner):
+        value = getattr(owner, f.name)
+        if isinstance(value, (int, float)) and not math.isfinite(value):
+            name = f"{type(owner).__name__}.{f.name}"
+            raise ConfigurationError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -120,6 +137,7 @@ class DDCConfig:
     nco_frequency_hz: float = 10_000_000.0
 
     def __post_init__(self) -> None:
+        check_finite(self)
         for label, value in (
             ("cic2_decimation", self.cic2_decimation),
             ("cic5_decimation", self.cic5_decimation),

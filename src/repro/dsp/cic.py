@@ -216,21 +216,21 @@ class FixedCICDecimator:
         )
         self._phase = 0
 
-    def process(self, x: np.ndarray, engine: str | None = None) -> np.ndarray:
+    def process(self, x: np.ndarray, engine: str = "fused") -> np.ndarray:
         """Filter and decimate a block of raw integer samples.
 
         Input values must fit ``input_width`` bits (checked).  Returns raw
         integers in :attr:`output_format`.
 
-        ``engine`` selects the kernel tier (``python``/``fused``;
-        ``None`` = the ``REPRO_KERNELS`` default).  All tiers are
+        ``engine`` selects the kernel tier (``python``/``fused``), both
         bit-identical in outputs and carried state.
         """
-        from ..kernels import dispatch as _dispatch
+        from .. import kernels
 
-        tier = _dispatch.resolve("cic", engine)
-        if tier != "python":
-            return _dispatch.kernel("cic", tier)(self, x)
+        if kernels.dispatch("cic", engine):
+            from ..kernels.fused import cic_process
+
+            return cic_process(self, x)
         return self._process_python(x)
 
     def _process_python(self, x: np.ndarray) -> np.ndarray:

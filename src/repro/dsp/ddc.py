@@ -245,21 +245,21 @@ class FixedDDC:
         return np.round(self.nco._lut / self._amp_fmt.scale).astype(np.int64)
 
     def process(
-        self, x_raw: np.ndarray, engine: str | None = None
+        self, x_raw: np.ndarray, engine: str = "fused"
     ) -> tuple[np.ndarray, np.ndarray]:
         """Down-convert raw integer ADC samples; returns raw (I, Q).
 
-        ``engine`` selects the kernel tier (``python``/``fused``;
-        ``None`` = the ``REPRO_KERNELS`` default).  The non-python tiers
-        run the whole chain as one fused end-to-end kernel — integer-LUT
-        mixer, fused CIC rails, strided FIR — bit-identical to the
-        stage-by-stage oracle below.
+        ``engine`` selects the kernel tier (``python``/``fused``).  The
+        fused tier runs the whole chain as one end-to-end kernel —
+        integer-LUT mixer, fused CIC rails, strided FIR — bit-identical to
+        the stage-by-stage oracle below.
         """
-        from ..kernels import dispatch as _dispatch
+        from .. import kernels
 
-        tier = _dispatch.resolve("fixed_ddc", engine)
-        if tier != "python":
-            return _dispatch.kernel("fixed_ddc", tier)(self, x_raw)
+        if kernels.dispatch("fixed_ddc", engine):
+            from ..kernels.fused import ddc_process
+
+            return ddc_process(self, x_raw)
         return self._process_python(x_raw)
 
     def _process_python(

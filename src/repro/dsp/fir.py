@@ -230,18 +230,18 @@ class FixedPolyphaseDecimator:
         self._hist = np.zeros(len(self.taps_raw) - 1, dtype=np.int64)
         self._offset = 0
 
-    def process(self, x: np.ndarray, engine: str | None = None) -> np.ndarray:
+    def process(self, x: np.ndarray, engine: str = "fused") -> np.ndarray:
         """Filter + decimate raw integer samples, bit-true.
 
-        ``engine`` selects the kernel tier (``python``/``fused``;
-        ``None`` = the ``REPRO_KERNELS`` default).  All tiers are
+        ``engine`` selects the kernel tier (``python``/``fused``), both
         bit-identical in outputs and carried state.
         """
-        from ..kernels import dispatch as _dispatch
+        from .. import kernels
 
-        tier = _dispatch.resolve("fir", engine)
-        if tier != "python":
-            return _dispatch.kernel("fir", tier)(self, x)
+        if kernels.dispatch("fir", engine):
+            from ..kernels.fused import fir_process
+
+            return fir_process(self, x)
         return self._process_python(x)
 
     def _process_python(self, x: np.ndarray) -> np.ndarray:

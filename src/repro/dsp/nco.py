@@ -157,23 +157,23 @@ class NCO:
         return steps
 
     def generate(
-        self, n: int, engine: str | None = None
+        self, n: int, engine: str = "fused"
     ) -> tuple[np.ndarray, np.ndarray]:
         """Produce ``n`` samples of (cos, sin).
 
         The streams are phase-coherent: repeated calls continue where the
         previous call stopped, which the streaming DDC relies on.
 
-        ``engine`` selects the kernel tier (``python``/``fused``;
-        ``None`` = the ``REPRO_KERNELS`` default) — LUT mode only, all
-        tiers bit-identical.
+        ``engine`` selects the kernel tier (``python``/``fused``), both
+        bit-identical; only LUT mode has a fused kernel.
         """
-        if self.mode is NCOMode.LUT and self.phase_bits >= self.lut_addr_bits:
-            from ..kernels import dispatch as _dispatch
+        from .. import kernels
 
-            tier = _dispatch.resolve("nco", engine)
-            if tier != "python":
-                return _dispatch.kernel("nco", tier)(self, n)
+        lut = self.mode is NCOMode.LUT and self.phase_bits >= self.lut_addr_bits
+        if kernels.dispatch("nco", engine, fused=lut):
+            from ..kernels.fused import nco_generate
+
+            return nco_generate(self, n)
         phase_words = self.phases(n)
         if self.mode is NCOMode.LUT:
             assert self._lut is not None
@@ -196,7 +196,7 @@ class NCO:
             cos_v = to_fixed(cos_v, fmt).astype(np.float64) * fmt.scale
         return cos_v, sin_v
 
-    def generate_complex(self, n: int, engine: str | None = None) -> np.ndarray:
+    def generate_complex(self, n: int, engine: str = "fused") -> np.ndarray:
         """Produce ``exp(-j*2*pi*f*t)`` for down-conversion: ``cos - j*sin``."""
         cos_v, sin_v = self.generate(n, engine=engine)
         return cos_v - 1j * sin_v

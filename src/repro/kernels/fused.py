@@ -35,7 +35,6 @@ import numpy as np
 from ..errors import ConfigurationError
 from ..fixedpoint import QFormat, quantize, saturate, wrap
 from ..fixedpoint.ops import Rounding
-from .dispatch import register
 
 
 def _check_int_input(x: np.ndarray, what: str) -> np.ndarray:
@@ -274,9 +273,3 @@ def ddc_process(ddc, x_raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     i_s = cic_stage(ddc.cic5_i, i_s)
     q_s = cic_stage(ddc.cic5_q, q_s)
     return fir_process(ddc.fir_i, i_s), fir_process(ddc.fir_q, q_s)
-
-
-register("nco", "fused", nco_generate)
-register("cic", "fused", cic_process)
-register("fir", "fused", fir_process)
-register("fixed_ddc", "fused", ddc_process)

@@ -28,7 +28,6 @@ from __future__ import annotations
 from typing import Callable
 
 from ..simkernel.wire import _popcount
-from .dispatch import register
 
 _ACTIVITY_LATCH = """\
             _n = {w}._next
@@ -101,6 +100,3 @@ def build_step_fn(sim) -> Callable:
     }
     exec(compile("\n".join(lines), "<repro.kernels.simloop>", "exec"), namespace)
     return namespace["_step"]
-
-
-register("sim_step", "fused", build_step_fn)

@@ -36,7 +36,6 @@ backends.
 from __future__ import annotations
 
 import dataclasses
-import math
 import re
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -44,6 +43,7 @@ from typing import Any
 
 import numpy as np
 
+from ..config import check_finite
 from ..errors import ConfigurationError
 
 #: Execution knobs excluded from ``PopulationSpec.describe()``: they pick
@@ -119,15 +119,6 @@ class DiscreteDistribution(Distribution):
             return (float(min(self.support)), float(max(self.support)))
         except (TypeError, ValueError):
             return None
-
-
-def check_finite(owner: Any) -> None:
-    """Refuse a dataclass's nan/±inf number fields, naming the field."""
-    for f in dataclasses.fields(owner):
-        value = getattr(owner, f.name)
-        if isinstance(value, (int, float)) and not math.isfinite(value):
-            name = f"{type(owner).__name__}.{f.name}"
-            raise ConfigurationError(f"{name} must be finite, got {value!r}")
 
 
 def _check_clip(low: float | None, high: float | None) -> None:

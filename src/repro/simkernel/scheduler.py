@@ -101,7 +101,7 @@ class Simulator:
             self._invalidate()
 
     # ------------------------------------------------------------ compiling
-    def compile(self, engine: str | None = None) -> "Simulator":
+    def compile(self, engine: str = "fused") -> "Simulator":
         """Snapshot the design into an executable step plan.
 
         Idempotent and safe to call at any time; assembly methods
@@ -109,15 +109,16 @@ class Simulator:
 
         ``engine`` selects the kernel tier (``python`` = the flat tuple
         plan below, ``fused`` = a generated single-function step loop with
-        the latch bodies inlined; ``None`` = the ``REPRO_KERNELS``
-        default).  Both tiers are cycle- and state-identical, including
-        partial-cycle semantics on a mid-cycle exception.
+        the latch bodies inlined, the default).  Both tiers are cycle- and
+        state-identical, including partial-cycle semantics on a mid-cycle
+        exception.
         """
-        from ..kernels import dispatch as _dispatch
+        from .. import kernels
 
-        tier = _dispatch.resolve("sim_step", engine)
-        if tier != "python":
-            self._step_fn = _dispatch.kernel("sim_step", tier)(self)
+        if kernels.dispatch("sim_step", engine):
+            from ..kernels.simloop import build_step_fn
+
+            self._step_fn = build_step_fn(self)
             self._plan = None
             return self
         wires = tuple(self._wires.values())

@@ -25,7 +25,7 @@ from typing import Any
 #: Span name emitted by ``repro.parallel`` around every task execution.
 TASK_SPAN = "parallel.task"
 
-#: Counter emitted by ``repro.kernels.dispatch.resolve``.
+#: Counter emitted by :func:`repro.kernels.dispatch`.
 DISPATCH_COUNTER = "kernel.dispatch"
 
 

@@ -38,7 +38,7 @@ from ..archs.base import (
     Flexibility,
     ImplementationReport,
 )
-from ..config import DDCConfig, StageConfig
+from ..config import DDCConfig, StageConfig, check_finite
 from ..errors import ConfigurationError
 from ..fixedpoint import QFormat
 from .base import Workload, WorkloadMapping
@@ -69,6 +69,7 @@ class DRMReceiverConfig:
     nco_frequency_hz: float = 10_000_000.0
 
     def __post_init__(self) -> None:
+        check_finite(self)
         if self.n_channels < 1:
             raise ConfigurationError("n_channels must be >= 1")
         # Delegate the per-rail validation (positive decimations, NCO

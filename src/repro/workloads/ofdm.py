@@ -33,7 +33,7 @@ from ..archs.base import (
     Flexibility,
     ImplementationReport,
 )
-from ..config import StageConfig
+from ..config import StageConfig, check_finite
 from ..errors import ConfigurationError, MappingError
 from ..fixedpoint import QFormat
 from .base import Workload, WorkloadMapping
@@ -55,6 +55,7 @@ class OFDMDemodConfig:
     carriers: int = 1536
 
     def __post_init__(self) -> None:
+        check_finite(self)
         if self.sample_rate_hz <= 0:
             raise ConfigurationError("sample_rate_hz must be positive")
         if self.fft_size < 8 or self.fft_size & (self.fft_size - 1):

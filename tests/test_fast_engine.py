@@ -9,10 +9,10 @@ Five families of guarantees:
    counts), with ``activity=False`` latching identically;
 3. the block-mode RTLDDC reconstructs the cycle-accurate activity report
    exactly, not just approximately;
-4. the GPP fast engines (basic-block compiler and vectorised DDC kernel)
-   == the per-instruction interpreter: same registers, flags, memory and
-   bit-identical ``ExecutionStats`` — for random programs and for the
-   generated DDC at arbitrary sample counts;
+4. the GPP fast path (the vectorised DDC kernel) == the per-instruction
+   interpreter: same registers, flags, memory and bit-identical
+   ``ExecutionStats`` for the generated DDC at arbitrary sample counts,
+   and the same truncation when the kernel declines a short budget;
 5. the Montium block engine == the stepped tile: same outputs, env,
    memories, cycle counts, busy-cycle occupancy and ALU utilisation,
    under arbitrary (odd) block splits and mid-macro-period resumes.
@@ -361,21 +361,25 @@ class TestBlockHelpers:
 
 
 # --------------------------------------------------------------------------
-# 5. GPP fast engines vs the per-instruction interpreter
+# 5. GPP fast path vs the per-instruction interpreter
 # --------------------------------------------------------------------------
 
 from repro.archs.gpp import CPU, WordMemory, assemble
 from repro.archs.gpp.codegen import build_memory_image, generate_ddc_program
-from repro.archs.gpp.engine import CompiledProgram, discover_blocks
+from repro.archs.gpp.ddc_kernel import (
+    _match_skeleton,
+    ddc_block_plan,
+    discover_blocks,
+    plan_instructions,
+    run_ddc_kernel,
+)
 from repro.errors import ExecutionError
 
 
-def _fresh_cpu(program, images=(), regs=None):
+def _fresh_cpu(program, images=()):
     cpu = CPU(program)
     for base, words in images:
         cpu.load_memory(base, words)
-    if regs is not None:
-        cpu.regs[:] = regs
     return cpu
 
 
@@ -399,118 +403,28 @@ def _stats_tuple(stats):
     )
 
 
-def _assert_engines_match(program, images=(), regs=None,
-                          max_instructions=200_000,
-                          engines=("blocks", "auto")):
-    ref = _fresh_cpu(program, images, regs)
-    ref_err = None
-    try:
-        ref.run(max_instructions=max_instructions, engine="interp")
-    except ExecutionError as exc:
-        ref_err = str(exc)
-    for engine in engines:
-        got = _fresh_cpu(program, images, regs)
-        got_err = None
+def _assert_engines_match(program, images=(), max_instructions=200_000):
+    """``engine="auto"`` == ``engine="interp"``: the same error (or none),
+    final state and statistics.  Returns the ``auto`` run's error and CPU."""
+    runs = []
+    for engine in ("interp", "auto"):
+        cpu = _fresh_cpu(program, images)
+        err = None
         try:
-            got.run(max_instructions=max_instructions, engine=engine)
+            cpu.run(max_instructions=max_instructions, engine=engine)
         except ExecutionError as exc:
-            got_err = str(exc)
-        assert got_err == ref_err, engine
-        assert _gpp_state(got) == _gpp_state(ref), engine
-        assert _stats_tuple(got.stats) == _stats_tuple(ref.stats), engine
-
-
-# a small random-program generator: arbitrary straight-line ALU/memory
-# work, forward branches, and bounded counted loops — always terminates
-_gpp_ops3 = ("add", "sub", "rsb", "and", "orr", "eor", "mul",
-             "lsl", "lsr", "asr", "adds", "subs")
-
-_reg = st.integers(0, 7)
-_imm = st.integers(-(2**33), 2**33)  # deliberately wider than a word
-# mostly small offsets, sometimes unwrapped-vs-wrapped-distinguishing ones
-_mem_offset = st.one_of(
-    st.integers(-40, 120),
-    st.sampled_from([2**31, 2**32, 2**33 + 7, -(2**31) - 5]),
-)
-
-
-@st.composite
-def _random_programs(draw):
-    lines = []
-    n_chunks = draw(st.integers(1, 4))
-    for chunk in range(n_chunks):
-        lines.append(f"chunk{chunk}:")
-        for _ in range(draw(st.integers(1, 8))):
-            kind = draw(st.integers(0, 5))
-            rd, rn, rm = draw(_reg), draw(_reg), draw(_reg)
-            if kind == 0:
-                lines.append(f"  mov r{rd}, #{draw(_imm)}")
-            elif kind == 1:
-                op = draw(st.sampled_from(_gpp_ops3))
-                if draw(st.booleans()):
-                    lines.append(f"  {op} r{rd}, r{rn}, r{rm}")
-                else:
-                    lines.append(f"  {op} r{rd}, r{rn}, #{draw(_imm)}")
-            elif kind == 2:
-                lines.append(f"  mla r{rd}, r{rn}, r{rm}, r{draw(_reg)}")
-            elif kind == 3:
-                addr = draw(_mem_offset)
-                if draw(st.booleans()):
-                    lines.append(f"  str r{rd}, [r{rn}, #{addr}]")
-                else:
-                    lines.append(f"  str r{rd}, [r{rn}], #{addr}")
-            elif kind == 4:
-                addr = draw(_mem_offset)
-                if draw(st.booleans()):
-                    lines.append(f"  ldr r{rd}, [r{rn}, #{addr}]")
-                else:
-                    lines.append(f"  ldr r{rd}, [r{rn}], #{addr}")
-            else:
-                lines.append(f"  cmp r{rn}, r{rm}")
-        # optional bounded counted loop over the chunk
-        if draw(st.booleans()):
-            trip = draw(st.integers(1, 5))
-            lines.insert(-draw(st.integers(1, 2)), f"  mov r8, #{trip}")
-            lines.append("  subs r8, r8, #1")
-            lines.append(f"  bne chunk{chunk}_body")
-            # loop back to a dedicated label so the trip count is exact
-            body_at = lines.index(f"chunk{chunk}:") + 1
-            lines.insert(body_at, f"chunk{chunk}_body:")
-        # optional forward conditional branch to the next chunk / end
-        if draw(st.booleans()):
-            cond = draw(st.sampled_from(["beq", "bne", "bgt", "blt",
-                                         "bge", "ble"]))
-            target = f"chunk{chunk + 1}" if chunk + 1 < n_chunks else "fin"
-            lines.append(f"  {cond} {target}")
-    lines.append("fin:")
-    lines.append("  halt")
-    return "\n".join(lines)
+            err = str(exc)
+        runs.append((err, _gpp_state(cpu), _stats_tuple(cpu.stats)))
+    assert runs[1] == runs[0]
+    return err, cpu
 
 
 class TestGPPEngineEquivalence:
-    @settings(max_examples=60, deadline=None)
-    @given(source=_random_programs(),
-           regs=st.lists(st.integers(-(2**31), 2**31 - 1),
-                         min_size=16, max_size=16))
-    def test_random_programs_full_state(self, source, regs):
-        """Random programs: identical regs, flags, memory and stats."""
-        program = assemble(source)
-        _assert_engines_match(program, regs=regs, engines=("blocks",))
-
-    @settings(max_examples=20, deadline=None)
-    @given(source=_random_programs(), budget=st.integers(0, 40))
-    def test_truncation_is_bit_identical(self, source, budget):
-        """A tiny instruction budget truncates at the same instruction
-        with the same partial statistics and the same error."""
-        program = assemble(source)
-        _assert_engines_match(program, max_instructions=budget,
-                              engines=("blocks",))
-
     @settings(max_examples=6, deadline=None)
     @given(n=st.sampled_from([1, 15, 16, 271, 336, 337, 672, 2689]),
            spill=st.booleans())
     def test_generated_ddc_all_engines(self, n, spill):
-        """The generated DDC: kernel == blocks == interpreter, any n."""
+        """The generated DDC: kernel == interpreter, any n."""
         program, layout = generate_ddc_program(
             n_samples=n, spill_slots=spill
         )
@@ -521,10 +435,28 @@ class TestGPPEngineEquivalence:
             program, images=images, max_instructions=400 * n + 10_000
         )
 
+    @pytest.mark.parametrize("n", [16, 337, 2689])
+    @pytest.mark.parametrize("spill", [True, False])
+    def test_budget_below_plan_falls_back_to_interp(self, n, spill):
+        """A budget the kernel would exceed makes it decline; ``auto`` then
+        truncates on the interpreter at the same instruction, with the
+        same error, partial state and statistics as ``interp``."""
+        program, layout = generate_ddc_program(n_samples=n, spill_slots=spill)
+        meta = program.ddc_meta
+        plan = ddc_block_plan(_match_skeleton(program), n, meta.d2, meta.d5,
+                              meta.d8, meta.taps, 0)
+        need = plan_instructions(plan)
+        x = np.random.default_rng(n).integers(-2048, 2048, size=n)
+        images = sorted(build_memory_image(layout, x).items())
+        for budget in (0, need // 2, need - 1):
+            assert not run_ddc_kernel(_fresh_cpu(program, images), budget)
+            err, cpu = _assert_engines_match(program, images=images,
+                                             max_instructions=budget)
+            assert err == f"exceeded {budget} instructions without HALT"
+            assert cpu.stats.instructions == budget and not cpu.halted
+
     def test_preloaded_filter_state_reaches_kernel(self):
         """The kernel must honour arbitrary preloaded state words."""
-        from repro.archs.gpp.ddc_kernel import run_ddc_kernel
-
         n = 672
         program, layout = generate_ddc_program(n_samples=n)
         rng = np.random.default_rng(7)
@@ -542,9 +474,7 @@ class TestGPPEngineEquivalence:
 
     def test_out_of_range_preloaded_widx_falls_back(self):
         """A preloaded FIR index outside the ring declines the kernel but
-        still executes identically through the block engine."""
-        from repro.archs.gpp.ddc_kernel import run_ddc_kernel
-
+        still executes identically through the interpreter."""
         n = 336
         program, layout = generate_ddc_program(n_samples=n)
         x = np.zeros(n, dtype=np.int64)
@@ -565,11 +495,6 @@ class TestGPPEngineEquivalence:
         assert fast.region_fractions == slow.region_fractions
         np.testing.assert_array_equal(fast.out_samples, slow.out_samples)
 
-    def test_unknown_engine_rejected(self):
-        program = assemble("halt")
-        with pytest.raises(ExecutionError):
-            CPU(program).run(engine="nope")
-
     def test_block_discovery_covers_program(self):
         program, _ = generate_ddc_program(n_samples=16)
         blocks = discover_blocks(program)
@@ -577,16 +502,6 @@ class TestGPPEngineEquivalence:
             pc for b in blocks for pc in range(b.start, b.end)
         )
         assert covered == list(range(len(program)))
-
-    def test_compiled_program_reused_across_runs(self):
-        program = assemble("mov r0, #1\nhalt")
-        cpu = CPU(program)
-        cpu.run(engine="blocks")
-        first = program._compiled
-        assert isinstance(first, CompiledProgram)
-        again = CPU(program)
-        again.run(engine="blocks")
-        assert program._compiled is first  # cached, not recompiled
 
 
 class TestWordMemoryBoundary:

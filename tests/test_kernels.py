@@ -2,9 +2,9 @@
 
 Every fast tier must be bit-identical to its python oracle — outputs
 *and* carried state — under arbitrary block splits of the input stream.
-The Hypothesis suites here are that pin.  The dispatch layer, the
-``REPRO_KERNELS`` environment variable and the generated
-``Simulator.step`` loop are covered alongside.
+The Hypothesis suites here are that pin.  Engine-name checking of every
+``engine=`` keyword and the generated ``Simulator.step`` loop are covered
+alongside.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from repro.dsp.ddc import FixedDDC
 from repro.dsp.fir import FixedPolyphaseDecimator
 from repro.dsp.nco import NCO, NCOMode
 from repro.errors import ConfigurationError
-from repro.kernels import dispatch
 from repro.simkernel import ClockDomain, Component, Simulator
 from repro.simkernel.trace import WaveTrace
 
@@ -32,69 +31,59 @@ def split_blocks(x: np.ndarray, cuts: list[int]) -> list[np.ndarray]:
     return np.split(x, idx)
 
 
-# ------------------------------------------------------------------ dispatch
-class TestDispatch:
-    def test_registered_tiers(self):
-        for prim in ("nco", "cic", "fir", "fixed_ddc", "sim_step"):
-            tiers = dispatch.registered(prim)
-            assert "python" in tiers
-            assert "fused" in tiers
+# ------------------------------------------------------------ engine names
+def _engine_targets():
+    """``(id, run(engine), engine names, bad names)`` for every
+    ``engine=`` keyword of a fast path with an oracle."""
+    from repro.archs.fpga import RTLDDC
+    from repro.archs.gpp import CPU, assemble, profile_ddc
+    from repro.archs.montium import run_ddc_on_tile
 
-    def test_explicit_engine_wins(self, monkeypatch):
-        monkeypatch.setenv(dispatch.ENV_VAR, "python")
-        assert dispatch.resolve("cic", "fused") == "fused"
-
-    def test_env_single_engine(self, monkeypatch):
-        monkeypatch.setenv(dispatch.ENV_VAR, "python")
-        assert dispatch.resolve("cic") == "python"
-        assert dispatch.resolve("fir") == "python"
-
-    def test_env_per_primitive_override(self, monkeypatch):
-        monkeypatch.setenv(dispatch.ENV_VAR, "python,cic=fused")
-        assert dispatch.resolve("cic") == "fused"
-        assert dispatch.resolve("fir") == "python"
-
-    def test_env_default_auto(self, monkeypatch):
-        monkeypatch.delenv(dispatch.ENV_VAR, raising=False)
-        assert dispatch.resolve("cic") == "fused"
-
-    def test_env_unknown_engine_rejected(self, monkeypatch):
-        monkeypatch.setenv(dispatch.ENV_VAR, "turbo")
-        with pytest.raises(ConfigurationError):
-            dispatch.resolve("cic")
-
-    def test_unknown_explicit_engine_rejected(self):
-        with pytest.raises(ConfigurationError):
-            dispatch.resolve("cic", "turbo")
-
-    def test_fused_degrades_to_python_when_unregistered(self):
-        assert dispatch.resolve("no_such_primitive", "fused") == "python"
-
-    def test_kernel_lookup_unregistered(self):
-        with pytest.raises(ConfigurationError):
-            dispatch.kernel("cic", "python")
-
-    def test_env_var_reaches_process_call(self, monkeypatch, rng):
-        # REPRO_KERNELS=python must make the default call run the oracle;
-        # outputs are identical either way, so pin via resolve + a smoke run.
-        monkeypatch.setenv(dispatch.ENV_VAR, "python")
-        cic = FixedCICDecimator(2, 16, input_width=12)
-        x = rng.integers(-2048, 2048, 320)
-        y_default = cic.process(x)
-        cic2 = FixedCICDecimator(2, 16, input_width=12)
-        y_forced = cic2.process(x, engine="fused")
-        assert np.array_equal(y_default, y_forced)
+    kernel = (("python", "fused"), ("turbo", "auto", "blocks", None))
+    gpp = (("interp", "auto"), ("turbo", "blocks", "fused"))
+    rtl = (("cycle", "block"), ("turbo", "auto", "blocks"))
+    tile = (("step", "block"), ("turbo", "auto", "blocks"))
+    x = np.zeros(32, dtype=np.int64)
+    return [
+        ("nco-lut", lambda e: NCO(1e6, 1e5).generate(8, engine=e),
+         *kernel),
+        ("nco-taylor",
+         lambda e: NCO(1e6, 1e5, mode=NCOMode.TAYLOR).generate(8, engine=e),
+         *kernel),
+        ("nco-degenerate",
+         lambda e: NCO(1e6, 1e5, phase_bits=4, lut_addr_bits=6).generate(
+             8, engine=e),
+         *kernel),
+        ("cic", lambda e: FixedCICDecimator(2, 16, input_width=12).process(
+            x, engine=e), *kernel),
+        ("fir", lambda e: FixedPolyphaseDecimator(
+            taps_raw=np.ones(8, dtype=np.int64), decimation=4, data_width=12,
+            coeff_width=8).process(x, engine=e), *kernel),
+        ("fixed_ddc", lambda e: FixedDDC().process(x, engine=e), *kernel),
+        ("sim_step", lambda e: Simulator(ClockDomain("clk", 1e6)).compile(
+            engine=e), *kernel),
+        ("cpu", lambda e: CPU(assemble("halt")).run(engine=e), *gpp),
+        ("profile_ddc", lambda e: profile_ddc(n_samples=16, engine=e), *gpp),
+        ("rtl_ddc", lambda e: RTLDDC().run(x, engine=e), *rtl),
+        ("montium_tile", lambda e: run_ddc_on_tile(x, engine=e), *tile),
+    ]
 
 
-    def test_select_has_no_side_effects(self):
-        before = dispatch.dispatch_counts()
-        assert dispatch.select("cic", "auto") == "fused"
-        assert dispatch.active_engines()
-        assert dispatch.dispatch_counts() == before
-        dispatch.resolve("cic", "auto")
-        assert dispatch.dispatch_counts()[("cic", "fused")] == (
-            before.get(("cic", "fused"), 0) + 1
-        )
+class TestEngineNames:
+    """Every ``engine=`` keyword refuses an unknown name up front with a
+    :class:`ConfigurationError` — the removed ``blocks``/``auto`` kernel
+    selectors included — whichever code path the configuration takes."""
+
+    @pytest.mark.parametrize(
+        "target", _engine_targets(), ids=lambda t: t[0]
+    )
+    def test_unknown_engine_rejected(self, target):
+        _, run, good, bad = target
+        for engine in good:
+            run(engine)
+        for engine in bad:
+            with pytest.raises(ConfigurationError, match="engine"):
+                run(engine)
 
 
 # ------------------------------------------------------------------- NCO
@@ -443,15 +432,8 @@ class TestSimStepKernel:
     def test_auto_dispatch_uses_generated_loop(self):
         sim = Simulator(ClockDomain("clk", 1e6))
         sim.add(_Counter("c", sim.wire("w", 8), 5))
-        sim.step(5)  # lazy compile under the default (auto) selector
+        sim.step(5)  # lazy compile under the default (fused) engine
         assert sim._step_fn is not None
-
-    def test_env_python_keeps_tuple_plan(self, monkeypatch):
-        monkeypatch.setenv(dispatch.ENV_VAR, "python")
-        sim = Simulator(ClockDomain("clk", 1e6))
-        sim.add(_Counter("c", sim.wire("w", 8), 5))
-        sim.step(5)
-        assert sim._plan is not None and sim._step_fn is None
 
     def test_empty_design(self):
         sim = Simulator(ClockDomain("clk", 1e6))

@@ -28,7 +28,6 @@ from repro.core.evaluator import ReportCache
 from repro.explore.__main__ import main as explore_main
 from repro.explore.store import ReportStore
 from repro.faults import FaultPlan, FaultSpec
-from repro.kernels.dispatch import ENGINES, active_engines
 from repro.montecarlo.__main__ import main as montecarlo_main
 from repro.sweep.__main__ import main as sweep_main
 from repro.sweep.engine import run_sweep
@@ -267,23 +266,25 @@ class TestInstrumentation:
         names = [r["name"] for r in records]
         assert "store.save" in names and "store.load" in names
 
-    def test_kernel_dispatch_counter_and_active_engines(self, tmp_path):
-        from repro.kernels.dispatch import resolve
+    def test_kernel_dispatch_counter_names_the_tier_that_ran(self, tmp_path):
+        from repro.dsp.nco import NCO, NCOMode
 
-        tiers = active_engines()
-        assert set(tiers) >= {"nco", "cic", "fir"}
-        assert all(v in ENGINES for v in tiers.values())
-        # the python selector pins every primitive to the oracle tier
-        assert set(active_engines("python").values()) == {"python"}
         telemetry.enable(tmp_path)
         try:
-            resolved = resolve("nco")
+            NCO(1e6, 1e5).generate(8)
+            NCO(1e6, 1e5).generate(8, engine="python")
+            # Taylor mode has no fused kernel: the oracle runs and says so
+            NCO(1e6, 1e5, mode=NCOMode.TAYLOR).generate(8, engine="fused")
             telemetry.flush()
         finally:
             telemetry.disable()
         records, _, _ = read_shards(tmp_path)
-        rec = next(r for r in records if r["name"] == "kernel.dispatch")
-        assert rec["attrs"] == {"primitive": "nco", "engine": resolved}
+        tiers = [r["attrs"] for r in records if r["name"] == "kernel.dispatch"]
+        assert tiers == [
+            {"primitive": "nco", "engine": "fused"},
+            {"primitive": "nco", "engine": "python"},
+            {"primitive": "nco", "engine": "python"},
+        ]
 
 
 # ------------------------------------------------------------ CLI contracts
@@ -336,7 +337,6 @@ class TestCLIByteIdentity:
         captured = capsys.readouterr()
         assert "report-cache:" not in captured.out
         assert "report-cache:" in captured.err
-        assert "kernel tiers:" in captured.err
 
     def test_metrics_dispatches_no_kernel(self, tmp_path, capsys):
         """Measuring must not change the measurement: a montecarlo run
@@ -344,7 +344,7 @@ class TestCLIByteIdentity:
         trace = tmp_path / "t.jsonl"
         argv = ["--samples", "500", "--metrics", "--trace", str(trace)]
         assert montecarlo_main(argv) == 0
-        assert "kernel tiers: none dispatched" in capsys.readouterr().err
+        assert "report-cache:" in capsys.readouterr().err
         names = [r["name"] for r in load_trace(trace)]
         assert "kernel.dispatch" not in names
 

@@ -268,3 +268,41 @@ class TestEngineKwargShims:
 
         with pytest.raises(ConfigurationError, match="unknown RTL run"):
             RTLDDC().run(np.zeros(8, dtype=np.int64), engine="bogus")
+
+
+# ------------------------------------------------------ non-finite configs
+def _float_fields():
+    """``(config class, field)`` for every float field of each workload's
+    config — the fields nan/inf can reach through an axis."""
+    classes = {get(name).config_cls for name in WORKLOADS}
+    return [
+        (cls, f.name)
+        for cls in sorted(classes, key=lambda c: c.__name__)
+        for f in dataclasses.fields(cls)
+        if f.type in (float, "float")
+    ]
+
+
+class TestNonFiniteConfigs:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize(
+        "cls,field", _float_fields(), ids=lambda v: getattr(v, "__name__", v)
+    )
+    def test_refused_naming_the_field(self, cls, field, value):
+        with pytest.raises(ConfigurationError, match="must be finite") as exc:
+            cls(**{field: value})
+        assert f"{cls.__name__}.{field}" in str(exc.value)
+
+    def test_every_workload_has_a_float_field(self):
+        assert {cls for cls, _ in _float_fields()} == {
+            get(name).config_cls for name in WORKLOADS
+        }
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_sweep_cli_refuses_non_finite_axis(self, value, capsys):
+        from repro.sweep.__main__ import main
+
+        assert main(["--axis", f"input_rate_hz={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "DDCConfig.input_rate_hz must be finite" in captured.err
