@@ -27,6 +27,9 @@ import numpy as np
 from ..errors import ConfigurationError
 from ..fixedpoint import QFormat, to_fixed
 
+#: Samples per block of :func:`drm_like_ofdm`'s angle-addition synthesis.
+_BLOCK = 1024
+
 
 def _rng(seed: int | np.random.Generator | None) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
@@ -108,23 +111,43 @@ def drm_like_ofdm(
     we synthesise QPSK symbols on that grid and mix the baseband multicarrier
     up to the carrier.  The result is a *real* passband signal as the
     AD-converter would deliver.
+
+    Subcarrier ``k`` is the cosine ``cos(w_k i + phase_k)`` at
+    ``carrier_hz + offset_k``.  Splitting each sample index as
+    ``i = b B + r`` (``B = _BLOCK``), angle addition turns the sum over
+    subcarriers into one contraction of block heads
+    ``[cos, -sin](w_k b B + phase_k)`` with in-block steps
+    ``[cos; sin](w_k r)``, so only ~``K (n / B + B)`` sines and cosines are
+    evaluated.  ``np.einsum(optimize=False)`` reduces in a fixed order
+    without BLAS.  Contract: the same signal as the direct per-subcarrier
+    sum of complex exponentials to ~1e-10 absolute, the same
+    ``rng.integers(0, 4, n_subcarriers)`` draws, and output bits that do
+    not depend on the BLAS thread count.
     """
     _check(n, sample_rate_hz)
     if not 0 < carrier_hz < sample_rate_hz / 2:
         raise ConfigurationError("carrier must be in (0, Nyquist)")
     if n_subcarriers < 1:
         raise ConfigurationError("n_subcarriers must be >= 1")
+    if not 0 < bandwidth_hz < np.inf:
+        raise ConfigurationError(
+            f"bandwidth_hz must be positive and finite, got {bandwidth_hz!r}")
+    if not 0 <= rms < np.inf:
+        raise ConfigurationError(f"rms must be >= 0 and finite, got {rms!r}")
     rng = _rng(seed)
-    t = np.arange(n) / sample_rate_hz
     spacing = bandwidth_hz / n_subcarriers
     offsets = (np.arange(n_subcarriers) - (n_subcarriers - 1) / 2) * spacing
     # QPSK symbol per subcarrier, constant over the block (one OFDM symbol).
     phases = rng.integers(0, 4, n_subcarriers) * (np.pi / 2) + np.pi / 4
-    baseband = np.zeros(n, dtype=np.complex128)
-    for df, ph in zip(offsets, phases):
-        baseband += np.exp(1j * (2 * np.pi * df * t + ph))
-    baseband /= np.sqrt(n_subcarriers)
-    passband = np.real(baseband * np.exp(1j * 2 * np.pi * carrier_hz * t))
+    if n == 0:
+        return np.zeros(0)
+    w = 2 * np.pi * (carrier_hz + offsets) / sample_rate_hz
+    heads = np.outer(np.arange(0, n, _BLOCK), w) + phases
+    steps = np.outer(w, np.arange(min(n, _BLOCK)))
+    passband = np.einsum(
+        "bk,kr->br", np.hstack([np.cos(heads), -np.sin(heads)]),
+        np.vstack([np.cos(steps), np.sin(steps)]), optimize=False,
+    ).ravel()[:n]
     current_rms = np.sqrt(np.mean(passband**2)) or 1.0
     return passband * (rms / current_rms)
 
@@ -187,5 +210,6 @@ def quantize_to_adc(
 def _check(n: int, sample_rate_hz: float) -> None:
     if n < 0:
         raise ConfigurationError("n must be >= 0")
-    if sample_rate_hz <= 0:
-        raise ConfigurationError("sample_rate_hz must be positive")
+    if not 0 < sample_rate_hz < np.inf:
+        raise ConfigurationError(
+            f"sample_rate_hz must be positive and finite, got {sample_rate_hz!r}")

@@ -2,9 +2,18 @@
 
 from __future__ import annotations
 
+import hashlib
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.config import REFERENCE_DDC
 from repro.dsp.chain import Chain
 from repro.dsp.cic import CICDecimator
 from repro.dsp.metrics import (
@@ -15,6 +24,7 @@ from repro.dsp.metrics import (
     tone_power_db,
 )
 from repro.dsp.signals import (
+    _BLOCK,
     chirp,
     complex_tone,
     drm_like_ofdm,
@@ -28,6 +38,20 @@ from repro.dsp.streaming import FnBlock, Tap, stream_in_blocks
 from repro.errors import ConfigurationError
 
 FS = 64_512_000.0
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def direct_ofdm(n, fs, carrier, bandwidth, k, rms, rng):
+    """The specification of ``drm_like_ofdm``: one complex exponential per
+    subcarrier per sample, mixed up to the carrier and scaled to ``rms``."""
+    t = np.arange(n) / fs
+    offsets = (np.arange(k) - (k - 1) / 2) * (bandwidth / k)
+    phases = rng.integers(0, 4, k) * (np.pi / 2) + np.pi / 4
+    base = sum(
+        np.exp(1j * (2 * np.pi * df * t + ph)) for df, ph in zip(offsets, phases)
+    )
+    x = np.real(base / np.sqrt(k) * np.exp(1j * 2 * np.pi * carrier * t))
+    return x * (rms / (np.sqrt(np.mean(x**2)) or 1.0)) if n else x
 
 
 class TestSignals:
@@ -91,6 +115,29 @@ class TestSignals:
         x = drm_like_ofdm(1 << 13, FS, 10e6, rms=0.2, seed=1)
         assert np.sqrt(np.mean(x**2)) == pytest.approx(0.2, rel=1e-6)
 
+    def test_drm_empty_is_silent(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = drm_like_ofdm(0, FS, 10e6, seed=1)
+        assert x.dtype == np.float64 and x.shape == (0,)
+
+    @pytest.mark.parametrize("rate", [np.nan, np.inf, -1.0, 0.0])
+    def test_sample_rate_must_be_positive_and_finite(self, rate):
+        with pytest.raises(ConfigurationError, match="sample_rate_hz"):
+            tone(3, 1e6, rate)
+        with pytest.raises(ConfigurationError, match="sample_rate_hz"):
+            drm_like_ofdm(16, rate, 10e6)
+
+    @pytest.mark.parametrize("bandwidth", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_drm_bandwidth_must_be_positive_and_finite(self, bandwidth):
+        with pytest.raises(ConfigurationError, match="bandwidth_hz"):
+            drm_like_ofdm(16, FS, 10e6, bandwidth_hz=bandwidth)
+
+    @pytest.mark.parametrize("rms", [np.nan, np.inf, -1.0])
+    def test_drm_rms_must_be_non_negative_and_finite(self, rms):
+        with pytest.raises(ConfigurationError, match="rms"):
+            drm_like_ofdm(16, FS, 10e6, rms=rms)
+
     def test_gsm_constant_envelope_at_carrier(self):
         x = gsm_like_burst(1 << 13, FS, 10e6, seed=2)
         assert np.abs(x).max() <= 0.5 + 1e-9
@@ -122,6 +169,62 @@ class TestSignals:
     def test_quantize_bits_validation(self):
         with pytest.raises(ConfigurationError):
             quantize_to_adc(np.zeros(4), 1)
+
+
+class TestDRMStimulusEquivalence:
+    """``drm_like_ofdm``'s blocked angle-addition synthesis against the
+    direct per-subcarrier sum it replaces."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+        | st.integers(0, 4096),
+        k=st.sampled_from([1, 2, 206]) | st.integers(1, 100).map(lambda v: 2 * v + 1),
+        bandwidth=st.floats(100.0, 2e6),
+        carrier=st.floats(1e5, FS / 2 - 1e5),
+        rms=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_direct_sum(self, n, k, bandwidth, carrier, rms, seed):
+        new = drm_like_ofdm(n, FS, carrier, bandwidth, k, rms, seed=seed)
+        direct = direct_ofdm(n, FS, carrier, bandwidth, k, rms,
+                             np.random.default_rng(seed))
+        assert new.shape == direct.shape == (n,)
+        assert np.abs(new - direct).max(initial=0.0) <= 1e-9
+
+    def test_reference_ddc_adc_codes_identical(self):
+        cfg = REFERENCE_DDC
+        n = cfg.total_decimation * 8
+        new = drm_like_ofdm(n, cfg.input_rate_hz, cfg.nco_frequency_hz, seed=0)
+        direct = direct_ofdm(n, cfg.input_rate_hz, cfg.nco_frequency_hz,
+                             10_000.0, 206, 0.2, np.random.default_rng(0))
+        np.testing.assert_array_equal(
+            quantize_to_adc(new, cfg.data_width),
+            quantize_to_adc(direct, cfg.data_width),
+        )
+
+    def test_shared_generator_ends_in_the_same_state(self):
+        rng_new, rng_direct = np.random.default_rng(5), np.random.default_rng(5)
+        for carrier, k in ((6.1e6, 206), (9.5e6, 33)):
+            drm_like_ofdm(3000, FS, carrier, n_subcarriers=k, seed=rng_new)
+            direct_ofdm(3000, FS, carrier, 10_000.0, k, 0.2, rng_direct)
+        assert rng_new.bit_generator.state == rng_direct.bit_generator.state
+
+    def test_bits_do_not_depend_on_blas_threads(self):
+        code = (
+            "import hashlib; from repro.dsp import drm_like_ofdm; "
+            f"x = drm_like_ofdm(2688 * 64, {FS!r}, 10e6, seed=3); "
+            "print(hashlib.sha256(x.tobytes()).hexdigest())"
+        )
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src"),
+               "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], cwd=ROOT, env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        x = drm_like_ofdm(2688 * 64, FS, 10e6, seed=3)
+        assert proc.stdout.strip() == hashlib.sha256(x.tobytes()).hexdigest()
 
 
 class TestMetrics:
