@@ -51,13 +51,12 @@ class MappingError(ReproError):
 
 
 class TaskFailedError(ReproError):
-    """A parallel/retried task kept failing after every allowed attempt.
+    """A pooled task lost its worker process on every allowed attempt.
 
-    Raised by :func:`repro.resilience.call_with_retry` and the retrying
-    path of :func:`repro.parallel.parallel_map` once a
-    :class:`~repro.resilience.RetryPolicy` is exhausted.  ``__cause__``
-    carries the last underlying exception; ``attempts`` records how many
-    times the task ran.
+    Raised by :func:`repro.parallel.parallel_map` when its pool breaks
+    (``BrokenExecutor``): at once under ``attempts=1``, or once an item
+    has been handed to ``attempts`` pools that all died.  ``__cause__``
+    carries the break; ``attempts`` records how many times the task ran.
     """
 
     def __init__(self, message: str, attempts: int = 1) -> None:

@@ -254,9 +254,7 @@ def _guarded_cell(
     once, retries included.
     """
     with telemetry.span("explore.cell", key=key):
-        outcome, error, _ = run_guarded(
-            build, spec.on_error, f"explore cell {key}"
-        )
+        outcome, error, _ = run_guarded(build, spec.on_error)
     if error is None:
         return outcome
     return CellOutcome(

@@ -100,10 +100,10 @@ class ExploreSpec(ConfigGrid):
         Cell-failure policy (:data:`~repro.resilience.ON_ERROR_POLICIES`):
         ``"raise"`` aborts on the first failing cell (strict default),
         ``"skip"`` records the failure on the cell's error channel and
-        continues, ``"retry"`` retries the cell under
-        :data:`~repro.resilience.DEFAULT_RETRY` first and records it
-        only if every attempt fails.  Recorded failures mark the report
-        partial.
+        continues, ``"retry"`` runs the cell up to
+        :data:`~repro.resilience.ATTEMPTS` ``["retry"]`` times and
+        records it only if every attempt fails.  Recorded failures mark
+        the report partial.
     """
 
     axis: tuple[str, float, float] | None = None

@@ -1,8 +1,8 @@
 """Deterministic fault injection for the execution layer.
 
 The chaos suite (``pytest -m faults``) has to prove that the recovery
-paths of :mod:`repro.parallel`, :mod:`repro.sweep` and
-:mod:`repro.explore` reproduce fault-free output *byte for byte*.  That
+paths of :mod:`repro.parallel`, :mod:`repro.sweep`, :mod:`repro.explore`
+and :mod:`repro.montecarlo` reproduce fault-free output *byte for byte*.  That
 needs faults which strike at declared places, a declared number of
 times, regardless of scheduling — not random monkey-patching.
 
@@ -21,8 +21,8 @@ production code.  An active plan fires every spec whose ``site`` (and
 - ``kind="kill"``  — ``os._exit(kill_code)``: a dead worker process,
   i.e. ``BrokenExecutor`` for a process pool, a dirty shutdown for a
   CLI run;
-- ``kind="sleep"`` — block ``delay_s`` seconds (drives per-task
-  timeouts);
+- ``kind="sleep"`` — block ``delay_s`` seconds (e.g. hold a store
+  writer inside its read-modify-write while a second writer arrives);
 - ``kind="torn"``  — truncate the file at the site's ``path`` by
   ``tear_bytes`` bytes and then raise :class:`InjectedFault`: a torn
   store write, the crash-after-partial-flush case.
@@ -50,7 +50,7 @@ import os
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterator
 
 from .errors import ConfigurationError, ReproError
@@ -294,17 +294,3 @@ def _tear(path: str, tear_bytes: int) -> None:
     with open(path, "rb+") as fh:
         fh.truncate(max(0, size - tear_bytes))
 
-
-# ------------------------------------------------------------ test helpers
-@dataclass
-class RecordingSleep:
-    """An injectable ``sleep`` that records instead of waiting.
-
-    The chaos suite hands this to retry paths to assert the
-    deterministic backoff schedule without spending wall-clock time.
-    """
-
-    calls: list[float] = field(default_factory=list)
-
-    def __call__(self, seconds: float) -> None:
-        self.calls.append(seconds)

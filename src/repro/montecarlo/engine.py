@@ -69,7 +69,7 @@ from .. import telemetry
 from ..errors import ConfigurationError
 from ..faults import fault_point
 from ..parallel import parallel_map
-from ..resilience import check_not_all_failed, pool_retry, run_guarded
+from ..resilience import ATTEMPTS, check_not_all_failed, run_guarded
 from .spec import PopulationSpec
 
 ENGINES = ("vector", "scalar")
@@ -435,9 +435,7 @@ def _chunk_task(
             fault_point("montecarlo.chunk", key=index)
             return _chunk_pass(table, duty_bins, duty_c, rows_c)
 
-    result, error, _ = run_guarded(
-        run, on_error, f"montecarlo chunk {index}"
-    )
+    result, error, _ = run_guarded(run, on_error)
     if error is not None:  # recorded, never silently swallowed
         return ChunkFailure(
             index=index, start=start, stop=start + len(duty_c),
@@ -587,10 +585,10 @@ def _run_vector(
     counts = np.zeros((spec.duty_bins, len(table.names)), dtype=np.int64)
     chunk_failures: list[ChunkFailure] = []
     task = functools.partial(_chunk_task, table, spec.duty_bins, spec.on_error)
-    retry, stream = pool_retry(spec.on_error), chunks()
+    attempts, stream = ATTEMPTS[spec.on_error], chunks()
     # At most ``workers`` chunks in flight, so memory stays per-chunk.
     while window := list(itertools.islice(stream, max(1, workers or 1))):
-        for result in parallel_map(task, window, workers, backend, retry):
+        for result in parallel_map(task, window, workers, backend, attempts):
             if isinstance(result, ChunkFailure):
                 chunk_failures.append(result)
                 continue

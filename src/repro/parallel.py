@@ -26,8 +26,7 @@ keyed on ``(backend, workers)`` and reused by every subsequent
 ``run_explore`` rounds pay process spawn-up (and each worker's lazily
 rebuilt models and per-process report cache) once instead of per call.
 :func:`shutdown` tears every pool down explicitly; an ``atexit`` hook
-does the same at interpreter exit, and a pool whose workers died
-(``BrokenExecutor``) is evicted so the next call starts a fresh one.
+does the same at interpreter exit.
 
 Guarantees, identical for both backends and unchanged by pool reuse:
 
@@ -40,21 +39,22 @@ Guarantees, identical for both backends and unchanged by pool reuse:
   serial fallback;
 - exceptions propagate exactly as in the serial case (the first failing
   item raises when its result is consumed, in input order); a plain task
-  exception leaves the pool alive and reusable.
+  exception leaves the pool alive and reusable.  Tasks are never
+  retried here: per-item retries belong to
+  :func:`repro.resilience.run_guarded`, which the engines run inside
+  every task.
 
-**Fault tolerance** is opt-in through ``retry=``: a
-:class:`~repro.resilience.RetryPolicy` switches the pooled path to
-per-item futures with per-task timeouts (``Future.result(timeout=...)``),
-deterministic exponential backoff between attempts (injectable
-``sleep``), and partial-result recovery on ``BrokenExecutor`` — the dead
-pool is evicted, a fresh one is built, and only the items that never
-finished are re-submitted, so completed work survives a worker kill.
-Results remain input-ordered and serial-identical; a task that exhausts
-its attempts raises :class:`~repro.errors.TaskFailedError` (lowest
-failing index first) with the underlying error as ``__cause__``.  A
-worker death necessarily loses track of *which* in-flight item killed
-it, so every unfinished item is charged one attempt per rebuild — the
-attempt budget still bounds repeated kills.
+**Dead workers.**  A pool whose worker died (``BrokenExecutor``) is
+evicted, so the next call starts a fresh one.  With ``attempts=1``
+(the default) the map then raises
+:class:`~repro.errors.TaskFailedError` chained from the break.  With
+``attempts > 1`` every item is its own future (a chunk would couple
+innocent items to a poison neighbour's fate): a fresh pool is built and
+only the items that never finished are re-submitted, so completed work
+survives a worker kill and results stay input-ordered and
+serial-identical.  A worker death loses track of *which* in-flight item
+killed it, so every unfinished item is charged one attempt per rebuild;
+the lowest-indexed item that runs out raises ``TaskFailedError``.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ from __future__ import annotations
 import atexit
 import functools
 import threading
-import time
 from concurrent.futures import (
     BrokenExecutor,
     Executor,
@@ -70,14 +69,10 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     ThreadPoolExecutor,
 )
-from concurrent.futures import (
-    TimeoutError as FuturesTimeoutError,
-)
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from . import telemetry
 from .errors import ConfigurationError, TaskFailedError
-from .resilience import RetryPolicy
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -149,7 +144,8 @@ atexit.register(_shutdown_at_exit)
 
 
 def _evict_pool(backend: str, workers: int) -> None:
-    """Drop a (broken) pool from the registry and shut its carcass down."""
+    """Drop a broken pool from the registry and shut its carcass down."""
+    telemetry.counter("parallel.broken_pool", backend=backend)
     with _POOLS_LOCK:
         evicted = _POOLS.pop((backend, workers), None)
     if evicted is not None:
@@ -177,8 +173,7 @@ def parallel_map(
     items: Iterable[T],
     workers: int | None = None,
     backend: str = "thread",
-    retry: RetryPolicy | None = None,
-    sleep: Callable[[float], None] = time.sleep,
+    attempts: int = 1,
 ) -> list[R]:
     """``[fn(x) for x in items]`` with an optional persistent executor pool.
 
@@ -190,13 +185,10 @@ def parallel_map(
     registry (:func:`get_pool`) and stays alive for the next call with
     the same knobs.
 
-    ``retry`` (a :class:`~repro.resilience.RetryPolicy`) arms the
-    fault-tolerant path: per-task timeouts, deterministic backoff via
-    the injectable ``sleep``, and ``BrokenExecutor`` recovery that keeps
-    completed results and re-submits only unfinished items (see the
-    module docstring).  With ``retry=None`` behaviour is exactly the
-    original contract — first failure propagates, a broken pool is
-    evicted and the error raised.
+    ``attempts`` bounds the runs of an item whose worker keeps dying:
+    one that lost its worker on every attempt raises
+    :class:`~repro.errors.TaskFailedError`.  Above ``1`` it arms the
+    broken-pool recovery of the module docstring.
     """
     if backend not in BACKENDS:
         raise ConfigurationError(
@@ -206,6 +198,8 @@ def parallel_map(
         raise ConfigurationError(
             f"workers must be >= 0 (or None for serial), got {workers}"
         )
+    if attempts < 1:
+        raise ConfigurationError(f"attempts must be >= 1, got {attempts}")
     seq: Sequence[T] = list(items)
     if not seq:
         return []
@@ -215,44 +209,31 @@ def parallel_map(
         # allocates it.
         fn = functools.partial(_traced_task, fn)
     if not workers or workers <= 1 or len(seq) == 1:
-        if retry is None:
-            return [fn(x) for x in seq]
-        from .resilience import call_with_retry
-
-        return [
-            call_with_retry(
-                lambda x=x: fn(x), retry, sleep=sleep,
-                label=f"item {i}",
-            )
-            for i, x in enumerate(seq)
-        ]
+        return [fn(x) for x in seq]
     telemetry.counter("parallel.submit", len(seq), backend=backend)
     with telemetry.span(
         "parallel.map", backend=backend, workers=workers, items=len(seq)
     ):
         try:
-            if retry is not None:
-                return _map_with_retry(
-                    fn, seq, workers, backend, retry, sleep
-                )
+            if attempts > 1:
+                return _map_recovering(fn, seq, workers, backend, attempts)
             pool = get_pool(backend, workers)
-            try:
-                if backend == "process":
-                    # Chunking amortises the per-task pickle round-trip;
-                    # the chunk size is a pure function of the request
-                    # (not of pool state), and Executor.map reassembles
-                    # chunk results in input order so determinism holds.
-                    n_workers = min(workers, len(seq))
-                    chunksize = max(1, len(seq) // (n_workers * 4))
-                    return list(pool.map(fn, seq, chunksize=chunksize))
-                return list(pool.map(fn, seq))
-            except BrokenExecutor:
-                # Workers died (e.g. killed mid-task): shut the carcass
-                # down and evict it so the next call rebuilds a healthy
-                # pool, then surface the failure.
-                telemetry.counter("parallel.broken_pool", backend=backend)
-                _evict_pool(backend, workers)
-                raise
+            if backend == "process":
+                # Chunking amortises the per-task pickle round-trip; the
+                # chunk size is a pure function of the request (not of
+                # pool state), and Executor.map reassembles chunk
+                # results in input order so determinism holds.
+                n_workers = min(workers, len(seq))
+                chunksize = max(1, len(seq) // (n_workers * 4))
+                return list(pool.map(fn, seq, chunksize=chunksize))
+            return list(pool.map(fn, seq))
+        except BrokenExecutor as exc:
+            # Evict the carcass so the next call rebuilds a healthy pool.
+            _evict_pool(backend, workers)
+            raise TaskFailedError(
+                f"a {backend} pool worker died mapping {len(seq)} item(s): "
+                f"{exc}"
+            ) from exc
         finally:
             # Pool drain: the parent's merge point.  Flushing here means
             # every record emitted during the map is on disk before the
@@ -261,93 +242,52 @@ def parallel_map(
             telemetry.flush()
 
 
-def _map_with_retry(
+def _lost(future: Future | None) -> bool:
+    """Whether an item's run died with its pool (or never started)."""
+    return (
+        future is None
+        or not future.done()
+        or isinstance(future.exception(), BrokenExecutor)
+    )
+
+
+def _map_recovering(
     fn: Callable[[T], R],
     seq: Sequence[T],
     workers: int,
     backend: str,
-    policy: RetryPolicy,
-    sleep: Callable[[float], None],
+    attempts: int,
 ) -> list[R]:
-    """The fault-tolerant pooled map (see :func:`parallel_map`).
+    """The broken-pool-recovering map of :func:`parallel_map`.
 
-    Every item is submitted as its own future (no chunking — a chunk
-    would couple innocent items to a poison neighbour's fate), results
-    are consumed strictly in input order, and failures are handled
-    per item:
-
-    - a task exception or a ``timeout_s`` expiry charges the item one
-      attempt, backs off deterministically, and re-submits it;
-    - ``BrokenExecutor`` evicts the dead pool, builds a fresh one and
-      re-submits every item whose result was not already safely
-      completed, charging each one attempt (the killer is anonymous);
-    - an item that exhausts ``max_attempts`` raises
-      :class:`~repro.errors.TaskFailedError` from its last error, at the
-      lowest failing index — deterministic, like serial propagation.
+    Results are consumed strictly in input order.  Each round submits
+    the items still to run to a (fresh) pool; an item is charged one
+    attempt when it is handed to a pool.  On ``BrokenExecutor`` the pool
+    is evicted and every unfinished item goes into the next round, unless
+    one has already used all ``attempts`` — then the lowest such index
+    raises :class:`~repro.errors.TaskFailedError` from the break.
     """
-    pool = get_pool(backend, workers)
     n = len(seq)
-    futures: list[Future] = [pool.submit(fn, seq[i]) for i in range(n)]
-    attempts = [0] * n
-    results: list[R] = [None] * n  # type: ignore[list-item]
-
-    def fail(index: int, exc: Exception) -> Exception | None:
-        """Charge one attempt; returns the terminal error if exhausted."""
-        attempts[index] += 1
-        telemetry.counter(
-            "parallel.retry", index=index, error=type(exc).__name__
-        )
-        if attempts[index] >= policy.max_attempts:
-            return TaskFailedError(
-                f"item {index} failed on every one of "
-                f"{attempts[index]} attempt(s): {exc}",
-                attempts=attempts[index],
-            )
-        return None
-
-    i = 0
-    while i < n:
+    runs = [0] * n
+    futures: list[Future | None] = [None] * n
+    results: list[R] = []
+    todo: Sequence[int] = range(n)
+    while True:
         try:
-            results[i] = futures[i].result(timeout=policy.timeout_s)
-            i += 1
-            continue
-        except BrokenExecutor as exc:
-            telemetry.counter("parallel.broken_pool", backend=backend)
-            terminal = fail(i, exc)
-            if terminal is not None:
-                _evict_pool(backend, workers)
-                raise terminal from exc
-            _evict_pool(backend, workers)
             pool = get_pool(backend, workers)
-            # Keep every result that is already safely complete (their
-            # futures resolved before the pool died); re-submit the rest.
-            # The current item was charged above; other unfinished items
-            # are charged when their own result() observes the break —
-            # except they never will, because we replace their futures
-            # here.  Charge them now instead.
-            for j in range(i + 1, n):
-                f = futures[j]
-                if f.done() and f.exception() is None:
-                    continue
-                terminal_j = fail(j, exc)
-                if terminal_j is not None:
-                    raise terminal_j from exc
-                futures[j] = pool.submit(fn, seq[j])
-            sleep(policy.delay_s(attempts[i]))
-            futures[i] = pool.submit(fn, seq[i])
-            continue
-        except FuturesTimeoutError as exc:
-            futures[i].cancel()
-            terminal = fail(i, exc)
-            if terminal is not None:
-                raise terminal from TimeoutError(
-                    f"item {i} exceeded the per-task timeout of "
-                    f"{policy.timeout_s}s"
-                )
-        except Exception as exc:
-            terminal = fail(i, exc)
-            if terminal is not None:
-                raise terminal from exc
-        sleep(policy.delay_s(attempts[i]))
-        futures[i] = pool.submit(fn, seq[i])
-    return results
+            for i in todo:
+                futures[i] = pool.submit(fn, seq[i])
+                runs[i] += 1
+            while len(results) < n:
+                results.append(futures[len(results)].result())
+            return results
+        except BrokenExecutor as exc:
+            _evict_pool(backend, workers)
+            todo = [i for i in range(len(results), n) if _lost(futures[i])]
+            spent = [i for i in todo if runs[i] == attempts]
+            if spent:
+                raise TaskFailedError(
+                    f"item {spent[0]} lost its worker on every one of "
+                    f"{attempts} attempt(s): {exc}",
+                    attempts=attempts,
+                ) from exc

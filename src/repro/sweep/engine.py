@@ -52,7 +52,7 @@ from .. import telemetry
 from ..errors import ConfigurationError
 from ..faults import fault_point
 from ..parallel import parallel_map
-from ..resilience import check_not_all_failed, pool_retry, run_guarded
+from ..resilience import ATTEMPTS, check_not_all_failed, run_guarded
 from .spec import SweepPoint, SweepSpec
 
 #: Engines accepted by :func:`evaluate_point` / :func:`run_sweep`.
@@ -278,7 +278,6 @@ def _point_task(
             engine,
         ),
         spec.on_error,
-        f"sweep point {point.index}",
     )
     return result if error is None else _point_failure(point, error, attempts)
 
@@ -402,7 +401,8 @@ def run_sweep(
     :func:`repro.resilience.run_guarded`.  Under ``"retry"`` the pooled
     map additionally arms :func:`~repro.parallel.parallel_map`'s
     ``BrokenExecutor`` recovery, so a killed process-pool worker costs
-    re-submission, not the sweep.  If *every* point fails,
+    re-submission, not the sweep; under the other modes it raises
+    :class:`~repro.errors.TaskFailedError`.  If *every* point fails,
     :class:`~repro.errors.PartialResultError` is raised — an all-failure
     "report" helps nobody.
     """
@@ -418,7 +418,7 @@ def run_sweep(
     raw = parallel_map(
         functools.partial(_point_task, spec, engine),
         list(zip(points, prepared)),
-        workers=workers, backend=backend, retry=pool_retry(spec.on_error),
+        workers=workers, backend=backend, attempts=ATTEMPTS[spec.on_error],
     )
     results = [r for r in raw if isinstance(r, PointResult)]
     failures = tuple(r for r in raw if isinstance(r, PointFailure))

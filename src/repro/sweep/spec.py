@@ -150,10 +150,10 @@ class SweepSpec(ConfigGrid):
         Cell-failure policy (:data:`~repro.resilience.ON_ERROR_POLICIES`):
         ``"raise"`` aborts on the first failing point (strict default),
         ``"skip"`` records the failure on the report's error channel and
-        continues, ``"retry"`` retries the point under
-        :data:`~repro.resilience.DEFAULT_RETRY` first and records it
-        only if every attempt fails.  Skipped/exhausted failures mark
-        the report partial.
+        continues, ``"retry"`` runs the point up to
+        :data:`~repro.resilience.ATTEMPTS` ``["retry"]`` times and
+        records it only if every attempt fails.  Skipped/exhausted
+        failures mark the report partial.
     """
 
     axes: tuple[tuple[str, tuple[Any, ...]], ...] = ()

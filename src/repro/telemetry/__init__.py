@@ -15,8 +15,8 @@ Two primitives:
   ``explore.cell``, ``explore.round``, ``montecarlo.chunk``) so chaos
   tests and traces describe the same places, plus seam-level names
   (``parallel.task``, ``store.load``, ``bench.run``).
-- :func:`counter` / :func:`gauge` / :func:`histogram` — point metrics
-  (cache hits, retry charges, batch sizes, kernel-tier dispatches).
+- :func:`counter` / :func:`histogram` — point metrics (cache hits,
+  broken pools, batch sizes, kernel dispatches).
 
 **Disabled is the default and costs (almost) nothing.**  A module-level
 flag is checked once per call; :func:`span` returns a shared no-op
@@ -248,21 +248,6 @@ def counter(name: str, value: int = 1, **attrs: Any) -> None:
     _emit(
         {
             "kind": "counter",
-            "name": name,
-            "t": time.time(),
-            "value": value,
-            "attrs": attrs,
-        }
-    )
-
-
-def gauge(name: str, value: float, **attrs: Any) -> None:
-    """Record the instantaneous level of a quantity (pool size, ...)."""
-    if not _enabled:
-        return
-    _emit(
-        {
-            "kind": "gauge",
             "name": name,
             "t": time.time(),
             "value": value,

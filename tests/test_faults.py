@@ -29,6 +29,8 @@ from repro.explore.refine import run_explore
 from repro.explore.spec import ExploreSpec
 from repro.explore.store import ReportStore
 from repro.faults import FaultPlan, FaultSpec, InjectedFault
+from repro.montecarlo.engine import run_population
+from repro.montecarlo.spec import PopulationSpec
 from repro.sweep.engine import run_sweep
 from repro.sweep.spec import SweepSpec
 
@@ -175,6 +177,61 @@ class TestSweepChaos:
         assert not report.partial
         doc = json.loads(report.render())
         assert doc["points"] == json.loads(baseline)["points"]
+
+
+class TestMontecarloChaos:
+    def test_worker_kill_under_retry_recovers(self, tmp_path):
+        """A worker killed on chunk 1 costs a pool rebuild: the pooled
+        retry report is byte-identical to the fault-free retry run."""
+        spec = PopulationSpec(
+            seed=6, n_samples=512, chunk_samples=128, on_error="retry"
+        )
+        baseline = run_population(spec).render()
+        parallel.shutdown()  # workers must spawn after the plan is armed
+        plan = FaultPlan(
+            (FaultSpec("montecarlo.chunk", kind="kill", keys=(1,)),),
+            scratch=str(tmp_path),
+        )
+        try:
+            with faults.inject(plan):
+                report = run_population(spec, workers=2, backend="process")
+        finally:
+            parallel.shutdown()
+        assert any(tmp_path.iterdir())  # the kill fired
+        assert report.render() == baseline
+
+
+#: A kill fault per study CLI: (module, fault site, CLI arguments).
+DEAD_WORKER_RUNS = [
+    ("repro.sweep", "sweep.point", ["--axis", "fir_taps=63,125,255"]),
+    ("repro.montecarlo", "montecarlo.chunk",
+     ["--samples", "512", "--chunk-samples", "128"]),
+]
+
+
+class TestDeadWorkerExit:
+    @pytest.mark.parametrize("on_error", ["raise", "skip"])
+    @pytest.mark.parametrize("module, site, args", DEAD_WORKER_RUNS)
+    def test_dead_worker_exits_2_with_error(
+        self, tmp_path, module, site, args, on_error
+    ):
+        """Without retry a dead pool worker ends the run as a
+        TaskFailedError: exit 2 with one error line, no traceback."""
+        plan = FaultPlan(
+            (FaultSpec(site, kind="kill", keys=(1,)),), scratch=str(tmp_path)
+        )
+        repo_src = str(Path(__file__).resolve().parent.parent / "src")
+        run = subprocess.run(
+            [sys.executable, "-m", module, *args, "--workers", "2",
+             "--backend", "process", "--on-error", on_error],
+            env={**os.environ, "PYTHONPATH": repo_src,
+                 faults.ENV_VAR: plan.to_json()},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert run.returncode == 2, run.stderr
+        assert run.stderr.startswith("error: a process pool worker died")
+        assert "Traceback" not in run.stderr
+        assert run.stdout == ""
 
 
 class TestExploreChaos:

@@ -4,13 +4,11 @@ from __future__ import annotations
 
 import os
 import threading
-import time
 
 import pytest
 
 from repro.errors import ConfigurationError, TaskFailedError
 from repro.parallel import parallel_map
-from repro.resilience import RetryPolicy
 
 
 def _square_mod(x):
@@ -24,6 +22,16 @@ def _current_pid(_):
 
 def _boom_on_two(x):
     if x == 2:
+        raise ValueError("item 2")
+    return x
+
+
+def _boom_on_two_logged(args):
+    """Raise on item 2, logging each of its runs to scratch."""
+    x, scratch = args
+    if x == 2:
+        with open(os.path.join(scratch, "runs"), "a") as fh:
+            fh.write("2\n")
         raise ValueError("item 2")
     return x
 
@@ -50,25 +58,15 @@ def _die_once_marker(args):
     return x * 10
 
 
-def _slow_item_two(x):
-    if x == 2:
-        time.sleep(0.8)
-    return x + 1
-
-
-def _flaky_square(args):
-    """Fail item 2 the first N times, via marker files in scratch."""
-    x, scratch, n_failures = args
-    if x == 2:
-        for n in range(n_failures):
-            marker = os.path.join(scratch, f"flaky-{n}")
-            try:
-                fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                continue
-            os.close(fd)
-            raise ValueError("transient failure")
-    return _square_mod(x)
+def _die_always_on_three(args):
+    """Kill the worker every time item 3 runs, counting its runs in
+    scratch (the killed worker cannot remember them)."""
+    x, scratch = args
+    if x == 3:
+        with open(os.path.join(scratch, "runs"), "a") as fh:
+            fh.write("3\n")
+        os._exit(13)
+    return x * 10
 
 
 class TestParallelMap:
@@ -248,17 +246,20 @@ class TestPersistentPools:
         with pytest.raises(ConfigurationError, match="workers"):
             get_pool("thread", 0)
 
+    @pytest.mark.faults
     def test_broken_pool_is_evicted_and_rebuilt(self, tmp_path):
-        """A worker death mid-map (no retry armed) surfaces the error,
-        evicts the carcass, and the next call gets a healthy pool."""
+        """A worker death mid-map under attempts=1 raises TaskFailedError
+        from the break, evicts the carcass, and the next call gets a
+        healthy pool."""
         from concurrent.futures import BrokenExecutor
 
         from repro import parallel
 
         parallel.shutdown()
-        with pytest.raises(BrokenExecutor):
+        with pytest.raises(TaskFailedError) as info:
             parallel_map(_die_on_three, range(8), workers=2,
                          backend="process")
+        assert isinstance(info.value.__cause__, BrokenExecutor)
         # The dead pool must be gone, not poisoning the registry.
         assert ("process", 2) not in parallel._POOLS
         # And a fresh call simply works.
@@ -268,87 +269,11 @@ class TestPersistentPools:
         parallel.shutdown()
 
 
-class TestRetryPolicy:
-    def test_backoff_schedule_is_deterministic(self):
-        policy = RetryPolicy(max_attempts=4, backoff_s=0.5,
-                             backoff_factor=2.0)
-        assert policy.delays() == (0.5, 1.0, 2.0)
+class TestDeadWorkers:
+    """A worker death evicts the pool; ``attempts > 1`` re-runs only the
+    unfinished items on a fresh one."""
 
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(backoff_s=-1.0)
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(timeout_s=0.0)
-
-    def test_serial_retry_recovers_and_records_backoff(self, tmp_path):
-        from repro.faults import RecordingSleep
-
-        sleep = RecordingSleep()
-        got = parallel_map(
-            _flaky_square,
-            [(x, str(tmp_path), 1) for x in range(4)],
-            retry=RetryPolicy(max_attempts=3, backoff_s=0.25),
-            sleep=sleep,
-        )
-        assert got == [_square_mod(x) for x in range(4)]
-        assert sleep.calls == [0.25]  # one failure, one backoff
-
-    def test_serial_retry_exhaustion_raises_task_failed(self, tmp_path):
-        with pytest.raises(TaskFailedError) as info:
-            parallel_map(
-                _flaky_square,
-                [(x, str(tmp_path), 99) for x in range(4)],
-                retry=RetryPolicy(max_attempts=2, backoff_s=0.0),
-            )
-        assert info.value.attempts == 2
-        assert isinstance(info.value.__cause__, ValueError)
-
-    def test_pooled_retry_recovers_flaky_item(self, tmp_path):
-        from repro import parallel
-        from repro.faults import RecordingSleep
-
-        parallel.shutdown()
-        sleep = RecordingSleep()
-        got = parallel_map(
-            _flaky_square,
-            [(x, str(tmp_path), 2) for x in range(6)],
-            workers=3,
-            retry=RetryPolicy(max_attempts=3, backoff_s=0.125),
-            sleep=sleep,
-        )
-        assert got == [_square_mod(x) for x in range(6)]
-        assert sleep.calls == [0.125, 0.25]  # exponential, deterministic
-        parallel.shutdown()
-
-    def test_pooled_retry_exhaustion_raises_task_failed(self, tmp_path):
-        from repro import parallel
-
-        parallel.shutdown()
-        with pytest.raises(TaskFailedError) as info:
-            parallel_map(
-                _flaky_square,
-                [(x, str(tmp_path), 99) for x in range(6)],
-                workers=3,
-                retry=RetryPolicy(max_attempts=3, backoff_s=0.0),
-            )
-        assert info.value.attempts == 3
-        parallel.shutdown()
-
-    def test_per_task_timeout_raises_task_failed(self):
-        from repro import parallel
-
-        parallel.shutdown()
-        with pytest.raises(TaskFailedError) as info:
-            parallel_map(
-                _slow_item_two, range(4), workers=4,
-                retry=RetryPolicy(max_attempts=2, backoff_s=0.0,
-                                  timeout_s=0.1),
-            )
-        assert isinstance(info.value.__cause__, TimeoutError)
-        parallel.shutdown(wait=False)
-
+    @pytest.mark.faults
     def test_worker_kill_keeps_completed_results(self, tmp_path):
         """BrokenExecutor recovery: the pool is rebuilt and only the
         unfinished items re-run; results stay serial-identical."""
@@ -358,7 +283,45 @@ class TestRetryPolicy:
         items = [(x, str(tmp_path)) for x in range(10)]
         got = parallel_map(
             _die_once_marker, items, workers=2, backend="process",
-            retry=RetryPolicy(max_attempts=3, backoff_s=0.0),
+            attempts=3,
         )
         assert got == [x * 10 for x in range(10)]
         parallel.shutdown()
+
+    @pytest.mark.faults
+    def test_item_killing_every_worker_runs_out_of_attempts(self, tmp_path):
+        from concurrent.futures import BrokenExecutor
+
+        from repro import parallel
+
+        parallel.shutdown()
+        items = [(x, str(tmp_path)) for x in range(6)]
+        with pytest.raises(TaskFailedError, match="item 3") as info:
+            parallel_map(
+                _die_always_on_three, items, workers=2, backend="process",
+                attempts=3,
+            )
+        assert info.value.attempts == 3
+        assert isinstance(info.value.__cause__, BrokenExecutor)
+        assert (tmp_path / "runs").read_text() == "3\n" * 3
+        assert ("process", 2) not in parallel._POOLS
+        parallel.shutdown()
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_task_exception_is_not_retried(self, backend, tmp_path):
+        """Only dead workers are retried here; a task exception
+        propagates from its first run and leaves the pool alive."""
+        from repro import parallel
+
+        parallel.shutdown()
+        items = [(x, str(tmp_path)) for x in range(4)]
+        with pytest.raises(ValueError, match="item 2"):
+            parallel_map(_boom_on_two_logged, items, workers=2,
+                         backend=backend, attempts=3)
+        assert (tmp_path / "runs").read_text() == "2\n"
+        assert (backend, 2) in parallel._POOLS
+        parallel.shutdown()
+
+    def test_attempts_below_one_rejected(self):
+        with pytest.raises(ConfigurationError, match="attempts"):
+            parallel_map(_square_mod, [1, 2], workers=2, attempts=0)

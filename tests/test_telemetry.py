@@ -66,14 +66,13 @@ class TestCoreAPI:
         assert os.environ[telemetry.ENV_VAR] == str(tmp_path)
         with telemetry.span("demo", cell=3):
             telemetry.counter("hits", 2)
-            telemetry.gauge("depth", 1.5)
             telemetry.histogram("batch", 7)
             telemetry.event("mark")
         telemetry.flush()
         records, n_shards, salvaged = read_shards(tmp_path)
         assert n_shards == 1 and salvaged == 0
         kinds = [r["kind"] for r in records]
-        assert sorted(kinds) == ["counter", "event", "gauge", "histogram", "span"]
+        assert sorted(kinds) == ["counter", "event", "histogram", "span"]
         # every record is stamped with this process and a rising seq
         assert {r["pid"] for r in records} == {os.getpid()}
         assert [r["seq"] for r in records] == sorted(r["seq"] for r in records)
@@ -111,7 +110,6 @@ class TestDisabledPath:
 
         monkeypatch.setattr(telemetry, "_emit", boom)
         telemetry.counter("x")
-        telemetry.gauge("x", 1.0)
         telemetry.histogram("x", 1.0)
         telemetry.event("x")
         with telemetry.span("x"):
