@@ -13,8 +13,9 @@ workload registry (``repro.workloads``) generalises: a
 ``DRMReceiverConfig`` carries ``n_channels`` parallel DDC rails, its
 architecture models price the whole receiver, and
 ``python -m repro.sweep --workload drm`` sweeps the channel count.  The
-closing section below runs the registered workload's bit-true mapping
-and asks its evaluator which architectures can carry the receiver.
+closing section below down-converts every rail bit-true with
+``repro.workloads.drm.drm_receive`` and asks the workload's evaluator
+which architectures can carry the receiver.
 
 Run:  python examples/drm_receiver.py
 """
@@ -80,6 +81,7 @@ def main() -> None:
 def workload_demo() -> None:
     """The same receiver through the registered ``drm`` workload."""
     from repro.workloads import get
+    from repro.workloads.drm import drm_receive
 
     wl = get("drm")
     cfg = wl.default_config
@@ -87,14 +89,12 @@ def workload_demo() -> None:
     print(f"  {cfg.n_channels} parallel rails, stations at "
           f"{[f'{f / 1e6:.3f} MHz' for f in cfg.station_frequencies()]}")
 
-    # Bit-true mapping: every rail down-converted in one call.
-    run = wl.mappings()["gpp"].run
-    assert run is not None
+    # Bit-true receive: every rail down-converted in one call.
     x = build_band(cfg.total_decimation * 8, cfg.input_rate_hz)
     adc = np.clip(np.round(x * (2 ** (cfg.data_width - 1) - 1)),
                   -(2 ** (cfg.data_width - 1)),
                   2 ** (cfg.data_width - 1) - 1).astype(np.int64)
-    channels = run(adc, cfg)
+    channels = drm_receive(adc, cfg)
     print(f"  bit-true receive: {channels.shape[0]} channels x "
           f"{channels.shape[1]} samples at {cfg.output_rate_hz / 1e3:.0f} kHz")
 

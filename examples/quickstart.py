@@ -54,10 +54,10 @@ def main() -> None:
     # The DDC is one entry in the workload registry; the whole
     # comparative stack (sweeps, exploration, benches) is selected the
     # same way: python -m repro.sweep --workload <name>.
-    from repro.workloads import available, default_name
+    from repro.workloads import DEFAULT_WORKLOAD, available
 
     print(f"\nRegistered workloads: {', '.join(available())} "
-          f"(default: {default_name()})")
+          f"(default: {DEFAULT_WORKLOAD})")
 
 
 if __name__ == "__main__":

@@ -345,24 +345,3 @@ class RTLDDC:
     def reset(self) -> None:
         """Reset the whole design (wires, components, statistics)."""
         self.sim.reset()
-
-
-def ddc_workload_mapping():
-    """The DDC workload's FPGA mapping descriptor (see
-    :mod:`repro.workloads`): the structural RTL design run through the
-    block engine, bit-identical to the cycle-accurate oracle."""
-    from ...config import REFERENCE_DDC
-    from ...workloads.base import WorkloadMapping
-
-    def run(samples, config=REFERENCE_DDC, engine="block"):
-        return RTLDDC(config).run(samples, engine=engine)
-
-    return WorkloadMapping(
-        architecture="Altera Cyclone",
-        description=(
-            "structural RTL DDC (NCO ROM + CIC rails + sequential "
-            "polyphase FIR); engine='block' is the vectorised fast path, "
-            "engine='cycle' the cycle-accurate oracle"
-        ),
-        run=run,
-    )

@@ -155,12 +155,6 @@ class ExecutionStats:
         default_factory=lambda: defaultdict(int)
     )
 
-    def cycles_fraction(self, region: str) -> float:
-        """Fraction of all cycles spent in ``region``."""
-        if self.cycles == 0:
-            return 0.0
-        return self.region_cycles.get(region, 0) / self.cycles
-
     @property
     def cpi(self) -> float:
         """Cycles per instruction of the run."""

@@ -220,21 +220,3 @@ def profile_ddc(
         region_fractions=fractions,
         out_samples=out,
     )
-
-
-def ddc_workload_mapping():
-    """The DDC workload's GPP mapping descriptor (see
-    :mod:`repro.workloads`): the codegen-emitted ARM-like program run on
-    the instruction-level simulator with region accounting."""
-    from ...workloads.base import WorkloadMapping
-
-    return WorkloadMapping(
-        architecture="ARM922T",
-        description=(
-            "compiler-style codegen of the DDC inner loops executed on "
-            "the ARM-like ISS (profile_ddc); engine='auto' picks the "
-            "vectorised kernel, engine='interp' the per-instruction "
-            "oracle"
-        ),
-        run=profile_ddc,
-    )

@@ -313,21 +313,3 @@ def run_ddc_on_tile(
         program=program,
         tile=tile,
     )
-
-
-def ddc_workload_mapping():
-    """The DDC workload's Montium mapping descriptor (see
-    :mod:`repro.workloads`): the paper's hand schedule executed on the
-    5-ALU tile, block engine bit-identical to the stepped oracle."""
-    from ...workloads.base import WorkloadMapping
-
-    return WorkloadMapping(
-        architecture="Montium TP",
-        description=(
-            "hand-mapped 5-ALU tile schedule (Fig. 8 / Table 6): NCO + "
-            "CIC2 integrators at the sample rate, comb/CIC5/FIR "
-            "time-multiplexed; engine='block' vectorised, engine='step' "
-            "the per-cycle oracle"
-        ),
-        run=run_ddc_on_tile,
-    )

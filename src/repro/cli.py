@@ -24,7 +24,7 @@ from typing import Any, Callable
 from .errors import ConfigurationError, ReproError
 from .resilience import ON_ERROR_POLICIES
 from .telemetry import tracing
-from .workloads import available, default_name, get
+from .workloads import DEFAULT_WORKLOAD, available, get
 
 
 @dataclass(frozen=True)
@@ -54,9 +54,9 @@ def _add_shared(parser: argparse.ArgumentParser, command: Command) -> None:
     """Declare and document the flags every study shares."""
     fast, oracle = command.engines
     add = parser.add_argument
-    add("--workload", default=default_name(), metavar="NAME",
+    add("--workload", default=DEFAULT_WORKLOAD, metavar="NAME",
         help=f"workload to study, one of: {', '.join(available())} "
-        "(default: %(default)s, i.e. $REPRO_WORKLOAD or ddc)")
+        "(default: %(default)s)")
     add("--standby-fraction", type=float, default=0.05,
         help="fixed-function idle power as a fraction of active power "
         "(default: %(default)s)")
@@ -198,8 +198,8 @@ def names(text: str) -> tuple[str, ...]:
 # ------------------------------------------------------------------- metrics
 def cache_counts(workload: str) -> tuple[int, int]:
     """``(hits, misses)`` of the workload's shared per-process cache."""
-    cache = getattr(get(workload).shared_evaluator(), "cache", None)
-    return (0, 0) if cache is None else (cache.hits, cache.misses)
+    cache = get(workload).shared_evaluator().cache
+    return cache.hits, cache.misses
 
 
 def _cache_delta(before, workload: str) -> tuple[int, int]:

@@ -22,8 +22,6 @@ from .evaluator import (
     ReportCache,
     config_cache_key,
     default_models,
-    shared_evaluator,
-    shared_report_cache,
 )
 
 __all__ = [
@@ -36,6 +34,4 @@ __all__ = [
     "ReportCache",
     "config_cache_key",
     "default_models",
-    "shared_evaluator",
-    "shared_report_cache",
 ]

@@ -13,22 +13,22 @@ Two evaluation paths exist and are **bit-identical**:
 - the batched path (:meth:`DDCEvaluator.evaluate_batch`,
   :meth:`DDCEvaluator.scenario_candidates_batch`) — whole
   :class:`~repro.config.DDCConfig` axes through each model's
-  ``implement_batch`` in one call, which the sweep engine, the planner
-  and the paper artifacts ride.
+  ``implement_batch`` in one call, which the study engines and the
+  paper artifacts ride.
 
 :class:`DDCEvaluator` is stateless: every method takes the configuration
 explicitly and two interleaved calls on one instance can never observe
 each other (the seed kept a mutable ``_last_config``, which made the
 reconfigurable-winner answer depend on call order).  :class:`ReportCache`
 memoises per-(model, configuration) reports — including mapping errors —
-behind a content-hashed key so repeated grid consumers (planner, sweep,
-paper) amortise model evaluation; :func:`shared_evaluator` is the
+behind a content-hashed key so repeated grid consumers (sweep, explore,
+paper) amortise model evaluation; each workload's
+:meth:`~repro.workloads.base.Workload.shared_evaluator` is the
 per-process cached instance they share.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, fields
 from typing import Any, NamedTuple, Sequence
 
@@ -91,9 +91,9 @@ class ReportCache:
     **Picklability contract**: every entry is a frozen dataclass of
     primitives (or a library exception), so a populated cache — and any
     evaluator holding one — pickles cleanly; ``backend="process"`` sweep
-    workers each hold their own per-process cache
-    (:func:`shared_report_cache`) and amortise model evaluation across
-    the points they serve.
+    workers each hold their own per-process cache (their workload's
+    :meth:`~repro.workloads.base.Workload.shared_evaluator`) and amortise
+    model evaluation across the points they serve.
 
     Invalidation is explicit: :meth:`invalidate` drops one model's
     entries (after changing a model's constants in-place), :meth:`clear`
@@ -245,25 +245,6 @@ class ReportCache:
         return BatchImplementationReport.from_reports(
             self._architectures.get(model_key, model.name), reports, errors
         )
-
-
-@functools.lru_cache(maxsize=1)
-def shared_report_cache() -> ReportCache:
-    """The per-process report cache planner/sweep/paper consumers share."""
-    return ReportCache()
-
-
-@functools.lru_cache(maxsize=1)
-def shared_evaluator() -> DDCEvaluator:
-    """One cached default evaluator per process.
-
-    Grid consumers (the sweep engine, the paper artifacts, the benches)
-    share this instance so model construction and per-configuration
-    reports are paid once per process — in particular inside
-    ``backend="process"`` pool workers, which rebuild it lazily on first
-    use and then serve every point they are handed from the warm cache.
-    """
-    return DDCEvaluator(cache=shared_report_cache())
 
 
 @dataclass

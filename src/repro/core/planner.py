@@ -57,56 +57,10 @@ def _divisors(n: int) -> list[int]:
 
 @functools.lru_cache(maxsize=1)
 def _planner_cost_model():
-    """One stateless cost model per process (rebuilt in pool workers)."""
+    """One stateless cost model per process."""
     from ..archs.asic.lowpower import LowPowerDDCModel
 
     return LowPowerDDCModel()
-
-
-def _evaluate_splits(
-    spec: DDCSpec,
-    min_rejection_db: float,
-    fir_taps: int,
-    splits: tuple[tuple[int, int, int], ...],
-) -> list[DecimationPlan | None]:
-    """Cost a chunk of candidate splits through the cost-only batch path.
-
-    Module-level over picklable arguments (the task-descriptor idiom of
-    :mod:`repro.parallel`), so plan enumeration can fan out over
-    ``backend="process"`` as well as threads.  The chunk's valid
-    configurations are costed in one
-    ``LowPowerDDCModel.estimate_power_batch`` pass — struct-of-arrays
-    end to end: the planner only reads the power column, so no
-    :class:`~repro.archs.base.ImplementationReport` is materialised just
-    to be thrown away (the batch powers are bit-identical to the
-    reports' ``power_w``, pinned by ``tests/test_core.py``) — and
-    unmappable splits come back ``None`` exactly like the seed's
-    per-split scalar loop.
-    """
-    plans: list[DecimationPlan | None] = [None] * len(splits)
-    prepared: list[tuple[int, DDCConfig, float]] = []
-    for k, (cic2, cic5, fir) in enumerate(splits):
-        try:
-            config = spec.to_config(cic2, cic5, fir, fir_taps)
-        except ConfigurationError:
-            continue
-        rejection = _chain_rejection(config, spec.bandwidth_hz)
-        if rejection < min_rejection_db:
-            continue
-        prepared.append((k, config, rejection))
-    if not prepared:
-        return plans
-    powers, errors = _planner_cost_model().estimate_power_batch(
-        [config for _, config, _ in prepared]
-    )
-    for (k, _, rejection), power, error in zip(prepared, powers, errors):
-        if error is not None:  # out of the supported decimation range
-            continue
-        cic2, cic5, fir = splits[k]
-        plans[k] = DecimationPlan(
-            cic2, cic5, fir, float(power), rejection
-        )
-    return plans
 
 
 def enumerate_plans(
@@ -114,24 +68,21 @@ def enumerate_plans(
     fir_range: tuple[int, int] = (2, 16),
     min_rejection_db: float = 50.0,
     fir_taps: int = 125,
-    workers: int | None = None,
-    backend: str = "thread",
 ) -> list[DecimationPlan]:
     """All valid plans for ``spec``, best (lowest cost) first.
 
-    The candidate splits are costed through the cost-only batch path
-    (one struct-of-arrays ``estimate_power_batch`` pass per chunk — no
-    per-split report objects); ``workers`` fans contiguous chunks out on
-    a pool (``backend`` picks threads or processes; see
-    :mod:`repro.parallel` — the chunk evaluator is a picklable task
-    descriptor, not a closure).  The result is identical to the serial
-    sweep — candidates are generated and kept in deterministic order and
+    The valid candidate splits are costed in one
+    ``LowPowerDDCModel.estimate_power_batch`` pass — struct-of-arrays end
+    to end: the planner only reads the power column, so no
+    :class:`~repro.archs.base.ImplementationReport` is materialised just
+    to be thrown away (the batch powers are bit-identical to the
+    reports' ``power_w``, pinned by ``tests/test_core.py``), and splits
+    the model cannot map are dropped exactly like the seed's per-split
+    scalar loop.  Candidates are generated in deterministic order and
     the final sort is stable.
     """
-    from ..parallel import parallel_map
-
     total = spec.total_decimation
-    candidates: list[tuple[int, int, int]] = []
+    prepared: list[tuple[tuple[int, int, int], DDCConfig, float]] = []
     for fir in _divisors(total):
         if not fir_range[0] <= fir <= fir_range[1]:
             continue
@@ -142,24 +93,25 @@ def enumerate_plans(
                 continue
             if cic2 > 64 or cic5 > 512:
                 continue
-            candidates.append((cic2, cic5, fir))
-
-    n_chunks = max(1, min(workers or 1, len(candidates)))
-    chunk_size = -(-len(candidates) // n_chunks) if candidates else 1
-    chunks = [
-        tuple(candidates[i:i + chunk_size])
-        for i in range(0, len(candidates), chunk_size)
-    ]
-    evaluate = functools.partial(
-        _evaluate_splits, spec, min_rejection_db, fir_taps
+            try:
+                config = spec.to_config(cic2, cic5, fir, fir_taps)
+            except ConfigurationError:
+                continue
+            rejection = _chain_rejection(config, spec.bandwidth_hz)
+            if rejection < min_rejection_db:
+                continue
+            prepared.append(((cic2, cic5, fir), config, rejection))
+    if not prepared:
+        return []
+    powers, errors = _planner_cost_model().estimate_power_batch(
+        [config for _, config, _ in prepared]
     )
     plans = [
-        p
-        for chunk_plans in parallel_map(
-            evaluate, chunks, workers=workers, backend=backend
+        DecimationPlan(*split, float(power), rejection)
+        for (split, _, rejection), power, error in zip(
+            prepared, powers, errors
         )
-        for p in chunk_plans
-        if p is not None
+        if error is None  # else out of the supported decimation range
     ]
     plans.sort(key=lambda p: p.cost)
     return plans

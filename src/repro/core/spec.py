@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..config import DDCConfig
+from ..config import DDCConfig, check_finite
 from ..errors import ConfigurationError
 
 
@@ -39,6 +39,7 @@ class DDCSpec:
     data_width: int = 12
 
     def __post_init__(self) -> None:
+        check_finite(self)
         if self.input_rate_hz <= 0 or self.output_rate_hz <= 0:
             raise ConfigurationError("rates must be positive")
         ratio = self.input_rate_hz / self.output_rate_hz

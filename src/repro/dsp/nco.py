@@ -24,10 +24,12 @@ spurious-free dynamic range (SFDR) it achieves is measured in
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..config import check_finite
 from ..errors import ConfigurationError
 from ..fixedpoint import QFormat, to_fixed
 
@@ -79,6 +81,7 @@ class NCO:
     _lut: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
+        check_finite(self)
         if self.sample_rate_hz <= 0:
             raise ConfigurationError("sample_rate_hz must be positive")
         if not 4 <= self.phase_bits <= 48:
@@ -133,6 +136,10 @@ class NCO:
 
     def retune(self, frequency_hz: float) -> None:
         """Change the output frequency without resetting phase."""
+        if not math.isfinite(frequency_hz):
+            raise ConfigurationError(
+                f"NCO.frequency_hz must be finite, got {frequency_hz!r}"
+            )
         if abs(frequency_hz) > self.sample_rate_hz / 2:
             raise ConfigurationError("frequency_hz must be below Nyquist")
         self.frequency_hz = frequency_hz

@@ -23,12 +23,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..errors import ConfigurationError
-from .scenarios import ScenarioAnalysis, ScenarioCandidate, ScenarioGrid
 from .technology import TECH_130NM, TechnologyNode, scale_power
 
 if TYPE_CHECKING:  # imported only for typing to avoid a package cycle
-    from typing import Mapping
-
     from ..archs.base import ImplementationReport
 
 
@@ -110,41 +107,6 @@ class ArchitectureComparison:
         """All rows sorted by (scaled) power, ascending."""
         key = (lambda r: r.power_scaled_w) if scaled else (lambda r: r.power_w)
         return sorted(self._rows, key=key)
-
-    def scenario_grid(
-        self,
-        duty_cycles,
-        reusable: "Mapping[str, bool] | None" = None,
-        standby_fraction: float = 0.05,
-        scaled: bool = False,
-        feasible_only: bool = True,
-    ) -> ScenarioGrid:
-        """Batched duty-cycle x candidate grid straight from the comparison.
-
-        The batched entry point of the energy layer: turns the accumulated
-        rows into :class:`~repro.energy.scenarios.ScenarioCandidate` s
-        (``reusable`` maps architecture name to fabric reusability,
-        defaulting to fixed-function; idle power is ``standby_fraction``
-        of active power) and evaluates the whole numpy grid in one pass.
-        """
-        if not 0.0 <= standby_fraction <= 1.0:
-            raise ConfigurationError("standby_fraction must be in [0, 1]")
-        reusable = reusable or {}
-        rows = [r for r in self._rows if (r.feasible or not feasible_only)]
-        if not rows:
-            raise ConfigurationError("no (feasible) rows in the comparison")
-        candidates = []
-        for r in rows:
-            power = r.power_scaled_w if scaled else r.power_w
-            candidates.append(
-                ScenarioCandidate(
-                    name=r.architecture,
-                    active_power_w=power,
-                    standby_power_w=power * standby_fraction,
-                    reusable=bool(reusable.get(r.architecture, False)),
-                )
-            )
-        return ScenarioAnalysis(candidates).evaluate_batch(duty_cycles)
 
     def render(self) -> str:
         """Fixed-width text table in the shape of the paper's Table 7."""

@@ -369,13 +369,11 @@ def run_explore(
     """Explore the space; returns a :class:`~repro.explore.report.ExploreReport`.
 
     ``engine="adaptive"`` defaults to the spec's workload's
-    :meth:`~repro.workloads.base.Workload.shared_evaluator` (for the
-    default DDC workload, the per-process
-    :func:`~repro.core.evaluator.shared_evaluator`, so repeated
-    explorations — and a store-warmed report cache — amortise model
-    work); ``engine="dense"`` defaults to a fresh uncached
-    :meth:`~repro.workloads.base.Workload.evaluator` running the scalar
-    oracle end to end.
+    :meth:`~repro.workloads.base.Workload.shared_evaluator` (cached per
+    process, so repeated explorations — and a store-warmed report cache —
+    amortise model work); ``engine="dense"`` defaults to a fresh
+    uncached :meth:`~repro.workloads.base.Workload.evaluator` running the
+    scalar oracle end to end.
 
     ``store`` (a :class:`~repro.explore.store.ReportStore`, adaptive
     engine only) arms **checkpoint/resume**: after every refinement

@@ -25,6 +25,7 @@ same order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Any
 
@@ -140,6 +141,10 @@ class ExploreSpec(ConfigGrid):
                 f"continuous axis {field!r} must be one of "
                 f"{', '.join(continuous)}; integer fields belong on "
                 "discrete_axes"
+            )
+        if not (math.isfinite(float(lo)) and math.isfinite(float(hi))):
+            raise ConfigurationError(
+                f"ExploreSpec.axis bounds must be finite, got {lo!r}:{hi!r}"
             )
         if not (float(lo) < float(hi)):
             raise ConfigurationError(

@@ -20,7 +20,6 @@ from .qformat import QFormat
 from .ops import (
     Overflow,
     Rounding,
-    clip_range,
     saturate,
     wrap,
     quantize,
@@ -43,7 +42,6 @@ __all__ = [
     "QFormat",
     "Overflow",
     "Rounding",
-    "clip_range",
     "saturate",
     "wrap",
     "quantize",

@@ -44,11 +44,6 @@ class Rounding(enum.Enum):
     FLOOR = "floor"              # alias of TRUNCATE semantics
 
 
-def clip_range(fmt: QFormat) -> tuple[int, int]:
-    """Return ``(min_raw, max_raw)`` of a format as plain ints."""
-    return fmt.min_raw, fmt.max_raw
-
-
 def _as_int64(x: ArrayLike) -> np.ndarray:
     arr = np.asarray(x)
     if not np.issubdtype(arr.dtype, np.integer):

@@ -114,10 +114,10 @@ def figure_duty_cycle(
     batched model layer (the per-process shared evaluator); the payload
     is the full :class:`~repro.energy.scenarios.ScenarioGrid`.
     """
-    from ..core.evaluator import shared_evaluator
     from ..sweep import duty_cycle_grid
+    from ..workloads import get
 
-    analysis = shared_evaluator().scenario_analysis(config)
+    analysis = get("ddc").shared_evaluator().scenario_analysis(config)
     grid = duty_cycle_grid(analysis, steps)
     regions = grid.winning_regions()
     keys = {name: str(j) for j, name in enumerate(grid.names)}
@@ -149,11 +149,11 @@ def figure_pareto(
     the per-process shared evaluator; the payload is the
     ``(candidates, frontier mask, scenario grid)`` triple.
     """
-    from ..core.evaluator import shared_evaluator
     from ..explore.pareto import frontier_from_batches
     from ..sweep import duty_cycle_grid
+    from ..workloads import get
 
-    evaluator = shared_evaluator()
+    evaluator = get("ddc").shared_evaluator()
     batches = evaluator.report_batches([config])
     candidates = evaluator.scenario_candidates_from_batches(
         batches, [config], strict=False

@@ -42,10 +42,10 @@ def section7_scenarios(
     numpy pass over the whole grid) rather than 501 scalar evaluations;
     the output is bit-identical to the scalar paths either way.
     """
-    from ..core.evaluator import shared_evaluator
     from ..sweep import duty_cycle_grid
+    from ..workloads import get
 
-    ev = evaluator or shared_evaluator()
+    ev = evaluator or get("ddc").shared_evaluator()
     result = ev.evaluate_batch([config])[0]
     grid = duty_cycle_grid(ev.scenario_analysis(config), steps)
     return Section7Result(

@@ -225,15 +225,15 @@ def table7(
 ) -> TableResult:
     """Table 7: summary of results across all architectures.
 
-    Rides the batched model layer — the default evaluator is the
-    per-process :func:`~repro.core.evaluator.shared_evaluator` (cached
+    Rides the batched model layer — the default evaluator is the ``ddc``
+    workload's per-process
+    :meth:`~repro.workloads.base.Workload.shared_evaluator` (cached
     ``implement_batch`` reports, bit-identical to the scalar path);
-    ``evaluator`` lets callers that already paid for the model runs (the
-    sweep subsystem, the artifacts CLI) share their own instance.
+    ``evaluator`` lets callers bring their own instance.
     """
-    from ..core.evaluator import shared_evaluator
+    from ..workloads import get
 
-    ev = evaluator or shared_evaluator()
+    ev = evaluator or get("ddc").shared_evaluator()
     result = ev.evaluate_batch([config])[0]
     rows = []
     for r in result.comparison.rows:

@@ -1,8 +1,8 @@
 """Deterministic parallel mapping for sweep workloads.
 
-The Table 5 power sweep, the decimation-plan enumeration, the scenario
-sweeps of :mod:`repro.sweep` and the design-space explorations of
-:mod:`repro.explore` are embarrassingly parallel: independent evaluations
+The Table 5 power sweep, the scenario sweeps of :mod:`repro.sweep` and
+the population chunks of :mod:`repro.montecarlo` are embarrassingly
+parallel: independent evaluations
 of a pure function over a parameter grid.  :func:`parallel_map` gives
 them a shared ``workers=`` knob with two backends:
 
@@ -17,8 +17,8 @@ them a shared ``workers=`` knob with two backends:
   :func:`functools.partial` of one) and every item and result must
   pickle.  Callers pass *task descriptors* (frozen dataclasses, tuples of
   primitives) instead of live-model closures and rebuild models inside
-  the worker — see :func:`repro.sweep.engine.evaluate_point` and the
-  planner's split evaluator for the idiom.
+  the worker — see :func:`repro.sweep.engine.evaluate_point` for the
+  idiom.
 
 **Persistent pools**: executors are kept alive in a per-process registry
 keyed on ``(backend, workers)`` and reused by every subsequent

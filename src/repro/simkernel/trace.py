@@ -97,11 +97,6 @@ class ActivityReport:
         return cls(cycles=cycles, wires=acts)
 
     @property
-    def total_bits(self) -> int:
-        """Sum of wire widths (the togglable bit population)."""
-        return sum(w.width for w in self.wires)
-
-    @property
     def mean_toggle_rate(self) -> float:
         """Bit-weighted average toggle rate across all wires.
 

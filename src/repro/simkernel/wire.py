@@ -110,21 +110,6 @@ class Wire:
         self._next = None
         self._driver = None
 
-    def commit_no_activity(self) -> None:
-        """Latch the driven value without toggle accounting.
-
-        Identical latching semantics to :meth:`commit`, but toggle counters
-        stay untouched (and meaningless) — for runs that never read the
-        activity report.
-        """
-        new = self._next
-        self.commits += 1
-        if new is None:
-            return
-        self.value = new
-        self._next = None
-        self._driver = None
-
     # Batched-commit fast paths used by the compiled Simulator.step loop.
     # They skip the per-cycle ``commits`` increment; the scheduler bulk-adds
     # the cycle count after the batch (every wire commits every cycle), so

@@ -11,9 +11,9 @@ grid through the batched scenario APIs
 :func:`~repro.energy.scenarios.duty_cycle_crossover_batch`).
 :func:`run_sweep` goes one level further: the *entire configuration axis*
 is served by one pass of the evaluator's candidate builder before any
-grid math runs, and the per-process
-:func:`~repro.core.evaluator.shared_evaluator` report cache amortises
-repeated configurations across sweeps.
+grid math runs, and the workload's per-process
+:meth:`~repro.workloads.base.Workload.shared_evaluator` report cache
+amortises repeated configurations across sweeps.
 
 ``engine="scalar"`` evaluates the same grid through the seed scalar path
 (per-point scalar ``implement`` model runs, one

@@ -1,10 +1,9 @@
-"""Workload registry: pluggable kernels over one evaluation stack.
+"""Workload registry: the kernels the evaluation stack studies, by name.
 
 A :class:`~repro.workloads.base.Workload` bundles a configuration
-dataclass, architecture models, scenario axes and per-architecture
-mappings; the registry resolves them by name so the sweep/explore CLIs
-(``--workload``), the bench harness and library callers all share one
-namespace.
+dataclass, architecture models and scenario axes; :func:`get` resolves
+one by name so the study CLIs (``--workload``), the bench harness and
+library callers share one namespace.
 
 Built-ins (imported lazily — listing costs nothing, instantiating a
 workload imports only its own models):
@@ -14,106 +13,60 @@ workload imports only its own models):
   (n parallel DDC rails, the ``examples/drm_receiver.py`` scenario);
 - ``ofdm`` — an FFT/OFDM demodulator front end (DRM/DAB-style symbol
   demodulation behind the DDC).
-
-``REPRO_WORKLOAD`` selects the process-wide default (CLIs also take
-``--workload``); unset means ``ddc``.  :func:`register` adds third-party
-workloads to the same namespace.
 """
 
 from __future__ import annotations
 
-import os
-
 from ..errors import ConfigurationError
-from .base import Workload, WorkloadMapping
+from .base import Workload
 
-#: Environment variable naming the default workload.
-ENV_VAR = "REPRO_WORKLOAD"
-
-#: The fallback default (the paper's kernel).
+#: The workload the CLIs study unless ``--workload`` says otherwise.
 DEFAULT_WORKLOAD = "ddc"
 
 
-def _builtin_factories():
-    """Name -> zero-arg constructor for the in-tree workloads (lazy)."""
+def _ddc() -> Workload:
+    from .ddc import DDCWorkload
 
-    def ddc():
-        from .ddc import DDCWorkload
-
-        return DDCWorkload()
-
-    def drm():
-        from .drm import DRMReceiverWorkload
-
-        return DRMReceiverWorkload()
-
-    def ofdm():
-        from .ofdm import OFDMDemodWorkload
-
-        return OFDMDemodWorkload()
-
-    return {"ddc": ddc, "drm": drm, "ofdm": ofdm}
+    return DDCWorkload()
 
 
-_FACTORIES = _builtin_factories()
+def _drm() -> Workload:
+    from .drm import DRMReceiverWorkload
+
+    return DRMReceiverWorkload()
+
+
+def _ofdm() -> Workload:
+    from .ofdm import OFDMDemodWorkload
+
+    return OFDMDemodWorkload()
+
+
+_FACTORIES = {"ddc": _ddc, "drm": _drm, "ofdm": _ofdm}
 _INSTANCES: dict[str, Workload] = {}
 
 
-def register(workload: Workload, replace: bool = False) -> Workload:
-    """Add a workload instance to the registry under ``workload.name``.
-
-    Registering over an existing name is an error unless
-    ``replace=True`` — silent shadowing of a built-in would make
-    ``--workload`` mean different things in different processes.
-    """
-    name = workload.name
-    if not name or name == "abstract":
-        raise ConfigurationError(
-            "a workload must declare a non-default name to register"
-        )
-    if not replace and (name in _FACTORIES or name in _INSTANCES):
-        raise ConfigurationError(
-            f"workload {name!r} is already registered "
-            "(pass replace=True to override)"
-        )
-    _INSTANCES[name] = workload
-    return workload
-
-
 def available() -> tuple[str, ...]:
-    """Every registered workload name, sorted (built-ins included)."""
-    return tuple(sorted(set(_FACTORIES) | set(_INSTANCES)))
+    """Every workload name, sorted."""
+    return tuple(sorted(_FACTORIES))
 
 
-def default_name() -> str:
-    """The process default: ``$REPRO_WORKLOAD`` or ``"ddc"``."""
-    return os.environ.get(ENV_VAR, DEFAULT_WORKLOAD) or DEFAULT_WORKLOAD
-
-
-def get(name: str | None = None) -> Workload:
-    """Resolve a workload by name (``None`` = the process default).
+def get(name: str = DEFAULT_WORKLOAD) -> Workload:
+    """Resolve a workload by name.
 
     Instances are cached per process, so repeated resolution — every
     sweep point, every explore round — shares one workload object and
     hence one :meth:`~repro.workloads.base.Workload.shared_evaluator`.
     """
-    if name is None:
-        name = default_name()
     instance = _INSTANCES.get(name)
-    if instance is not None:
-        return instance
-    factory = _FACTORIES.get(name)
-    if factory is None:
-        raise ConfigurationError(
-            f"unknown workload {name!r}; available: "
-            f"{', '.join(available())} (set {ENV_VAR} or pass --workload)"
-        )
-    instance = factory()
-    if instance.name != name:
-        raise ConfigurationError(
-            f"workload factory for {name!r} built {instance.name!r}"
-        )
-    _INSTANCES[name] = instance
+    if instance is None:
+        factory = _FACTORIES.get(name)
+        if factory is None:
+            raise ConfigurationError(
+                f"unknown workload {name!r}; available: "
+                f"{', '.join(available())}"
+            )
+        instance = _INSTANCES[name] = factory()
     return instance
 
 
@@ -138,12 +91,8 @@ def check_study_spec(spec) -> Workload:
 
 __all__ = [
     "Workload",
-    "WorkloadMapping",
-    "ENV_VAR",
     "DEFAULT_WORKLOAD",
-    "register",
     "available",
-    "default_name",
     "get",
     "check_study_spec",
 ]

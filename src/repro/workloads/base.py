@@ -3,54 +3,33 @@ the whole stack.
 
 The paper evaluates exactly one kernel (the DRM channel-selection DDC)
 across five architectures; the surrounding machinery — batched
-architecture models, scenario sweeps, Pareto exploration, fault
-tolerance, the bench guard — is kernel-agnostic once a workload says
+architecture models, scenario sweeps, Pareto exploration, Monte-Carlo
+populations, fault tolerance, the bench guard — is kernel-agnostic once
+a workload says
 
 - what its **configuration** looks like (a frozen dataclass of
   primitives, the unit the report cache keys on),
 - which **architecture models** realise it (each an
   :class:`~repro.archs.base.ArchitectureModel` honouring the
-  batch == scalar bit-identity contract),
+  batch == scalar bit-identity contract), and
 - which configuration fields form its **scenario axes** (discrete sweep
-  values and the continuous explore axis), and
-- how the dataflow is **mapped** per architecture (functional run hooks
-  plus the chain/fixed-point declarations the docs and conformance
-  tests read).
+  values and the continuous explore axis).
 
-Everything downstream is inherited: a registered workload immediately
-works with ``python -m repro.sweep --workload NAME``, ``python -m
-repro.explore --workload NAME``, ``repro.parallel`` process pools, the
-``on_error`` failure policies, and a ``<name>_sweep`` bench entry.  The
-conformance suite (``tests/test_workloads.py``) asserts the contract
-over every registered workload.
+Everything downstream is inherited: a workload in the registry works
+with ``python -m repro.sweep|explore|montecarlo --workload NAME``,
+``repro.parallel`` process pools, the ``on_error`` failure policies and
+a ``<name>_sweep`` bench entry.  The conformance suite
+(``tests/test_workloads.py``) asserts the contract over every workload.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from ..archs.base import ArchitectureModel
-from ..config import StageConfig
 from ..errors import ConfigurationError
-
-
-@dataclass(frozen=True)
-class WorkloadMapping:
-    """One architecture's mapping of a workload's dataflow.
-
-    ``run`` is the functional entry point (``run(samples, config)`` or a
-    documented equivalent) where an executable mapping exists in-tree —
-    e.g. the Montium tile schedule or the RTL block engine for the DDC.
-    ``None`` marks an analytic-only mapping (the model reports
-    clock/power/area without a sample-level executor).
-    """
-
-    architecture: str
-    description: str
-    run: Callable[..., Any] | None = None
 
 
 class Workload(ABC):
@@ -62,7 +41,7 @@ class Workload(ABC):
     the rest — evaluators, axes, cache sharing — from those.
     """
 
-    #: Registry key (``--workload NAME`` / ``REPRO_WORKLOAD``).
+    #: Registry key (``--workload NAME``).
     name: str = "abstract"
     #: One-line human description for ``--help`` and reports.
     title: str = ""
@@ -97,12 +76,12 @@ class Workload(ABC):
     def shared_evaluator(self):
         """The per-process cached evaluator grid consumers share.
 
-        Lazily built once per workload instance (the registry caches
-        instances per process) with its own
-        :class:`~repro.core.evaluator.ReportCache`; the DDC workload
-        overrides this to return the process-wide
-        :func:`~repro.core.evaluator.shared_evaluator` so existing
-        consumers keep sharing one cache.
+        Lazily built once per workload instance with its own
+        :class:`~repro.core.evaluator.ReportCache`.  The registry caches
+        instances per process, so the sweep engine, the explorer, the
+        paper artifacts and the benches all warm and read one cache per
+        workload — in ``backend="process"`` pool workers too, which
+        rebuild it on first use.
         """
         if self._shared_evaluator is None:
             from ..core.evaluator import ReportCache
@@ -140,19 +119,6 @@ class Workload(ABC):
         feasible (the conformance suite and the ``<name>_sweep`` bench
         both grid over exactly these axes).
         """
-
-    # ------------------------------------------------------------- dataflow
-    @abstractmethod
-    def chain(self, config: Any | None = None) -> tuple[StageConfig, ...]:
-        """The DSP chain as :class:`~repro.config.StageConfig` stages."""
-
-    @abstractmethod
-    def fixed_formats(self, config: Any | None = None) -> Mapping[str, Any]:
-        """Signal name -> fixed-point format at the declared chain seams."""
-
-    @abstractmethod
-    def mappings(self) -> Mapping[str, WorkloadMapping]:
-        """Per-architecture mapping descriptors, keyed by a short slug."""
 
     # ------------------------------------------------------- population (MC)
     def population_axes(self) -> Mapping[str, Any]:

@@ -1,23 +1,21 @@
-"""The paper's kernel as a registered workload: the DRM channel-selection
-DDC, unchanged.
+"""The paper's kernel as a workload: the DRM channel-selection DDC,
+unchanged.
 
-This is a *wrapper*, not a reimplementation: configuration, models,
-evaluators and axes all come verbatim from the modules that predate the
-workload layer (:mod:`repro.config`, :mod:`repro.core.evaluator`,
-:mod:`repro.sweep.spec`), so a ``workload="ddc"`` sweep or exploration is
-byte-identical to the pre-workload code paths — including the shared
-per-process report cache, which :meth:`DDCWorkload.shared_evaluator`
-forwards to :func:`repro.core.evaluator.shared_evaluator` rather than
-keeping a private one.
+This is a *wrapper*, not a reimplementation: the configuration comes
+from :mod:`repro.config` and the models from
+:func:`repro.core.evaluator.default_models`, so a ``workload="ddc"``
+study evaluates exactly the paper's Table 7 architectures.  Its
+:meth:`~repro.workloads.base.Workload.shared_evaluator` is the one
+cached evaluator the sweep, explore and montecarlo engines and the
+paper artifacts share.
 """
 
 from __future__ import annotations
 
 from typing import Any, Mapping
 
-from ..config import DDCConfig, REFERENCE_DDC, StageConfig
-from ..fixedpoint import QFormat
-from .base import Workload, WorkloadMapping
+from ..config import DDCConfig, REFERENCE_DDC
+from .base import Workload
 
 
 class DDCWorkload(Workload):
@@ -36,19 +34,6 @@ class DDCWorkload(Workload):
 
         return default_models()
 
-    def evaluator(self, cache=None):
-        from ..core.evaluator import DDCEvaluator
-
-        return DDCEvaluator(cache=cache)
-
-    def shared_evaluator(self):
-        """The process-wide cached evaluator — the *same* instance the
-        planner, the paper artifacts and pre-workload sweeps share, so
-        reports warmed by any consumer serve all of them."""
-        from ..core.evaluator import shared_evaluator
-
-        return shared_evaluator()
-
     def default_explore_axis(self) -> tuple[str, float, float]:
         # The reference explore space: the input-rate span crossing both
         # Cyclone f_max thresholds (ExploreSpec's historical default).
@@ -59,29 +44,3 @@ class DDCWorkload(Workload):
         # sweep_faulty bench grid): every value keeps several
         # architectures feasible while moving the FPGA/GPP numbers.
         return {"fir_taps": (63, 125, 255)}
-
-    def chain(self, config: DDCConfig | None = None) -> tuple[StageConfig, ...]:
-        cfg = self.check_config(config or self.default_config)
-        return cfg.stages()
-
-    def fixed_formats(
-        self, config: DDCConfig | None = None
-    ) -> Mapping[str, QFormat]:
-        cfg = self.check_config(config or self.default_config)
-        w = cfg.data_width
-        return {
-            "adc": QFormat(w, 0),
-            "nco": QFormat(w, w - 1),
-            "mixer": QFormat(w, 0),
-            "cic_out": QFormat(w, 0),
-            "fir_out": QFormat(w, 0),
-        }
-
-    def mappings(self) -> Mapping[str, WorkloadMapping]:
-        from ..archs.fpga.rtl_ddc import ddc_workload_mapping as fpga_map
-        from ..archs.gpp.profiler import ddc_workload_mapping as gpp_map
-        from ..archs.montium.ddc_mapping import (
-            ddc_workload_mapping as montium_map,
-        )
-
-        return {"gpp": gpp_map(), "fpga": fpga_map(), "montium": montium_map()}

@@ -38,10 +38,9 @@ from ..archs.base import (
     Flexibility,
     ImplementationReport,
 )
-from ..config import DDCConfig, StageConfig, check_finite
+from ..config import DDCConfig, check_finite
 from ..errors import ConfigurationError
-from ..fixedpoint import QFormat
-from .base import Workload, WorkloadMapping
+from .base import Workload
 
 #: Station spacing of the synthesised band: four 24 kHz channel widths,
 #: comfortably wider than a 10 kHz DRM signal, so adjacent stations fall
@@ -310,50 +309,3 @@ class DRMReceiverWorkload(Workload):
                 (0.3, Normal(mean=0.55, std=0.15, low=0.0, high=1.0)),
             )
         )
-
-    def chain(
-        self, config: DRMReceiverConfig | None = None
-    ) -> tuple[StageConfig, ...]:
-        cfg = self.check_config(config or self.default_config)
-        # The per-rail chain (all rails are identical up to NCO tuning).
-        return cfg.ddc_config(0).stages()
-
-    def fixed_formats(
-        self, config: DRMReceiverConfig | None = None
-    ) -> Mapping[str, QFormat]:
-        cfg = self.check_config(config or self.default_config)
-        w = cfg.data_width
-        return {
-            "adc": QFormat(w, 0),
-            "nco": QFormat(w, w - 1),
-            "mixer": QFormat(w, 0),
-            "cic_out": QFormat(w, 0),
-            "fir_out": QFormat(w, 0),
-        }
-
-    def mappings(self) -> Mapping[str, WorkloadMapping]:
-        return {
-            "gpp": WorkloadMapping(
-                architecture="ARM922T (DRM)",
-                description=(
-                    "n bit-true software DDC rails (FixedDDC per "
-                    "station), the functional reference"
-                ),
-                run=drm_receive,
-            ),
-            "fpga": WorkloadMapping(
-                architecture="Altera Cyclone (DRM)",
-                description=(
-                    "n replicated RTL DDC rails on one device, sharing "
-                    "ADC pins and clock tree (analytic resource model)"
-                ),
-            ),
-            "montium": WorkloadMapping(
-                architecture="Montium TP (DRM)",
-                description=(
-                    "one tile per station running the paper's 5-ALU DDC "
-                    "schedule (analytic; per-tile executor is the ddc "
-                    "workload's montium mapping)"
-                ),
-            ),
-        }

@@ -33,10 +33,9 @@ from ..archs.base import (
     Flexibility,
     ImplementationReport,
 )
-from ..config import StageConfig, check_finite
+from ..config import check_finite
 from ..errors import ConfigurationError, MappingError
-from ..fixedpoint import QFormat
-from .base import Workload, WorkloadMapping
+from .base import Workload
 
 
 @dataclass(frozen=True)
@@ -330,75 +329,3 @@ class OFDMDemodWorkload(Workload):
         # tile, 8192 only software — each value keeps >= 1 architecture
         # feasible with the default 1536 carriers.
         return {"fft_size": (2048, 4096, 8192)}
-
-    def chain(
-        self, config: OFDMDemodConfig | None = None
-    ) -> tuple[StageConfig, ...]:
-        cfg = self.check_config(config or self.default_config)
-        # StageConfig speaks decimation: CP removal drops cp_len of every
-        # symbol_len samples; the FFT+select stage emits carriers bins
-        # per fft_size samples (order = log2 N butterfly stages).
-        return (
-            StageConfig(
-                name="CP strip",
-                input_rate_hz=cfg.sample_rate_hz,
-                decimation=1,
-                order=0,
-            ),
-            StageConfig(
-                name=f"FFT-{cfg.fft_size}",
-                input_rate_hz=(
-                    cfg.sample_rate_hz * cfg.fft_size / cfg.symbol_len
-                ),
-                decimation=1,
-                order=cfg.fft_stages,
-            ),
-            StageConfig(
-                name="carrier select",
-                input_rate_hz=(
-                    cfg.sample_rate_hz * cfg.fft_size / cfg.symbol_len
-                ),
-                decimation=max(1, cfg.fft_size // cfg.carriers),
-                order=0,
-            ),
-        )
-
-    def fixed_formats(
-        self, config: OFDMDemodConfig | None = None
-    ) -> Mapping[str, QFormat]:
-        cfg = self.check_config(config or self.default_config)
-        w = cfg.data_width
-        # Bit growth through the FFT: one bit per butterfly stage into
-        # the accumulator word, rounded back to w at the output.
-        return {
-            "baseband_in": QFormat(w, w - 1),
-            "twiddle": QFormat(w, w - 1),
-            "butterfly_acc": QFormat(w + cfg.fft_stages, w - 1),
-            "carriers_out": QFormat(w, w - 1),
-        }
-
-    def mappings(self) -> Mapping[str, WorkloadMapping]:
-        return {
-            "gpp": WorkloadMapping(
-                architecture="ARM922T (OFDM)",
-                description=(
-                    "software radix-2 FFT; ofdm_demodulate is the "
-                    "functional reference"
-                ),
-                run=ofdm_demodulate,
-            ),
-            "fpga": WorkloadMapping(
-                architecture="Altera Cyclone (OFDM)",
-                description=(
-                    "single time-shared butterfly engine; mappability "
-                    "decided by the delay/reorder memory footprint"
-                ),
-            ),
-            "montium": WorkloadMapping(
-                architecture="Montium TP (OFDM)",
-                description=(
-                    "butterflies over 5 ALUs, symbol held in the tile's "
-                    "10 x 512-word memories"
-                ),
-            ),
-        }

@@ -22,13 +22,8 @@ from repro.dsp.signals import drm_like_ofdm, quantize_to_adc, tone
 
 
 def test_decimation_plan_ablation():
-    """Sweep decimation splits of 2688 and rank by estimated ASIC power.
-
-    The sweep fans out over a thread pool (``workers=4``); the ordering
-    contract (parallel == serial, input order) is pinned by
-    ``tests/test_parallel.py``.
-    """
-    plans = enumerate_plans(DDCSpec(), min_rejection_db=50.0, workers=4)
+    """Sweep decimation splits of 2688 and rank by estimated ASIC power."""
+    plans = enumerate_plans(DDCSpec(), min_rejection_db=50.0)
     assert plans, "no valid plans found"
     tuples = [p.as_tuple() for p in plans]
     assert (16, 21, 8) in tuples, "the paper's plan must be valid"

@@ -21,13 +21,13 @@ import dataclasses
 import pytest
 
 from repro.config import REFERENCE_DDC
-from repro.core.evaluator import shared_evaluator
 from repro.explore import ExploreSpec
 from repro.explore.refine import run_explore
 from repro.montecarlo import PopulationSpec, run_population
 from repro.montecarlo.spec import Choice, parse_distribution
 from repro.paper import table7
 from repro.sweep import SweepSpec, run_sweep
+from repro.workloads import get as get_workload
 
 #: Ten duty bins; the sweep's 21-step grid i/20 holds every bin centre
 #: (the odd i), bit for bit.
@@ -99,6 +99,6 @@ def test_population_bin_winners_equal_the_sweep(overrides):
 
 def test_table7_static_winner_is_the_sweep_winner_at_full_duty(overrides):
     config = dataclasses.replace(REFERENCE_DDC, **overrides)
-    result = shared_evaluator().evaluate_batch([config])[0]
+    result = get_workload("ddc").shared_evaluator().evaluate_batch([config])[0]
     assert result.static_winner in [row[0] for row in table7(config).rows]
     assert sweep_winners(overrides)[-1] == result.static_winner

@@ -261,20 +261,3 @@ class TestBatchedScenarioPaths:
             analysis.cost_batch([])
         with pytest.raises(ConfigurationError):
             analysis.cost_batch([[0.1], [0.2]])
-
-    def test_comparison_scenario_grid_entry_point(self):
-        cmp = ArchitectureComparison()
-        cmp.add(_FakeReport("asic", TECH_180NM, 0.027))
-        cmp.add(_FakeReport("fpga", TECH_130NM, 0.0581))
-        cmp.add(_FakeReport("gpp", TECH_130NM, 2.4, feasible=False))
-        grid = cmp.scenario_grid(
-            duty_grid(11), reusable={"fpga": True}, standby_fraction=0.05
-        )
-        assert grid.names == ("asic", "fpga")  # infeasible row dropped
-        assert grid.powers_w.shape == (11, 2)
-        # fpga is reusable: zero cost at d=0; asic pays standby.
-        assert grid.powers_w[0, 1] == 0.0
-        assert grid.powers_w[0, 0] == pytest.approx(0.027 * 0.05)
-        assert grid.winning_regions()[0][2] == "fpga"
-        with pytest.raises(ConfigurationError):
-            cmp.scenario_grid(duty_grid(5), standby_fraction=1.5)

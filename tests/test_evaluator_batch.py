@@ -34,10 +34,9 @@ from repro.core.evaluator import (
     ReportCache,
     config_cache_key,
     default_models,
-    shared_evaluator,
-    shared_report_cache,
 )
 from repro.errors import ConfigurationError
+from repro.workloads import get as get_workload
 
 #: A configuration no default model set restricted to the Montium can map.
 OFF_REFERENCE = dataclasses.replace(
@@ -393,9 +392,10 @@ class TestStatelessEvaluator:
             DDCEvaluator([ARM9Model()]).scenario_candidates(REFERENCE_DDC)
 
     def test_shared_evaluator_is_cached_per_process(self):
-        assert shared_evaluator() is shared_evaluator()
-        assert shared_evaluator().cache is shared_report_cache()
-        before = shared_report_cache().hits
-        shared_evaluator().evaluate(REFERENCE_DDC)
-        shared_evaluator().evaluate(REFERENCE_DDC)
-        assert shared_report_cache().hits > before
+        ev = get_workload("ddc").shared_evaluator()
+        assert get_workload("ddc").shared_evaluator() is ev
+        assert isinstance(ev.cache, ReportCache)
+        before = ev.cache.hits
+        ev.evaluate(REFERENCE_DDC)
+        ev.evaluate(REFERENCE_DDC)
+        assert ev.cache.hits > before

@@ -165,6 +165,14 @@ class TestExploreSpec:
         with pytest.raises(ConfigurationError, match="lo < hi"):
             ExploreSpec(axis=("input_rate_hz", 9e7, 9e7))
 
+    @pytest.mark.parametrize(
+        "lo,hi",
+        [(3e7, math.inf), (math.nan, 1e8), (-math.inf, 1e8), (3e7, math.nan)],
+    )
+    def test_refuses_non_finite_axis_bounds(self, lo, hi):
+        with pytest.raises(ConfigurationError, match="ExploreSpec.axis"):
+            ExploreSpec(axis=("input_rate_hz", lo, hi))
+
     def test_discrete_axis_may_not_repeat_the_continuous_axis(self):
         with pytest.raises(ConfigurationError, match="duplicate"):
             ExploreSpec.from_axes(
@@ -476,6 +484,13 @@ class TestExploreCLI:
     def test_bad_spec_is_a_clean_error(self, capsys):
         assert explore_main(["--target", "10"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bounds", ["3e7:inf", "nan:1e8"])
+    def test_non_finite_axis_is_a_clean_error(self, bounds, capsys):
+        assert explore_main(["--axis", f"input_rate_hz={bounds}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "ExploreSpec.axis bounds must be finite" in captured.err
 
     def test_store_requires_the_adaptive_engine(self, tmp_path, capsys):
         """--store with the uncached modes is a loud error, not a

@@ -31,6 +31,19 @@ class TestNCOConstruction:
         with pytest.raises(ConfigurationError):
             NCO(FS, 1e6, phase_bits=2)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("field", ["sample_rate_hz", "frequency_hz"])
+    def test_rejects_non_finite_naming_the_field(self, field, value):
+        kwargs = {"sample_rate_hz": FS, "frequency_hz": 1e6, field: value}
+        with pytest.raises(ConfigurationError, match="must be finite") as exc:
+            NCO(**kwargs)
+        assert f"NCO.{field}" in str(exc.value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_retune_rejects_non_finite(self, value):
+        with pytest.raises(ConfigurationError, match="NCO.frequency_hz"):
+            NCO(FS, 1e6).retune(value)
+
     def test_frequency_resolution(self):
         nco = NCO(FS, 1e6, phase_bits=32)
         assert nco.frequency_resolution_hz == pytest.approx(FS / 2**32)

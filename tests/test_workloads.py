@@ -1,14 +1,15 @@
 """Workload-protocol conformance + registry behaviour.
 
 The parametrized half of this file is the *conformance suite* the
-``Workload`` protocol promises: every registered workload — in-tree or
-third-party — must pass it unchanged.  It asserts protocol completeness
-(axes, chain, formats, mappings all well-formed), the batch == scalar
-bit-identity contract through ``run_sweep``/``run_explore``, and config
-picklability through a ``repro.parallel`` process pool.
+``Workload`` protocol promises: every workload in the registry must pass
+it unchanged.  It asserts protocol completeness (identity, default
+configuration, axes, models), the batch == scalar bit-identity contract
+through ``run_sweep``/``run_explore``, and config picklability through a
+``repro.parallel`` process pool.
 
-The rest covers the registry (env default, unknown names, duplicate
-registration) and the ``engine=``/legacy ``mode=`` deprecation shims.
+The rest covers the registry (names, the default, unknown names, the one
+shared evaluator per workload), the ``--workload`` CLI flag, the RTL
+engine selector and the refusal of non-finite configuration fields.
 """
 
 from __future__ import annotations
@@ -19,23 +20,12 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.config import StageConfig
 from repro.core.evaluator import ReportCache, config_cache_key
 from repro.errors import ConfigurationError
 from repro.explore import ExploreSpec
 from repro.explore.refine import run_explore
 from repro.sweep import SweepSpec, run_sweep
-from repro.workloads import (
-    DEFAULT_WORKLOAD,
-    ENV_VAR,
-    Workload,
-    WorkloadMapping,
-    available,
-    default_name,
-    get,
-    register,
-)
-from repro.workloads.base import Workload as BaseWorkload
+from repro.workloads import DEFAULT_WORKLOAD, Workload, available, get
 
 WORKLOADS = available()
 
@@ -43,13 +33,13 @@ WORKLOADS = available()
 # --------------------------------------------------------------- conformance
 @pytest.mark.parametrize("name", WORKLOADS)
 class TestWorkloadConformance:
-    """Every registered workload honours the full protocol."""
+    """Every workload honours the full protocol."""
 
     def test_identity(self, name):
         wl = get(name)
         assert wl.name == name
         assert wl.title
-        assert isinstance(wl, BaseWorkload)
+        assert isinstance(wl, Workload)
         assert get(name) is wl  # registry caches instances
 
     def test_default_config(self, name):
@@ -93,28 +83,6 @@ class TestWorkloadConformance:
                 )
                 cands = ev.scenario_candidates(cfg, strict=False)
                 assert cands, f"{name}: no candidate at {field}={value}"
-
-    def test_chain_and_formats(self, name):
-        wl = get(name)
-        chain = wl.chain()
-        assert chain and all(isinstance(s, StageConfig) for s in chain)
-        formats = wl.fixed_formats()
-        assert formats
-        for label, fmt in formats.items():
-            assert isinstance(label, str) and label
-            assert fmt.width > 0
-
-    def test_mappings(self, name):
-        wl = get(name)
-        mappings = wl.mappings()
-        assert mappings
-        runnable = 0
-        for slug, mapping in mappings.items():
-            assert isinstance(mapping, WorkloadMapping), slug
-            assert mapping.architecture and mapping.description
-            if mapping.run is not None:
-                runnable += 1
-        assert runnable >= 1  # >= 1 executable mapping per workload
 
     def test_models_fresh_and_evaluator_shared(self, name):
         wl = get(name)
@@ -172,51 +140,15 @@ class TestWorkloadConformance:
 # ------------------------------------------------------------------ registry
 class TestRegistry:
     def test_available_lists_builtins(self):
-        assert {"ddc", "drm", "ofdm"} <= set(available())
+        assert available() == ("ddc", "drm", "ofdm")
 
-    def test_default_name_env(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        assert default_name() == DEFAULT_WORKLOAD
-        monkeypatch.setenv(ENV_VAR, "ofdm")
-        assert default_name() == "ofdm"
-        assert get().name == "ofdm"
-        monkeypatch.setenv(ENV_VAR, "")
-        assert default_name() == DEFAULT_WORKLOAD
+    def test_default_is_ddc(self):
+        assert DEFAULT_WORKLOAD == "ddc"
+        assert get() is get("ddc")
 
     def test_unknown_name(self):
         with pytest.raises(ConfigurationError, match="unknown workload"):
             get("nonesuch")
-
-    def test_register_duplicate_and_replace(self):
-        class Dummy(Workload):
-            name = "ddc"  # collides with the built-in
-
-            def models(self):
-                return []
-
-            def default_explore_axis(self):
-                return ("x", 0.0, 1.0)
-
-            def scenario_axes(self):
-                return {}
-
-            def chain(self, config=None):
-                return ()
-
-            def fixed_formats(self, config=None):
-                return {}
-
-            def mappings(self):
-                return {}
-
-        with pytest.raises(ConfigurationError, match="already registered"):
-            register(Dummy())
-
-        class Anon(Dummy):
-            name = "abstract"
-
-        with pytest.raises(ConfigurationError, match="non-default name"):
-            register(Anon())
 
     def test_spec_rejects_unknown_workload(self):
         with pytest.raises(ConfigurationError, match="unknown workload"):
@@ -235,10 +167,17 @@ class TestRegistry:
             SweepSpec.from_axes({"fir_taps": (63,)}, workload="ofdm")
         SweepSpec.from_axes({"fft_size": (2048,)}, workload="ofdm")
 
-    def test_ddc_shared_evaluator_is_process_singleton(self):
-        from repro.core.evaluator import shared_evaluator
+    def test_paper_tables_share_the_ddc_evaluator(self):
+        from repro.paper.tables import table7
 
-        assert get("ddc").shared_evaluator() is shared_evaluator()
+        ev = get("ddc").shared_evaluator()
+        table7()
+        before = ev.cache.hits
+        table7()
+        assert ev.cache.hits > before
+        assert [type(m) for m in ev.models] == [
+            type(m) for m in get("ddc").models()
+        ]
 
     def test_cli_workload_flag(self, capsys):
         from repro.sweep.__main__ import main as sweep_main
@@ -261,7 +200,7 @@ class TestRegistry:
         assert "DRM" in capsys.readouterr().out
 
 
-# ------------------------------------------------------- deprecation shims
+# ---------------------------------------------------------- engine selector
 class TestEngineKwargShims:
     def test_rtl_unknown_engine(self):
         from repro.archs.fpga.rtl_ddc import RTLDDC
