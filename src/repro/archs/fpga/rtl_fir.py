@@ -80,11 +80,6 @@ class RTLPolyphaseFIR(Component):
         self._k = 0             # MAC step
         self._acc = 0
 
-    # The cycle budget of Section 5.2.1: taps MAC cycles + 1 output cycle.
-    def cycles_per_output(self) -> int:
-        """Clock cycles from trigger to valid output (taps + 1)."""
-        return self.taps + 1
-
     # ---------------------------------------------------------- block mode
     def _ram_chronological(self) -> np.ndarray:
         """Sample ring contents ordered oldest to newest."""

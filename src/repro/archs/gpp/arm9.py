@@ -143,18 +143,3 @@ class ARM9Model(ArchitectureModel):
             type(self).__qualname__, self.spec, self.spill_slots,
             self.n_samples,
         )
-
-    def speedup_needed(self, config: DDCConfig = REFERENCE_DDC) -> float:
-        """How many ARM9s-worth of clock the task needs (paper: ~39x).
-
-        Config-correct by construction: rides the analytic profile (same
-        clock requirement as an executed run) and only falls back to a
-        full profile of *this* configuration when the analytic path does
-        not apply.
-        """
-        prof = profile_ddc_analytic(
-            config, n_samples=self.n_samples, spill_slots=self.spill_slots
-        )
-        if prof is None:
-            prof = self.profile(config)
-        return prof.required_clock_hz / self.spec.max_clock_hz

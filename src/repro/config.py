@@ -26,6 +26,8 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
+import numpy as np
+
 from .errors import ConfigurationError
 
 #: Input sample rate of the reference DDC in Hz (64.512 MHz).
@@ -73,6 +75,24 @@ def check_finite(owner: Any) -> None:
         if isinstance(value, (int, float)) and not math.isfinite(value):
             name = f"{type(owner).__name__}.{f.name}"
             raise ConfigurationError(f"{name} must be finite, got {value!r}")
+
+
+def check_finite_array(name: str, values: Any) -> np.ndarray:
+    """``values`` as a float64 array, refusing nan/±inf by name and index.
+
+    The array counterpart of :func:`check_finite` for sample streams and
+    filter taps: a nan or inf would otherwise cast to an arbitrary integer
+    code or turn every output sample into nan.  Names the first offending
+    value and its (flat) index.
+    """
+    arr = np.asarray(values, dtype=np.float64)
+    finite = np.isfinite(arr)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ConfigurationError(
+            f"{name} must be finite, got {float(arr.flat[i])!r} at index {i}"
+        )
+    return arr
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ question as a library:
 """
 
 from .spec import DDCSpec
-from .planner import DecimationPlan, plan_decimation, enumerate_plans
+from .planner import DecimationPlan, enumerate_plans
 from .evaluator import (
     DDCEvaluator,
     EvaluationResult,
@@ -27,7 +27,6 @@ from .evaluator import (
 __all__ = [
     "DDCSpec",
     "DecimationPlan",
-    "plan_decimation",
     "enumerate_plans",
     "DDCEvaluator",
     "EvaluationResult",

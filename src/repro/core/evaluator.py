@@ -95,10 +95,9 @@ class ReportCache:
     :meth:`~repro.workloads.base.Workload.shared_evaluator`) and amortise
     model evaluation across the points they serve.
 
-    Invalidation is explicit: :meth:`invalidate` drops one model's
-    entries (after changing a model's constants in-place), :meth:`clear`
-    drops everything.  ``hits``/``misses`` make cache behaviour
-    observable for tests and benches.
+    Nothing expires implicitly: :meth:`clear` drops every entry.
+    ``hits``/``misses`` make cache behaviour observable for tests and
+    benches.
     """
 
     def __init__(self) -> None:
@@ -119,15 +118,6 @@ class ReportCache:
         self._architectures.clear()
         self.hits = 0
         self.misses = 0
-
-    def invalidate(self, model: ArchitectureModel) -> int:
-        """Drop every entry of one model; returns the number dropped."""
-        key = model.cache_key()
-        stale = [k for k in self._entries if k[0] == key]
-        for k in stale:
-            del self._entries[k]
-        self._architectures.pop(key, None)
-        return len(stale)
 
     # ------------------------------------------------------- store hook
     def entries(self):

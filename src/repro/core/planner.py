@@ -133,20 +133,3 @@ def _chain_rejection(config: DDCConfig, bandwidth_hz: float) -> float:
         worst = min(worst, alias_rejection(order, decim, rate, edge))
         rate /= decim
     return worst
-
-
-def plan_decimation(
-    spec: DDCSpec,
-    min_rejection_db: float = 50.0,
-    fir_taps: int = 125,
-) -> DecimationPlan:
-    """The lowest-cost valid plan (raises if none exists)."""
-    plans = enumerate_plans(
-        spec, min_rejection_db=min_rejection_db, fir_taps=fir_taps
-    )
-    if not plans:
-        raise ConfigurationError(
-            f"no valid decimation plan for total {spec.total_decimation} "
-            f"at >= {min_rejection_db} dB rejection"
-        )
-    return plans[0]

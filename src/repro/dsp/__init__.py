@@ -12,7 +12,6 @@ integer form matching the hardware models:
 - :mod:`~repro.dsp.firdesign` — coefficient design including CIC droop
   compensation;
 - :mod:`~repro.dsp.ddc` — the full reference DDC;
-- :mod:`~repro.dsp.streaming` / :mod:`~repro.dsp.chain` — block streaming;
 - :mod:`~repro.dsp.response` — theoretical frequency responses;
 - :mod:`~repro.dsp.signals` — synthetic stimuli (tones, noise, DRM-like
   OFDM, GSM-like bursts);
@@ -20,7 +19,7 @@ integer form matching the hardware models:
 """
 
 from .nco import NCO, NCOMode
-from .mixer import Mixer, mix_to_baseband
+from .mixer import Mixer
 from .cic import CICDecimator, FixedCICDecimator, cic_reference_output
 from .fir import (
     FIRFilter,
@@ -35,21 +34,15 @@ from .firdesign import (
     quantize_taps,
 )
 from .ddc import DDC, DDCResult, FixedDDC
-from .streaming import StreamBlock, BlockFn
-from .chain import Chain
 from .response import (
     cic_response,
     fir_response,
-    cascade_response,
     chain_response,
     alias_rejection,
 )
 from .signals import (
     tone,
-    complex_tone,
-    multi_tone,
     white_noise,
-    chirp,
     drm_like_ofdm,
     gsm_like_burst,
     quantize_to_adc,
@@ -68,7 +61,6 @@ __all__ = [
     "NCO",
     "NCOMode",
     "Mixer",
-    "mix_to_baseband",
     "CICDecimator",
     "FixedCICDecimator",
     "cic_reference_output",
@@ -83,19 +75,12 @@ __all__ = [
     "DDC",
     "DDCResult",
     "FixedDDC",
-    "StreamBlock",
-    "BlockFn",
-    "Chain",
     "cic_response",
     "fir_response",
-    "cascade_response",
     "chain_response",
     "alias_rejection",
     "tone",
-    "complex_tone",
-    "multi_tone",
     "white_noise",
-    "chirp",
     "drm_like_ofdm",
     "gsm_like_burst",
     "quantize_to_adc",

@@ -20,7 +20,7 @@ Two implementations share one structure:
 
 Both are streaming: state (integrator registers, comb delay lines,
 decimator phase) is carried across :meth:`process` calls, which is what the
-block-based :class:`~repro.dsp.chain.Chain` relies on.
+streaming DDC relies on.
 
 The helper :func:`cic_reference_output` computes the mathematically
 equivalent "cascade of boxcars then downsample" form used by the

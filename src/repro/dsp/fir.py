@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..config import check_finite_array
 from ..errors import ConfigurationError
 from ..fixedpoint import QFormat, fir_accumulator_bits, quantize, saturate
 from ..fixedpoint.ops import Rounding
@@ -44,7 +45,7 @@ class FIRFilter:
     taps: np.ndarray
 
     def __post_init__(self) -> None:
-        self.taps = np.asarray(self.taps, dtype=np.float64)
+        self.taps = check_finite_array("taps", self.taps)
         if self.taps.ndim != 1 or self.taps.size == 0:
             raise ConfigurationError("taps must be a non-empty 1-D array")
         self._zi = np.zeros(len(self.taps) - 1, dtype=np.complex128)
@@ -101,7 +102,7 @@ class PolyphaseDecimator:
     decimation: int
 
     def __post_init__(self) -> None:
-        self.taps = np.asarray(self.taps, dtype=np.float64)
+        self.taps = check_finite_array("taps", self.taps)
         if self.taps.ndim != 1 or self.taps.size == 0:
             raise ConfigurationError("taps must be a non-empty 1-D array")
         if not isinstance(self.decimation, int) or self.decimation < 1:
@@ -285,11 +286,3 @@ class FixedPolyphaseDecimator:
             self._hist = np.empty(0, dtype=np.int64)
         return y
 
-    def mac_ops_per_output(self) -> int:
-        """Multiply-accumulate operations per output sample (= tap count).
-
-        The sequential FPGA implementation spends one clock per MAC; for
-        124 taps this is the "125 clock cycles" figure of Section 5.2.1
-        (124 MACs + 1 output cycle).
-        """
-        return len(self.taps_raw)

@@ -134,13 +134,3 @@ def stopband_attenuation_db(
         return np.inf
     return 20 * np.log10(ref / worst)
 
-
-def rms_error(a: np.ndarray, b: np.ndarray) -> float:
-    """Root-mean-square difference between two equal-length signals."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ConfigurationError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if a.size == 0:
-        return 0.0
-    return float(np.sqrt(np.mean(np.abs(a - b) ** 2)))

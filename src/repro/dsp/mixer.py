@@ -5,7 +5,7 @@ multiplied with the cosine signal.  The quadrature part (Q) is derived by
 multiplying the input signal with the sine signal."
 
 The mixer is a pure element-wise multiply and therefore trivially
-vectorised; the class exists so the streaming chain and the hardware models
+vectorised; the class exists so the streaming DDC and the hardware models
 share one definition of the I/Q sign convention:
 
 ``I[n] = x[n] * cos(w n)``, ``Q[n] = -x[n] * sin(w n)``, i.e. the complex
@@ -39,25 +39,3 @@ class Mixer:
             raise ConfigurationError("mixer input must be one-dimensional")
         lo = self.nco.generate_complex(len(x))
         return x * lo
-
-    def process_iq(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Mix and return the I and Q rails separately (paper's Fig. 1)."""
-        y = self.process(x)
-        return y.real.copy(), y.imag.copy()
-
-
-def mix_to_baseband(
-    x: np.ndarray,
-    sample_rate_hz: float,
-    frequency_hz: float,
-    phase0: float = 0.0,
-) -> np.ndarray:
-    """One-shot ideal down-mix with a float64 oscillator (no NCO artefacts).
-
-    The gold-model DDC uses this for its reference path; the NCO-driven
-    :class:`Mixer` is compared against it in the tests to bound LUT error.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    n = np.arange(len(x), dtype=np.float64)
-    w = 2 * np.pi * frequency_hz / sample_rate_hz
-    return x * np.exp(-1j * (w * n + phase0))

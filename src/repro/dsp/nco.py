@@ -18,13 +18,12 @@ The phase accumulator is a ``phase_bits``-wide unsigned integer that
 advances by a frequency control word each sample; its top ``lut_addr_bits``
 bits address the table.  This is the standard DDS structure, and the
 spurious-free dynamic range (SFDR) it achieves is measured in
-``tests/test_nco.py`` and the NCO ablation benchmark.
+``tests/test_nco_mixer.py`` and the NCO ablation in ``tests/test_ablations.py``.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,9 +49,7 @@ class NCO:
     sample_rate_hz:
         Rate at which the oscillator is clocked (64.512 MHz in the paper).
     frequency_hz:
-        Output frequency.  May be changed at runtime via :meth:`retune` —
-        the Montium implementation keeps the LUT address generation in a
-        separate ALU precisely "to change the frequency during execution".
+        Output frequency.
     phase_bits:
         Width of the phase accumulator (default 32).
     lut_addr_bits:
@@ -121,11 +118,6 @@ class NCO:
 
     # --------------------------------------------------------------- tuning
     @property
-    def frequency_resolution_hz(self) -> float:
-        """Smallest frequency step of the accumulator."""
-        return self.sample_rate_hz / (1 << self.phase_bits)
-
-    @property
     def actual_frequency_hz(self) -> float:
         """Frequency actually produced after FCW rounding."""
         fcw = self._fcw
@@ -133,17 +125,6 @@ class NCO:
         if fcw >= half:
             fcw -= 1 << self.phase_bits
         return fcw / (1 << self.phase_bits) * self.sample_rate_hz
-
-    def retune(self, frequency_hz: float) -> None:
-        """Change the output frequency without resetting phase."""
-        if not math.isfinite(frequency_hz):
-            raise ConfigurationError(
-                f"NCO.frequency_hz must be finite, got {frequency_hz!r}"
-            )
-        if abs(frequency_hz) > self.sample_rate_hz / 2:
-            raise ConfigurationError("frequency_hz must be below Nyquist")
-        self.frequency_hz = frequency_hz
-        self._fcw = self._frequency_to_fcw(frequency_hz)
 
     def reset(self) -> None:
         """Reset the phase accumulator to zero."""
@@ -241,18 +222,3 @@ def _taylor_sin(theta: np.ndarray, order: int) -> np.ndarray:
         k == 0, sin_x, np.where(k == 1, cos_x, np.where(k == 2, -sin_x, -cos_x))
     )
     return out
-
-
-def nco_sfdr_estimate_db(lut_addr_bits: int, amplitude_bits: int | None = None) -> float:
-    """Rule-of-thumb SFDR of a phase-truncating LUT DDS.
-
-    Phase truncation limits SFDR to ~6.02 dB per retained address bit;
-    amplitude quantisation to ~6.02 dB per amplitude bit + 1.76 dB.  The
-    achieved SFDR is roughly the minimum of the two mechanisms.  Used by the
-    NCO ablation to sanity-check measured values.
-    """
-    phase_limit = 6.02 * lut_addr_bits
-    if amplitude_bits is None:
-        return phase_limit
-    amp_limit = 6.02 * amplitude_bits + 1.76
-    return min(phase_limit, amp_limit)

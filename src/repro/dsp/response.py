@@ -60,16 +60,6 @@ def fir_response(
     return np.exp(-1j * np.outer(w, n)) @ taps
 
 
-def cascade_response(responses: list[np.ndarray]) -> np.ndarray:
-    """Product of pre-evaluated stage responses on a common frequency grid."""
-    if not responses:
-        raise ConfigurationError("cascade_response needs at least one response")
-    out = np.asarray(responses[0], dtype=np.complex128).copy()
-    for r in responses[1:]:
-        out *= r
-    return out
-
-
 def chain_response(
     freqs_hz: np.ndarray,
     input_rate_hz: float,

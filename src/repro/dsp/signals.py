@@ -5,8 +5,7 @@ assumes "input bit toggling ... 50 %, which corresponds to random data", and
 the motivating workloads are DRM / DAB radio and GSM.  This module provides
 the corresponding synthetic equivalents:
 
-- deterministic test tones (:func:`tone`, :func:`complex_tone`,
-  :func:`multi_tone`, :func:`chirp`);
+- :func:`tone` — a deterministic test tone;
 - :func:`white_noise` — the 50 %-toggle "random data" stimulus;
 - :func:`drm_like_ofdm` — an OFDM multicarrier burst with DRM robustness-
   mode-B-like numerology, centred on a tunable carrier: the workload the
@@ -24,6 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..config import check_finite_array
 from ..errors import ConfigurationError
 from ..fixedpoint import QFormat, to_fixed
 
@@ -45,46 +45,6 @@ def tone(
     _check(n, sample_rate_hz)
     t = np.arange(n) / sample_rate_hz
     return amplitude * np.cos(2 * np.pi * freq_hz * t + phase)
-
-
-def complex_tone(
-    n: int, freq_hz: float, sample_rate_hz: float,
-    amplitude: float = 1.0, phase: float = 0.0,
-) -> np.ndarray:
-    """Complex exponential tone."""
-    _check(n, sample_rate_hz)
-    t = np.arange(n) / sample_rate_hz
-    return amplitude * np.exp(1j * (2 * np.pi * freq_hz * t + phase))
-
-
-def multi_tone(
-    n: int,
-    freqs_hz: list[float],
-    sample_rate_hz: float,
-    amplitudes: list[float] | None = None,
-) -> np.ndarray:
-    """Sum of real tones (for intermodulation / selectivity tests)."""
-    _check(n, sample_rate_hz)
-    if amplitudes is None:
-        amplitudes = [1.0] * len(freqs_hz)
-    if len(amplitudes) != len(freqs_hz):
-        raise ConfigurationError("freqs and amplitudes must match in length")
-    out = np.zeros(n)
-    for f, a in zip(freqs_hz, amplitudes):
-        out += tone(n, f, sample_rate_hz, a)
-    return out
-
-
-def chirp(
-    n: int, f0_hz: float, f1_hz: float, sample_rate_hz: float,
-    amplitude: float = 1.0,
-) -> np.ndarray:
-    """Linear frequency sweep from ``f0`` to ``f1`` over the block."""
-    _check(n, sample_rate_hz)
-    t = np.arange(n) / sample_rate_hz
-    duration = n / sample_rate_hz
-    k = (f1_hz - f0_hz) / duration
-    return amplitude * np.cos(2 * np.pi * (f0_hz * t + 0.5 * k * t * t))
 
 
 def white_noise(
@@ -177,6 +137,8 @@ def gsm_like_burst(
     sps = sample_rate_hz / symbol_rate_hz
     n_symbols = int(np.ceil(n / sps)) + 4
     bits = rng.integers(0, 2, n_symbols) * 2 - 1  # +-1
+    if n == 0:
+        return np.zeros(0)
     # Phase increments per sample.
     sym_index = np.minimum((np.arange(n) / sps).astype(np.int64), n_symbols - 1)
     inc = bits[sym_index] * (np.pi / 2) / sps
@@ -184,7 +146,9 @@ def gsm_like_burst(
     klen = max(3, int(3 * sps) | 1)
     k = np.exp(-0.5 * ((np.arange(klen) - klen // 2) / (0.4 * sps)) ** 2)
     k /= k.sum()
-    inc = np.convolve(inc, k, mode="same")
+    # The centred n samples of the full convolution ("same" mode returns
+    # len(k) samples when the burst is shorter than the kernel).
+    inc = np.convolve(inc, k)[klen // 2:klen // 2 + n]
     phase = np.cumsum(inc)
     t = np.arange(n) / sample_rate_hz
     return amplitude * np.cos(2 * np.pi * carrier_hz * t + phase)
@@ -197,13 +161,15 @@ def quantize_to_adc(
 
     Values are clipped to ``+-full_scale`` and scaled so full scale maps to
     the extreme codes — the 12/14-bit inputs the paper's architectures see.
+    A nan or inf sample is refused, naming its index.
     """
     if not 2 <= bits <= 32:
         raise ConfigurationError("bits must be in 2..32")
-    if full_scale <= 0:
-        raise ConfigurationError("full_scale must be positive")
+    if not 0 < full_scale < np.inf:
+        raise ConfigurationError(
+            f"full_scale must be positive and finite, got {full_scale!r}")
     fmt = QFormat(bits, 0)
-    scaled = np.asarray(x, dtype=np.float64) / full_scale * fmt.max_raw
+    scaled = check_finite_array("x", x) / full_scale * fmt.max_raw
     return to_fixed(scaled, fmt)
 
 

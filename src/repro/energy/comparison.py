@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ..errors import ConfigurationError
 from .technology import TECH_130NM, TechnologyNode, scale_power
 
 if TYPE_CHECKING:  # imported only for typing to avoid a package cycle
@@ -92,16 +91,6 @@ class ArchitectureComparison:
     def rows(self) -> list[ComparisonRow]:
         """Rows in insertion order."""
         return list(self._rows)
-
-    def best(self, scaled: bool = True, feasible_only: bool = True) -> ComparisonRow:
-        """Lowest-power architecture (the paper's 'optimal' question)."""
-        candidates = [
-            r for r in self._rows if (r.feasible or not feasible_only)
-        ]
-        if not candidates:
-            raise ConfigurationError("no (feasible) rows in the comparison")
-        key = (lambda r: r.power_scaled_w) if scaled else (lambda r: r.power_w)
-        return min(candidates, key=key)
 
     def ranking(self, scaled: bool = True) -> list[ComparisonRow]:
         """All rows sorted by (scaled) power, ascending."""

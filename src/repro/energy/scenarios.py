@@ -268,10 +268,6 @@ class ScenarioAnalysis:
             duty_cycles=d, names=self.names, powers_w=self.cost_batch(d)
         )
 
-    def static_scenario(self) -> ScenarioResult:
-        """The paper's Section 7.1: full-time DDC."""
-        return self.evaluate(1.0)
-
     def sweep(self, steps: int = 101) -> list[ScenarioResult]:
         """Evaluate duty cycles 0..1 on a regular grid (batched path)."""
         return self.evaluate_batch(duty_grid(steps)).results()

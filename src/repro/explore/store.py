@@ -415,13 +415,6 @@ class ReportStore:
             self._write_records(*records)
         return digest
 
-    def load_frontier(
-        self, spec: ExploreSpec, models: Sequence[ArchitectureModel]
-    ) -> dict | None:
-        """The stored report document for this exact space, if any."""
-        _, _, frontiers, _ = self._read_records()
-        return frontiers.get(space_digest(spec, models))
-
     # --------------------------------------------------------- checkpoints
     def save_checkpoint(
         self,

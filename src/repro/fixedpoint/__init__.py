@@ -9,8 +9,6 @@ accumulator.  This package provides:
   with ``w`` total bits and ``f`` fraction bits;
 - vectorised NumPy operations with explicit overflow behaviour
   (:func:`saturate`, :func:`wrap`) and rounding modes (:func:`quantize`);
-- :class:`FixedWord` — a convenience scalar wrapper used in tests and
-  examples;
 - bit-growth analysis helpers (:func:`cic_bit_growth`,
   :func:`fir_accumulator_bits`) matching the worst-case analysis the paper
   uses to size the FPGA's 31-bit intermediate result bus.
@@ -24,18 +22,11 @@ from .ops import (
     wrap,
     quantize,
     to_fixed,
-    from_fixed,
-    add_sat,
-    sub_sat,
-    mul_full,
-    requantize,
 )
-from .word import FixedWord
 from .analysis import (
     cic_bit_growth,
     cic_gain,
     fir_accumulator_bits,
-    growth_schedule,
 )
 
 __all__ = [
@@ -46,14 +37,7 @@ __all__ = [
     "wrap",
     "quantize",
     "to_fixed",
-    "from_fixed",
-    "add_sat",
-    "sub_sat",
-    "mul_full",
-    "requantize",
-    "FixedWord",
     "cic_bit_growth",
     "cic_gain",
     "fir_accumulator_bits",
-    "growth_schedule",
 ]

@@ -11,12 +11,8 @@ internal widths instead of hard-coding them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-import numpy as np
 
 from ..errors import ConfigurationError
-from .qformat import QFormat
 
 
 def cic_gain(order: int, decimation: int, diff_delay: int = 1) -> int:
@@ -54,70 +50,6 @@ def fir_accumulator_bits(
     if taps < 1:
         raise ConfigurationError(f"taps must be >= 1, got {taps}")
     return input_width + coeff_width + math.ceil(math.log2(taps))
-
-
-@dataclass(frozen=True)
-class StageGrowth:
-    """Word-length report for one chain stage."""
-
-    name: str
-    input_width: int
-    growth_bits: int
-
-    @property
-    def internal_width(self) -> int:
-        """Register width that guarantees no harmful overflow."""
-        return self.input_width + self.growth_bits
-
-
-def growth_schedule(
-    input_fmt: QFormat,
-    cic_stages: list[tuple[str, int, int]],
-    fir_taps: int,
-    coeff_width: int | None = None,
-) -> list[StageGrowth]:
-    """Full-precision width schedule for a CIC/CIC/.../FIR chain.
-
-    Parameters
-    ----------
-    input_fmt:
-        Format of the chain input (e.g. ``QFormat(12, 11)``).
-    cic_stages:
-        Sequence of ``(name, order, decimation)`` tuples, applied in order.
-        Each stage's output is assumed truncated back to the input width
-        (the paper's 12-bit inter-stage buses).
-    fir_taps:
-        Tap count of the final FIR.
-    coeff_width:
-        FIR coefficient width; defaults to the data width.
-
-    Returns
-    -------
-    list of :class:`StageGrowth`, one per CIC stage plus one for the FIR.
-    """
-    width = input_fmt.width
-    schedule: list[StageGrowth] = []
-    for name, order, decimation in cic_stages:
-        growth = cic_bit_growth(order, decimation)
-        schedule.append(StageGrowth(name, width, growth))
-    cw = coeff_width if coeff_width is not None else width
-    fir_growth = fir_accumulator_bits(width, cw, fir_taps) - width
-    schedule.append(StageGrowth(f"FIR{fir_taps}", width, fir_growth))
-    return schedule
-
-
-def measured_peak_growth(samples: np.ndarray, input_fmt: QFormat) -> int:
-    """Empirical bit growth of a raw integer signal relative to a format.
-
-    Used by tests and the bit-width ablation to compare the worst-case
-    analysis with what real stimuli actually excite.
-    """
-    arr = np.asarray(samples)
-    if arr.size == 0:
-        return 0
-    peak = max(int(arr.max()), -int(arr.min()) - 1, 0)
-    needed = peak.bit_length() + 1  # + sign bit
-    return max(0, needed - input_fmt.width)
 
 
 def _check(order: int, decimation: int, diff_delay: int) -> None:

@@ -134,62 +134,3 @@ def to_fixed(
     raw = raw.astype(np.int64)
     return _apply_overflow(raw, fmt, overflow)
 
-
-def from_fixed(raw: ArrayLike, fmt: QFormat) -> np.ndarray:
-    """Convert raw integers in ``fmt`` back to real values (float64)."""
-    arr = _as_int64(raw)
-    return arr.astype(np.float64) * fmt.scale
-
-
-def add_sat(a: ArrayLike, b: ArrayLike, fmt: QFormat) -> np.ndarray:
-    """Saturating addition of raw values in ``fmt``."""
-    result = _as_int64(a) + _as_int64(b)
-    return saturate(result, fmt)
-
-
-def sub_sat(a: ArrayLike, b: ArrayLike, fmt: QFormat) -> np.ndarray:
-    """Saturating subtraction of raw values in ``fmt``."""
-    result = _as_int64(a) - _as_int64(b)
-    return saturate(result, fmt)
-
-
-def mul_full(a: ArrayLike, b: ArrayLike, a_fmt: QFormat, b_fmt: QFormat) -> np.ndarray:
-    """Full-precision product of raw values; result format is
-    ``a_fmt.for_product(b_fmt)``.
-
-    Raises :class:`FixedPointError` if the product could exceed int64,
-    which would silently corrupt the simulation.
-    """
-    if a_fmt.width + b_fmt.width > 63:
-        raise FixedPointError(
-            "product width "
-            f"{a_fmt.width}+{b_fmt.width} exceeds the 63-bit safe range"
-        )
-    return _as_int64(a) * _as_int64(b)
-
-
-def requantize(
-    raw: ArrayLike,
-    src: QFormat,
-    dst: QFormat,
-    rounding: Rounding = Rounding.TRUNCATE,
-    overflow: Overflow = Overflow.SATURATE,
-) -> np.ndarray:
-    """Convert raw values from ``src`` format to ``dst`` format.
-
-    Handles both narrowing (rounding then overflow policy) and widening
-    (exact left shift).  This is the single conversion primitive used at
-    every stage boundary of the hardware models.
-    """
-    arr = _as_int64(raw)
-    shift = src.frac - dst.frac
-    if shift > 0:
-        arr = quantize(arr, shift, rounding)
-    elif shift < 0:
-        if arr.size and (
-            int(arr.max(initial=0)) > (fmt_max := (1 << 62)) // (1 << -shift)
-            or int(arr.min(initial=0)) < -fmt_max // (1 << -shift)
-        ):
-            raise FixedPointError("left shift in requantize would overflow int64")
-        arr = arr << (-shift)
-    return _apply_overflow(arr, dst, overflow)

@@ -74,39 +74,6 @@ class QFormat:
         """Most positive representable real value."""
         return self.max_raw * self.scale
 
-    @property
-    def resolution(self) -> float:
-        """Smallest representable step (same as :attr:`scale`)."""
-        return self.scale
-
-    # ------------------------------------------------------------ operators
-    def contains_raw(self, raw: int) -> bool:
-        """True if ``raw`` is representable in this format."""
-        return self.min_raw <= raw <= self.max_raw
-
-    def grow(self, int_bits: int = 0, frac_bits: int = 0) -> "QFormat":
-        """Return a wider format with extra integer and/or fraction bits."""
-        if int_bits < 0 or frac_bits < 0:
-            raise FixedPointError("grow() takes non-negative bit counts")
-        return QFormat(self.width + int_bits + frac_bits, self.frac + frac_bits)
-
-    def for_product(self, other: "QFormat") -> "QFormat":
-        """Format holding the full product of values in ``self * other``.
-
-        The product of a ``w1``- and a ``w2``-bit signed word needs
-        ``w1 + w2 - 1`` bits except for the single corner case
-        ``min * min``; hardware multipliers provide ``w1 + w2`` bits, and
-        that is what we model.
-        """
-        return QFormat(self.width + other.width, self.frac + other.frac)
-
-    def for_sum(self, terms: int) -> "QFormat":
-        """Format holding the sum of ``terms`` values of this format."""
-        if terms < 1:
-            raise FixedPointError(f"terms must be >= 1, got {terms}")
-        extra = max(0, (terms - 1).bit_length())
-        return QFormat(self.width + extra, self.frac)
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"Q{self.width}.{self.frac}"
 

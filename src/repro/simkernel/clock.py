@@ -27,20 +27,3 @@ class ClockDomain:
                 f"clock {self.name!r}: frequency must be positive, "
                 f"got {self.frequency_hz}"
             )
-
-    @property
-    def period_s(self) -> float:
-        """Clock period in seconds."""
-        return 1.0 / self.frequency_hz
-
-    def cycles_for(self, seconds: float) -> int:
-        """Number of whole cycles elapsing in ``seconds``."""
-        if seconds < 0:
-            raise ConfigurationError("seconds must be >= 0")
-        return int(seconds * self.frequency_hz)
-
-    def time_of(self, cycles: int) -> float:
-        """Wall-clock time of ``cycles`` clock periods, in seconds."""
-        if cycles < 0:
-            raise ConfigurationError("cycles must be >= 0")
-        return cycles * self.period_s

@@ -182,20 +182,6 @@ class Simulator:
                     w.commits += done
             self.cycle = cycle
 
-    def run_until(self, predicate, max_cycles: int = 1_000_000) -> int:
-        """Step until ``predicate(sim)`` is true; returns the cycle count.
-
-        Raises :class:`SimulationError` if ``max_cycles`` elapse first.
-        """
-        start = self.cycle
-        while not predicate(self):
-            if self.cycle - start >= max_cycles:
-                raise SimulationError(
-                    f"run_until exceeded {max_cycles} cycles"
-                )
-            self.step()
-        return self.cycle - start
-
     def reset(self) -> None:
         """Reset wires, components, traces and the cycle counter."""
         for w in self._wires.values():
@@ -210,7 +196,3 @@ class Simulator:
     def activity_report(self) -> ActivityReport:
         """Per-wire and aggregate toggle statistics for the run so far."""
         return ActivityReport.from_wires(self._wires.values(), self.cycle)
-
-    def elapsed_time_s(self) -> float:
-        """Simulated wall-clock time."""
-        return self.clock.time_of(self.cycle)

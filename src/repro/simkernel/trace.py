@@ -52,17 +52,6 @@ class WaveTrace:
         """Cycle numbers at which samples were taken."""
         return list(self._cycles)
 
-    def changes(self, wire_name: str) -> list[tuple[int, int]]:
-        """(cycle, new_value) pairs at which the wire changed."""
-        vals = self.values(wire_name)
-        out: list[tuple[int, int]] = []
-        prev: int | None = None
-        for cyc, v in zip(self._cycles, vals):
-            if prev is None or v != prev:
-                out.append((cyc, v))
-            prev = v
-        return out
-
 
 @dataclass(frozen=True)
 class WireActivity:

@@ -18,15 +18,12 @@ radix-2 butterfly count rather than new magic constants:
 
 All models use the inherited scalar ``implement_batch`` loop, so the
 batch == scalar bit-identity contract holds by construction.
-:func:`ofdm_demodulate` is the functional reference mapping.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any, Mapping
-
-import numpy as np
 
 from ..archs.base import (
     ArchitectureModel,
@@ -276,30 +273,6 @@ class OFDMMontiumModel(ArchitectureModel):
                 f"{self.spec.n_alus} ALUs; 0.6 mW/MHz measured constant"
             ),
         )
-
-
-def ofdm_demodulate(
-    samples: np.ndarray,
-    config: OFDMDemodConfig | None = None,
-) -> np.ndarray:
-    """Functional reference mapping: CP strip + FFT + carrier select.
-
-    ``samples`` is complex baseband; whole symbols only (a trailing
-    partial symbol is dropped).  Returns shape ``(n_symbols, carriers)``
-    with the active carriers taken symmetrically about DC (the DRM/DAB
-    layout: negative bins last in FFT order).
-    """
-    cfg = config if config is not None else OFDMDemodConfig()
-    x = np.asarray(samples)
-    n_symbols = len(x) // cfg.symbol_len
-    if n_symbols == 0:
-        return np.empty((0, cfg.carriers), dtype=np.complex128)
-    x = x[: n_symbols * cfg.symbol_len].reshape(n_symbols, cfg.symbol_len)
-    spectrum = np.fft.fft(x[:, cfg.cp_len :], axis=1)
-    half = cfg.carriers // 2
-    upper = spectrum[:, 1 : cfg.carriers - half + 1]
-    lower = spectrum[:, cfg.fft_size - half :]
-    return np.concatenate([upper, lower], axis=1)
 
 
 class OFDMDemodWorkload(Workload):

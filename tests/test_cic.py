@@ -12,8 +12,8 @@ from repro.dsp.cic import (
     cic_impulse_response,
     cic_reference_output,
 )
-from repro.dsp.streaming import stream_in_blocks
 from repro.errors import ConfigurationError
+from stream_helpers import stream_in_blocks
 
 
 class TestCICBasics:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.config import (
@@ -10,6 +11,7 @@ from repro.config import (
     REFERENCE_DDC,
     StageConfig,
     TOTAL_DECIMATION,
+    check_finite_array,
 )
 from repro.errors import ConfigurationError
 
@@ -85,3 +87,25 @@ class TestValidation:
     def test_stage_output_rate(self):
         s = StageConfig("x", 64.512e6, 16)
         assert s.output_rate_hz == pytest.approx(4.032e6)
+
+
+class TestCheckFiniteArray:
+    def test_returns_float64_copy_of_finite_input(self):
+        out = check_finite_array("x", [1, -2, 3])
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out, [1.0, -2.0, 3.0])
+
+    def test_empty_is_accepted(self):
+        assert check_finite_array("x", []).shape == (0,)
+
+    def test_names_the_first_bad_value(self):
+        with pytest.raises(
+            ConfigurationError, match=r"^taps must be finite, got inf at index 1$"
+        ):
+            check_finite_array("taps", [0.0, np.inf, np.nan])
+
+    def test_index_is_flat_for_2d_input(self):
+        x = np.zeros((3, 4))
+        x[2, 1] = -np.inf
+        with pytest.raises(ConfigurationError, match="-inf at index 9$"):
+            check_finite_array("x", x)

@@ -9,7 +9,6 @@ from repro.core import (
     DDCEvaluator,
     DDCSpec,
     enumerate_plans,
-    plan_decimation,
 )
 from repro.errors import ConfigurationError
 
@@ -72,19 +71,18 @@ class TestPlanner:
             assert p.alias_rejection_db >= 60.0
 
     def test_best_plan(self):
-        best = plan_decimation(DDCSpec())
+        best = enumerate_plans(DDCSpec())[0]
         assert best.total == 2688
         assert best.cost > 0
 
     def test_impossible_spec_raises(self):
         # Prime total decimation with an out-of-range FIR factor.
         spec = DDCSpec(input_rate_hz=24_000.0 * 2687, output_rate_hz=24_000.0)
-        with pytest.raises(ConfigurationError):
-            plan_decimation(spec)  # 2687 is prime: no valid split
+        assert enumerate_plans(spec) == []  # 2687 is prime: no valid split
 
     def test_higher_rejection_never_cheaper(self):
-        loose = plan_decimation(DDCSpec(), min_rejection_db=40.0)
-        tight = plan_decimation(DDCSpec(), min_rejection_db=70.0)
+        loose = enumerate_plans(DDCSpec(), min_rejection_db=40.0)[0]
+        tight = enumerate_plans(DDCSpec(), min_rejection_db=70.0)[0]
         assert tight.cost >= loose.cost * 0.999
 
 

@@ -84,16 +84,6 @@ class TestComparison:
         cmp.add(_FakeReport("gpp", TECH_130NM, 2.4, feasible=False))
         return cmp
 
-    def test_best_feasible(self):
-        assert self._build().best().architecture == "asic"
-
-    def test_best_includes_infeasible_when_asked(self):
-        cmp = ArchitectureComparison()
-        cmp.add(_FakeReport("only", TECH_130NM, 1.0, feasible=False))
-        with pytest.raises(ConfigurationError):
-            cmp.best()
-        assert cmp.best(feasible_only=False).architecture == "only"
-
     def test_ranking_sorted(self):
         ranking = self._build().ranking()
         powers = [r.power_scaled_w for r in ranking]
@@ -121,7 +111,7 @@ class TestScenarios:
     def test_static_scenario_asic_wins(self):
         """Section 7.1: full-time DDC -> ASIC."""
         analysis = ScenarioAnalysis(self._candidates())
-        assert analysis.static_scenario().winner == "asic"
+        assert analysis.evaluate(1.0).winner == "asic"
 
     def test_low_duty_cycle_fpga_wins(self):
         """Section 7.2: occasional DDC -> reconfigurable fabric."""

@@ -48,6 +48,7 @@ from repro.explore import (
     run_explore,
 )
 from repro.explore.__main__ import main as explore_main
+from repro.explore.store import space_digest
 
 #: A small space spanning both Cyclone f_max thresholds (candidate-set
 #: flips at ~66.08 and ~80.87 MHz) — cheap enough for scalar oracles.
@@ -57,6 +58,12 @@ SMALL_SPACE = ExploreSpec(
     target_steps=9,
     duty_cycle_steps=11,
 )
+
+
+def stored_frontier(store, spec, models):
+    """The report document ``save_frontier`` stored for this space, if any."""
+    _, _, frontiers, _ = store._read_records()
+    return frontiers.get(space_digest(spec, models))
 
 
 # --------------------------------------------------------------- the engine
@@ -408,7 +415,7 @@ class TestReportStore:
         assert total > 0
         assert warm_cache.hits / total >= 0.90
         assert warm.render("json") == cold.render("json")
-        assert store.load_frontier(spec, warm_ev.models) == json.loads(
+        assert stored_frontier(store, spec, warm_ev.models) == json.loads(
             json.dumps(cold.to_json_doc())
         )
 
@@ -417,8 +424,8 @@ class TestReportStore:
         models = default_models()
         store.save_frontier(SMALL_SPACE, models, {"cells": 9})
         other = dataclasses.replace(SMALL_SPACE, target_steps=5)
-        assert store.load_frontier(other, models) is None
-        assert store.load_frontier(SMALL_SPACE, models) == {"cells": 9}
+        assert stored_frontier(store, other, models) is None
+        assert stored_frontier(store, SMALL_SPACE, models) == {"cells": 9}
 
 
 class TestReportCacheHook:

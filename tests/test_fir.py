@@ -14,8 +14,8 @@ from repro.dsp.fir import (
     polyphase_decompose,
 )
 from repro.dsp.firdesign import quantize_taps, reference_fir_taps
-from repro.dsp.streaming import stream_in_blocks
 from repro.errors import ConfigurationError
+from stream_helpers import stream_in_blocks
 
 
 class TestFIRFilter:
@@ -131,6 +131,21 @@ class TestPolyphaseDecimator:
         np.testing.assert_allclose(p.process(x), 2 * x)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [FIRFilter, lambda taps: PolyphaseDecimator(taps, 2)],
+    ids=["FIRFilter", "PolyphaseDecimator"],
+)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_taps_refused(make, bad):
+    """A nan/inf tap would turn every output sample into nan."""
+    taps = np.array([0.25, bad, 0.25])
+    with pytest.raises(
+        ConfigurationError, match=f"^taps must be finite, got {bad!r} at index 1$"
+    ):
+        make(taps)
+
+
 class TestFixedPolyphaseDecimator:
     def _make(self, rng, n_taps=25, decimation=8):
         taps = rng.normal(size=n_taps) / n_taps
@@ -186,7 +201,3 @@ class TestFixedPolyphaseDecimator:
             x, block_size,
         )
         np.testing.assert_array_equal(split, whole)
-
-    def test_mac_ops_per_output(self, rng):
-        f, _ = self._make(rng, n_taps=124)
-        assert f.mac_ops_per_output() == 124

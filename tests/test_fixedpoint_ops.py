@@ -11,13 +11,8 @@ from repro.fixedpoint import (
     Overflow,
     QFormat,
     Rounding,
-    add_sat,
-    from_fixed,
-    mul_full,
     quantize,
-    requantize,
     saturate,
-    sub_sat,
     to_fixed,
     wrap,
 )
@@ -66,6 +61,20 @@ class TestWrap:
         assert fmt.min_raw <= wrapped <= fmt.max_raw
         assert (wrapped - value) % (1 << width) == 0
 
+    def test_64_bit_wrap_is_identity(self):
+        x = np.array([np.iinfo(np.int64).min, -1, 0, np.iinfo(np.int64).max])
+        out = wrap(x, QFormat(64, 0))
+        np.testing.assert_array_equal(out, x)
+        assert out is not x
+
+    @given(st.integers(-(2**40), 2**40), st.integers(2, 50))
+    def test_wrap_and_saturate_agree_in_range(self, value, width):
+        fmt = QFormat(width, 0)
+        if fmt.min_raw <= value <= fmt.max_raw:
+            assert int(wrap(value, fmt)) == int(saturate(value, fmt)) == value
+        else:
+            assert int(saturate(value, fmt)) in (fmt.min_raw, fmt.max_raw)
+
     @given(st.integers(-(2**30), 2**30), st.integers(-(2**30), 2**30))
     def test_wrap_add_homomorphic(self, a, b):
         """Wrapping is a ring homomorphism: wrap(a)+wrap(b) ~ wrap(a+b)."""
@@ -97,12 +106,28 @@ class TestQuantize:
         out = int(quantize(np.array([value]), shift)[0])
         assert out == value // (1 << shift)
 
+    @given(st.integers(-(2**40), 2**40), st.integers(0, 20))
+    def test_floor_is_truncate(self, value, shift):
+        x = np.array([value])
+        assert quantize(x, shift, Rounding.FLOOR)[0] == quantize(x, shift)[0]
+
+    @given(st.integers(-(2**40), 2**40), st.integers(1, 20))
+    def test_nearest_rounds_half_away_from_zero(self, value, shift):
+        out = int(quantize(np.array([value]), shift, Rounding.NEAREST)[0])
+        q, r = divmod(abs(value), 1 << shift)
+        expected = q + (2 * r >= 1 << shift)
+        assert out == (expected if value >= 0 else -expected)
+
+    def test_unknown_rounding_rejected(self):
+        with pytest.raises(FixedPointError, match="unknown rounding mode"):
+            quantize(np.array([5]), 1, "nearest")  # type: ignore[arg-type]
+
 
 class TestConversions:
     def test_roundtrip_exact_grid(self):
         values = np.array([-1.0, -0.5, 0.0, 0.25, 0.5])
         raw = to_fixed(values, Q12F)
-        back = from_fixed(raw, Q12F)
+        back = raw * Q12F.scale
         np.testing.assert_allclose(back, values, atol=Q12F.scale)
 
     def test_saturates_out_of_range(self):
@@ -115,58 +140,24 @@ class TestConversions:
         # 1.0 * 2**11 = 2048 wraps to -2048
         assert raw[0] == -2048
 
+    @pytest.mark.parametrize("rounding", [Rounding.TRUNCATE, Rounding.FLOOR])
+    def test_truncating_conversion_floors(self, rounding):
+        lsb = Q12F.scale
+        raw = to_fixed(np.array([0.75 * lsb, -0.25 * lsb, -1.5 * lsb]), Q12F,
+                       rounding=rounding)
+        assert list(raw) == [0, -1, -2]
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_nearest_conversion_rounds_half_away_from_zero(self, sign):
+        raw = to_fixed(np.array([sign * 2.5 * Q12F.scale]), Q12F)
+        assert raw[0] == sign * 3
+
+    def test_conversion_rejects_unknown_rounding(self):
+        with pytest.raises(FixedPointError, match="unknown rounding mode"):
+            to_fixed(0.5, Q12F, rounding="up")  # type: ignore[arg-type]
+
     @given(st.floats(-0.999, 0.999, allow_nan=False))
     def test_quantisation_error_bounded(self, v):
         raw = to_fixed(v, Q12F)
-        err = abs(float(from_fixed(raw, Q12F)) - v)
+        err = abs(float(raw) * Q12F.scale - v)
         assert err <= Q12F.scale / 2 + 1e-12
-
-
-class TestArithmetic:
-    def test_add_sat(self):
-        assert add_sat(2000, 2000, Q12) == 2047
-
-    def test_sub_sat(self):
-        assert sub_sat(-2000, 2000, Q12) == -2048
-
-    def test_mul_full_width_guard(self):
-        with pytest.raises(FixedPointError):
-            mul_full(1, 1, QFormat(40, 0), QFormat(40, 0))
-
-    def test_mul_full_value(self):
-        out = mul_full(np.array([100]), np.array([-3]), Q12, Q12)
-        assert out[0] == -300
-
-    @given(
-        st.integers(-2048, 2047),
-        st.integers(-2048, 2047),
-    )
-    def test_add_sat_never_leaves_range(self, a, b):
-        out = int(add_sat(a, b, Q12))
-        assert Q12.min_raw <= out <= Q12.max_raw
-        # And equals the clamped true sum.
-        assert out == min(max(a + b, Q12.min_raw), Q12.max_raw)
-
-
-class TestRequantize:
-    def test_narrowing_truncates(self):
-        src = QFormat(24, 22)
-        dst = QFormat(12, 11)
-        raw = np.array([1 << 22])  # value 1.0
-        out = requantize(raw, src, dst)
-        assert out[0] == dst.max_raw  # 1.0 saturates in Q12.11
-
-    def test_widening_exact(self):
-        src = QFormat(12, 11)
-        dst = QFormat(24, 22)
-        raw = np.array([123])
-        out = requantize(raw, src, dst)
-        assert out[0] == 123 << 11
-
-    @given(st.integers(-2048, 2047))
-    def test_round_trip_widen_narrow(self, raw):
-        src = QFormat(12, 11)
-        wide = QFormat(24, 22)
-        there = requantize(np.array([raw]), src, wide)
-        back = requantize(there, wide, src)
-        assert back[0] == raw

@@ -48,47 +48,29 @@ class TestQFormatConstruction:
         with pytest.raises(FixedPointError):
             QFormat(12.0, 11)  # type: ignore[arg-type]
 
+    def test_non_int_frac_rejected(self):
+        with pytest.raises(FixedPointError, match="must be ints"):
+            QFormat(12, 11.0)  # type: ignore[arg-type]
+
+    @pytest.mark.parametrize(
+        "width, lo, hi", [(1, -1, 0), (64, -(2**63), 2**63 - 1)],
+    )
+    def test_extreme_widths(self, width, lo, hi):
+        q = QFormat(width, 0)
+        assert (q.min_raw, q.max_raw) == (lo, hi)
+
+    def test_frozen(self):
+        q = QFormat(12, 11)
+        with pytest.raises(AttributeError):
+            q.width = 16  # type: ignore[misc]
+
     def test_str(self):
         assert str(QFormat(12, 11)) == "Q12.11"
 
 
 class TestQFormatDerivation:
-    def test_contains_raw(self):
-        q = QFormat(4, 0)
-        assert q.contains_raw(7)
-        assert q.contains_raw(-8)
-        assert not q.contains_raw(8)
-        assert not q.contains_raw(-9)
-
-    def test_grow(self):
-        q = QFormat(12, 11).grow(int_bits=2, frac_bits=3)
-        assert q.width == 17
-        assert q.frac == 14
-
-    def test_grow_negative_rejected(self):
-        with pytest.raises(FixedPointError):
-            QFormat(12, 11).grow(int_bits=-1)
-
-    def test_for_product(self):
-        p = QFormat(12, 11).for_product(QFormat(12, 11))
-        assert p.width == 24
-        assert p.frac == 22
-
-    def test_for_sum_single(self):
-        q = QFormat(24, 22)
-        assert q.for_sum(1) == q
-
-    def test_for_sum_124_terms_gives_31_bits(self):
-        # The paper's FIR: 24-bit products, 124 taps -> 31-bit accumulator.
-        q = QFormat(24, 22).for_sum(124)
-        assert q.width == 31
-
-    def test_for_sum_invalid(self):
-        with pytest.raises(FixedPointError):
-            QFormat(8, 0).for_sum(0)
-
     @given(st.integers(1, 64), st.integers(-8, 64))
     def test_range_is_symmetric_ish(self, width, frac):
         q = QFormat(width, frac)
         assert q.min_raw == -q.max_raw - 1
-        assert q.contains_raw(0)
+        assert q.min_raw <= 0 <= q.max_raw

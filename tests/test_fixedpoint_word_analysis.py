@@ -1,94 +1,14 @@
-"""Tests for FixedWord and the bit-growth analysis helpers."""
+"""Tests for the bit-growth analysis helpers."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.errors import ConfigurationError, FixedPointError
-from repro.fixedpoint import (
-    FixedWord,
-    Overflow,
-    QFormat,
-    cic_bit_growth,
-    cic_gain,
-    fir_accumulator_bits,
-    growth_schedule,
-)
-from repro.fixedpoint.analysis import measured_peak_growth
-
-Q12F = QFormat(12, 11)
-
-
-class TestFixedWord:
-    def test_from_real(self):
-        w = FixedWord.from_real(0.5, Q12F)
-        assert w.value == pytest.approx(0.5, abs=Q12F.scale)
-
-    def test_zero(self):
-        assert FixedWord.zero(Q12F).raw == 0
-
-    def test_out_of_range_raw_rejected(self):
-        with pytest.raises(FixedPointError):
-            FixedWord(5000, Q12F)
-
-    def test_add(self):
-        a = FixedWord.from_real(0.25, Q12F)
-        b = FixedWord.from_real(0.25, Q12F)
-        assert (a + b).value == pytest.approx(0.5, abs=2 * Q12F.scale)
-
-    def test_add_saturates(self):
-        a = FixedWord.from_real(0.9, Q12F)
-        out = a.add(a)
-        assert out.raw == Q12F.max_raw
-
-    def test_add_wraps(self):
-        a = FixedWord.from_real(0.9, Q12F)
-        out = a.add(a, overflow=Overflow.WRAP)
-        assert out.raw < 0
-
-    def test_sub(self):
-        a = FixedWord.from_real(0.5, Q12F)
-        b = FixedWord.from_real(0.25, Q12F)
-        assert (a - b).value == pytest.approx(0.25, abs=2 * Q12F.scale)
-
-    def test_mul_grows_format(self):
-        a = FixedWord.from_real(0.5, Q12F)
-        out = a * a
-        assert out.fmt.width == 24
-        assert out.value == pytest.approx(0.25, abs=2**-20)
-
-    def test_mul_type_error(self):
-        with pytest.raises(FixedPointError):
-            FixedWord.zero(Q12F).mul(1.0)  # type: ignore[arg-type]
-
-    def test_mismatched_frac_rejected(self):
-        a = FixedWord.zero(QFormat(12, 11))
-        b = FixedWord.zero(QFormat(12, 10))
-        with pytest.raises(FixedPointError):
-            a.add(b)
-
-    def test_neg(self):
-        a = FixedWord.from_real(0.5, Q12F)
-        assert (-a).value == pytest.approx(-0.5, abs=Q12F.scale)
-
-    def test_cast_narrows(self):
-        a = FixedWord.from_real(0.5, QFormat(24, 22))
-        out = a.cast(Q12F)
-        assert out.fmt == Q12F
-        assert out.value == pytest.approx(0.5, abs=Q12F.scale)
-
-    def test_float_conversion(self):
-        assert float(FixedWord.from_real(-0.25, Q12F)) == pytest.approx(
-            -0.25, abs=Q12F.scale
-        )
-
-    @given(st.floats(-0.99, 0.99), st.floats(-0.99, 0.99))
-    def test_mul_matches_real_product(self, x, y):
-        a = FixedWord.from_real(x, Q12F)
-        b = FixedWord.from_real(y, Q12F)
-        assert (a * b).value == pytest.approx(x * y, abs=2e-3)
+from repro.config import REFERENCE_DDC
+from repro.dsp.ddc import FixedDDC
+from repro.errors import ConfigurationError
+from repro.fixedpoint import cic_bit_growth, cic_gain, fir_accumulator_bits
 
 
 class TestBitGrowth:
@@ -112,6 +32,27 @@ class TestBitGrowth:
         with pytest.raises(ConfigurationError):
             cic_bit_growth(0, 16)
 
+    @pytest.mark.parametrize("fn", [cic_gain, cic_bit_growth])
+    @pytest.mark.parametrize(
+        "args, field",
+        [((0, 16, 1), "order"), ((2, 0, 1), "decimation"),
+         ((2, 16, 0), "differential delay")],
+    )
+    def test_invalid_cic_parameters_named(self, fn, args, field):
+        with pytest.raises(ConfigurationError, match=f"CIC {field} must be >= 1"):
+            fn(*args)
+
+    def test_growth_schedule_reference_chain(self):
+        """The fixed-point reference DDC sizes its registers as the paper
+        does: CIC2 20 bits, CIC5 34 bits, a 31-bit FIR accumulator and
+        12-bit buses between the stages."""
+        ddc = FixedDDC(REFERENCE_DDC)
+        assert ddc.cic2_i.internal_format.width == 12 + 8 == 20
+        assert ddc.cic5_i.internal_format.width == 12 + 22 == 34
+        assert ddc.fir_i.accumulator_format.width == 31
+        for stage in (ddc.cic2_i, ddc.cic5_i, ddc.fir_i):
+            assert stage.output_format.width == 12
+
     def test_fir_accumulator_is_31_bits_for_paper_fir(self):
         # 12-bit data x 12-bit coeffs x 124 taps -> the paper's 31-bit bus.
         assert fir_accumulator_bits(12, 12, 124) == 31
@@ -119,24 +60,21 @@ class TestBitGrowth:
     def test_fir_accumulator_single_tap(self):
         assert fir_accumulator_bits(12, 12, 1) == 24
 
-    def test_growth_schedule_reference_chain(self):
-        sched = growth_schedule(
-            QFormat(12, 11),
-            [("CIC2", 2, 16), ("CIC5", 5, 21)],
-            fir_taps=124,
-        )
-        assert [s.name for s in sched] == ["CIC2", "CIC5", "FIR124"]
-        assert sched[0].internal_width == 20
-        assert sched[1].internal_width == 34
-        assert sched[2].internal_width == 31
+    @pytest.mark.parametrize(
+        "args", [(0, 12, 4), (12, 0, 4), (12, 12, 0)],
+        ids=["input_width", "coeff_width", "taps"],
+    )
+    def test_fir_accumulator_invalid(self, args):
+        with pytest.raises(ConfigurationError):
+            fir_accumulator_bits(*args)
 
-    def test_measured_growth_empty(self):
-        assert measured_peak_growth(np.array([]), QFormat(12, 0)) == 0
-
-    def test_measured_growth_detects_overflow_need(self):
-        fmt = QFormat(12, 0)
-        samples = np.array([8000])  # needs 14 bits incl. sign -> growth 2
-        assert measured_peak_growth(samples, fmt) == 2
+    @given(st.integers(1, 5), st.integers(1, 32), st.integers(1, 3))
+    def test_growth_is_ceil_log2_gain(self, order, decimation, diff_delay):
+        """Growth is the fewest bits whose range covers the DC gain."""
+        growth = cic_bit_growth(order, decimation, diff_delay)
+        gain = cic_gain(order, decimation, diff_delay)
+        assert 2**growth >= gain
+        assert growth == 0 or 2 ** (growth - 1) < gain
 
     @given(st.integers(1, 6), st.integers(2, 64))
     def test_growth_bounds_gain(self, order, decimation):

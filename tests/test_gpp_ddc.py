@@ -109,10 +109,11 @@ class TestARM9Model:
         want = report.clock_hz / 1e6 * 0.25e-3
         assert report.power_w == pytest.approx(want)
 
-    def test_speedup_needed(self):
+    def test_needs_over_ten_arm9s(self):
         model = ARM9Model(n_samples=2688)
-        model.implement(REFERENCE_DDC)
-        assert model.speedup_needed() > 10    # paper: 9740/250 = 39x
+        report = model.implement(REFERENCE_DDC)
+        # paper: 9740/250 = 39x
+        assert report.clock_hz / model.spec.max_clock_hz > 10
 
 
 class TestGeneratedCodeCorrectness:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro import REFERENCE_DDC, DDCConfig
 from repro.archs.montium import (
@@ -17,10 +18,13 @@ from repro.archs.montium import (
     render_figure9,
     run_ddc_on_tile,
 )
-from repro.archs.montium.alu import Level1Fn, Level2Fn, MontiumALU, wrap16
+from repro.archs.montium.alu import (
+    Level1Fn, Level2Fn, MontiumALU, wrap16, wrap17, wrap32,
+)
 from repro.archs.montium.schedule import analyze_schedule, measured_occupancy
 from repro.dsp.signals import quantize_to_adc, tone
 from repro.errors import ConfigurationError, SimulationError
+from repro.fixedpoint import QFormat, wrap
 
 
 class TestALU:
@@ -339,3 +343,10 @@ class TestVectorisedScheduleAnalysis:
         for fn in (analyze_schedule, analyze_schedule_scalar):
             with pytest.raises(ConfigurationError, match="empty"):
                 fn(TileProgram(cycles=[]))
+
+
+@pytest.mark.parametrize("fn, width", [(wrap16, 16), (wrap17, 17), (wrap32, 32)])
+@given(st.integers(-(2**50), 2**50))
+def test_scalar_wraps_match_vector_wrap(fn, width, value):
+    """The ALU's scalar port/register wraps are two's-complement wraps."""
+    assert fn(value) == int(wrap(value, QFormat(width, 0)))

@@ -25,14 +25,10 @@ from repro.paper import (
     table7,
 )
 
-#: Published values the regenerated tables are checked against.
-TABLE4_LE = {"EP1C3T100C6": 1656, "EP2C5T144C6": 906}
-TABLE5_TOTAL_MW = {0.05: 120.9, 0.10: 141.4, 0.50: 305.3, 0.875: 458.9}
-TABLE7_SCALED_MW = {
-    "TI GC4016": 13.8,
-    "Customised Low Power DDC": 8.7,
-    "Montium TP": 38.7,
-}
+
+def leading_number(cell: str) -> float:
+    """The first number of a table cell: ``"1,656 / 2,910 (56 %)"`` -> 1656."""
+    return float(cell.split()[0].replace(",", ""))
 
 
 class TestTables:
@@ -79,14 +75,18 @@ class TestTables:
         assert pct["FIR125-poly-phase"] < 0.5
 
     def test_table4_logic_elements_near_published(self):
-        for row in table4().rows:
-            got_le = int(row[1].split("/")[0].strip().replace(",", ""))
-            want = TABLE4_LE[row[0]]
+        t = table4()
+        published_le = {p[0]: leading_number(p[1]) for p in t.published}
+        for row in t.rows:
+            got_le = leading_number(row[1])
+            want = published_le[row[0]]
             assert abs(got_le - want) / want < 0.10
 
     def test_table5_totals_match_published(self):
-        totals = [float(v.split()[0]) for v in table5().rows[0][1:]]
-        for got, pub in zip(totals, TABLE5_TOTAL_MW.values(), strict=True):
+        t = table5()
+        totals = [leading_number(v) for v in t.rows[0][1:]]
+        published = [leading_number(v) for v in t.published[0][1:]]
+        for got, pub in zip(totals, published, strict=True):
             assert got == pytest.approx(pub, rel=0.02)
 
     def test_table6_alu_utilisation(self):
@@ -96,8 +96,13 @@ class TestTables:
         assert rows["CIC2 cascading"][1] == pytest.approx(6.3, abs=0.2)
 
     def test_table7_scaled_power_and_ranking(self):
-        scaled = {r[0]: float(r[4].split()[0]) for r in table7().rows}
-        for arch, want in TABLE7_SCALED_MW.items():
+        t = table7()
+        scaled = {r[0]: leading_number(r[4]) for r in t.rows}
+        published = {p[0]: p[4] for p in t.published}
+        # The ARM922T and Cyclone rows are left out: the paper's ARM figure
+        # disagrees with its own text, and its Cyclone rows are dynamic-only.
+        for arch in ("TI GC4016", "Customised Low Power DDC", "Montium TP"):
+            want = leading_number(published[arch])
             assert scaled[arch] == pytest.approx(want, rel=0.05)
         # Ranking at 0.13 um: low-power ASIC < GC4016 < Montium < Cyclone II.
         assert (

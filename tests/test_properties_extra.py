@@ -12,9 +12,7 @@ from repro.dsp.nco import NCO
 from repro.dsp.response import cic_response
 from repro.fixedpoint import (
     QFormat,
-    from_fixed,
     quantize,
-    requantize,
     saturate,
     to_fixed,
     wrap,
@@ -63,21 +61,9 @@ class TestFixedPointAlgebra:
         """Quantisation error is non-increasing in word length."""
         narrow = QFormat(width, width - 1)
         wide = QFormat(width + 4, width + 3)
-        err_n = abs(float(from_fixed(to_fixed(v, narrow), narrow)) - v)
-        err_w = abs(float(from_fixed(to_fixed(v, wide), wide)) - v)
+        err_n = abs(float(to_fixed(v, narrow)) * narrow.scale - v)
+        err_w = abs(float(to_fixed(v, wide)) * wide.scale - v)
         assert err_w <= err_n + 1e-15
-
-    @given(
-        st.integers(-2048, 2047),
-        st.integers(0, 8),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_requantize_widen_is_lossless(self, raw, extra):
-        src = QFormat(12, 11)
-        dst = QFormat(12 + extra, 11 + extra)
-        out = requantize(np.array([raw]), src, dst)
-        back = requantize(out, dst, src)
-        assert back[0] == raw
 
 
 class TestCICProperties:

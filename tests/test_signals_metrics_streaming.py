@@ -1,4 +1,4 @@
-"""Tests for stimuli generators, quality metrics and the streaming protocol."""
+"""Tests for stimuli generators and quality metrics."""
 
 from __future__ import annotations
 
@@ -14,27 +14,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import REFERENCE_DDC
-from repro.dsp.chain import Chain
-from repro.dsp.cic import CICDecimator
 from repro.dsp.metrics import (
     enob,
-    rms_error,
+    passband_ripple_db,
     sfdr_db,
+    sinad_db,
     snr_db,
+    stopband_attenuation_db,
     tone_power_db,
 )
 from repro.dsp.signals import (
     _BLOCK,
-    chirp,
-    complex_tone,
     drm_like_ofdm,
     gsm_like_burst,
-    multi_tone,
     quantize_to_adc,
     tone,
     white_noise,
 )
-from repro.dsp.streaming import FnBlock, Tap, stream_in_blocks
 from repro.errors import ConfigurationError
 
 FS = 64_512_000.0
@@ -65,27 +61,6 @@ class TestSignals:
         x = tone(n, f, FS)
         spec = np.abs(np.fft.rfft(x))
         assert np.argmax(spec) == n // 64
-
-    def test_complex_tone_unit_modulus(self):
-        z = complex_tone(512, 1e6, FS)
-        np.testing.assert_allclose(np.abs(z), 1.0)
-
-    def test_multi_tone_superposition(self):
-        x = multi_tone(256, [1e6, 2e6], FS, [0.5, 0.25])
-        y = tone(256, 1e6, FS, 0.5) + tone(256, 2e6, FS, 0.25)
-        np.testing.assert_allclose(x, y)
-
-    def test_multi_tone_length_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            multi_tone(16, [1e6], FS, [0.5, 0.5])
-
-    def test_chirp_sweeps(self):
-        x = chirp(1 << 14, 1e6, 10e6, FS)
-        # Energy at the end of the block sits at higher frequency than the
-        # beginning: compare zero-crossing density.
-        first = np.sum(np.abs(np.diff(np.sign(x[:2048]))) > 0)
-        last = np.sum(np.abs(np.diff(np.sign(x[-2048:]))) > 0)
-        assert last > first * 2
 
     def test_white_noise_rms(self):
         x = white_noise(100_000, rms=0.25, seed=1)
@@ -150,6 +125,31 @@ class TestSignals:
         near = spec[np.abs(freqs - 10e6) < 400e3].sum()
         assert near > 0.8 * spec.sum()
 
+    @pytest.mark.parametrize("rate", [0.0, -1.0, 2 * FS])
+    def test_gsm_symbol_rate_validation(self, rate):
+        with pytest.raises(ConfigurationError, match="symbol rate"):
+            gsm_like_burst(128, FS, 10e6, symbol_rate_hz=rate)
+
+    def test_gsm_reproducible(self):
+        np.testing.assert_array_equal(
+            gsm_like_burst(4096, FS, 10e6, seed=4),
+            gsm_like_burst(4096, FS, 10e6, seed=4),
+        )
+
+    @pytest.mark.parametrize("n", [0, 1, 100, 714, 715, 716])
+    def test_gsm_burst_shorter_than_smoothing_kernel(self, n):
+        """A burst shorter than the ~3-symbol smoothing kernel (715
+        samples at 64.512 MS/s) still has exactly ``n`` samples."""
+        x = gsm_like_burst(n, FS, 10e6, seed=4)
+        assert x.shape == (n,)
+        assert np.isfinite(x).all() and np.abs(x).max(initial=0.0) <= 0.5
+
+    def test_negative_length_rejected(self):
+        with pytest.raises(ConfigurationError, match="n must be >= 0"):
+            tone(-1, 1e6, FS)
+        with pytest.raises(ConfigurationError, match="n must be >= 0"):
+            white_noise(-1)
+
     def test_carrier_validation(self):
         with pytest.raises(ConfigurationError):
             drm_like_ofdm(128, FS, FS)
@@ -169,6 +169,35 @@ class TestSignals:
     def test_quantize_bits_validation(self):
         with pytest.raises(ConfigurationError):
             quantize_to_adc(np.zeros(4), 1)
+
+    def test_quantize_widest_adc(self):
+        raw = quantize_to_adc(np.array([-1.0, 1.0]), 32)
+        assert list(raw) == [-(2**31 - 1), 2**31 - 1]
+        with pytest.raises(ConfigurationError, match="bits must be in 2..32"):
+            quantize_to_adc(np.zeros(4), 33)
+
+    def test_quantize_full_scale_sets_the_extreme_code(self):
+        """+-full_scale maps to +-max_raw; beyond it saturates."""
+        x = np.array([-4.0, -2.0, 1.0, 2.0])
+        assert list(quantize_to_adc(x, 12, full_scale=2.0)) == [
+            -2048, -2047, 1024, 2047]
+
+    @pytest.mark.parametrize("index", [0, 2, 4])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_quantize_to_adc_refuses_non_finite_samples(self, bad, index):
+        """nan and +-inf must not map silently to an ADC code."""
+        x = np.full(5, 0.5)
+        x[index] = bad
+        with pytest.raises(
+            ConfigurationError,
+            match=f"^x must be finite, got {bad!r} at index {index}$",
+        ):
+            quantize_to_adc(x, 12)
+
+    @pytest.mark.parametrize("full_scale", [np.nan, np.inf])
+    def test_quantize_to_adc_refuses_non_finite_full_scale(self, full_scale):
+        with pytest.raises(ConfigurationError, match="full_scale"):
+            quantize_to_adc(np.zeros(4), 12, full_scale=full_scale)
 
 
 class TestDRMStimulusEquivalence:
@@ -257,83 +286,35 @@ class TestMetrics:
         x = tone(1 << 12, FS / 64, FS)
         assert tone_power_db(x, rel=True) > -1.0
 
-    def test_rms_error(self):
-        a = np.ones(10)
-        b = np.zeros(10)
-        assert rms_error(a, b) == pytest.approx(1.0)
+    def test_sinad_is_snr(self):
+        x = tone(1 << 12, FS / 64, FS) + white_noise(1 << 12, rms=0.01, seed=5)
+        assert sinad_db(x) == snr_db(x)
 
-    def test_rms_error_shape_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            rms_error(np.ones(3), np.ones(4))
+    def test_ripple_of_known_response(self):
+        freqs = np.array([-2.0, -1.0, 0.0, 1.0, 2.0, 5.0])
+        mag = np.array([0.5, 1.0, 2.0, 1.0, 0.5, 100.0])
+        assert passband_ripple_db(mag, freqs, 1.0) == pytest.approx(
+            20 * np.log10(2.0))
+        assert passband_ripple_db(mag, freqs, 2.0) == pytest.approx(
+            20 * np.log10(4.0))
+        with pytest.raises(ConfigurationError, match="passband"):
+            passband_ripple_db(mag, freqs + 10, 1.0)
+
+    def test_ripple_with_a_null_is_infinite(self):
+        ripple = passband_ripple_db(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 1.0)
+        assert ripple == np.inf
+
+    def test_stopband_attenuation_of_known_response(self):
+        freqs = np.array([0.0, 1.0, 2.0, 3.0])
+        mag = np.array([1.0, 0.5, 0.01, 0.001])
+        assert stopband_attenuation_db(mag, freqs, 2.0) == pytest.approx(40.0)
+        null = stopband_attenuation_db(np.array([1.0, 0.0]), freqs[:2], 1.0)
+        assert null == np.inf
+        with pytest.raises(ConfigurationError, match="stopband"):
+            stopband_attenuation_db(mag, freqs, 4.0)
+        with pytest.raises(ConfigurationError, match="zero DC gain"):
+            stopband_attenuation_db(np.array([0.0, 1.0, 1.0, 1.0]), freqs, 2.0)
 
     def test_too_short_rejected(self):
         with pytest.raises(ConfigurationError):
             snr_db(np.zeros(4))
-
-
-class TestStreaming:
-    def test_fnblock_wraps(self):
-        double = FnBlock(lambda x: 2 * x, "double")
-        np.testing.assert_allclose(double.process(np.ones(4)), 2 * np.ones(4))
-
-    def test_fnblock_rejects_non_callable(self):
-        with pytest.raises(ConfigurationError):
-            FnBlock(42)  # type: ignore[arg-type]
-
-    def test_tap_records(self):
-        tap = Tap()
-        tap.process(np.array([1.0, 2.0]))
-        tap.process(np.array([3.0]))
-        np.testing.assert_allclose(tap.data, [1, 2, 3])
-
-    def test_tap_reset(self):
-        tap = Tap()
-        tap.process(np.ones(4))
-        tap.reset()
-        assert tap.data.size == 0
-
-    def test_stream_in_blocks_empty(self):
-        out = stream_in_blocks(FnBlock(lambda x: x), np.array([]), 4)
-        assert out.size == 0
-
-    def test_stream_in_blocks_bad_size(self):
-        with pytest.raises(ConfigurationError):
-            stream_in_blocks(FnBlock(lambda x: x), np.ones(4), 0)
-
-
-class TestChain:
-    def test_chain_composition(self, rng):
-        x = rng.normal(size=16 * 21 * 4)
-        chain = Chain([CICDecimator(2, 16), CICDecimator(5, 21)])
-        direct = CICDecimator(5, 21).process(CICDecimator(2, 16).process(x))
-        np.testing.assert_allclose(chain.process(x), direct)
-
-    def test_chain_with_tap(self, rng):
-        tap = Tap("after-cic2")
-        chain = Chain([CICDecimator(2, 16), tap, CICDecimator(5, 21)])
-        x = rng.normal(size=16 * 21 * 2)
-        chain.process(x)
-        assert len(tap.data) == len(x) // 16
-
-    def test_chain_reset(self, rng):
-        chain = Chain([CICDecimator(2, 16)])
-        x = rng.normal(size=160)
-        a = chain.process(x)
-        chain.reset()
-        b = chain.process(x)
-        np.testing.assert_allclose(a, b)
-
-    def test_empty_chain_rejected(self):
-        with pytest.raises(ConfigurationError):
-            Chain([])
-
-    def test_non_block_rejected(self):
-        with pytest.raises(ConfigurationError):
-            Chain([42])  # type: ignore[list-item]
-
-    def test_len_iter_getitem(self):
-        blocks = [CICDecimator(1, 2), CICDecimator(1, 3)]
-        chain = Chain(blocks)
-        assert len(chain) == 2
-        assert list(chain) == blocks
-        assert chain[0] is blocks[0]

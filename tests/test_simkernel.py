@@ -5,8 +5,9 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.simkernel import ClockDomain, Component, Simulator, Wire, WaveTrace
+from repro.simkernel.trace import ActivityReport, WireActivity
 
 
 class Counter(Component):
@@ -40,21 +41,13 @@ class Follower(Component):
 
 
 class TestClockDomain:
-    def test_period(self):
-        clk = ClockDomain("main", 64.512e6)
-        assert clk.period_s == pytest.approx(1 / 64.512e6)
-
-    def test_cycles_for(self):
-        clk = ClockDomain("main", 1000.0)
-        assert clk.cycles_for(1.0) == 1000
-
-    def test_time_of(self):
-        clk = ClockDomain("main", 1000.0)
-        assert clk.time_of(500) == pytest.approx(0.5)
-
     def test_invalid_frequency(self):
         with pytest.raises(Exception):
             ClockDomain("bad", 0.0)
+
+    def test_negative_frequency_names_the_clock(self):
+        with pytest.raises(ConfigurationError, match="clock 'bad'"):
+            ClockDomain("bad", -64.512e6)
 
 
 class TestWire:
@@ -178,19 +171,6 @@ class TestSimulator:
         with pytest.raises(SimulationError):
             sim.step()
 
-    def test_run_until(self):
-        sim = self._sim()
-        q = sim.wire("q", 16)
-        sim.add(Counter("ctr", q))
-        n = sim.run_until(lambda s: s.wires["q"].value >= 10)
-        assert n == 10
-
-    def test_run_until_timeout(self):
-        sim = self._sim()
-        sim.wire("q", 16)
-        with pytest.raises(SimulationError):
-            sim.run_until(lambda s: False, max_cycles=10)
-
     def test_reset(self):
         sim = self._sim()
         q = sim.wire("q", 16)
@@ -201,10 +181,53 @@ class TestSimulator:
         sim.step(2)
         assert q.value == 2
 
-    def test_elapsed_time(self):
+    def test_negative_step_rejected(self):
         sim = self._sim()
-        sim.step(100)
-        assert sim.elapsed_time_s() == pytest.approx(100e-6)
+        q = sim.wire("q", 8)
+        sim.add(Counter("ctr", q))
+        with pytest.raises(SimulationError, match="cycles must be >= 0"):
+            sim.step(-1)
+        assert sim.cycle == 0 and q.value == 0
+
+    def test_zero_step_is_a_no_op(self):
+        sim = self._sim()
+        q = sim.wire("q", 8)
+        sim.add(Counter("ctr", q))
+        sim.step(0)
+        assert sim.cycle == 0 and q.value == 0 and q.commits == 0
+
+    def test_wires_and_components_are_copies(self):
+        sim = self._sim()
+        q = sim.wire("q", 8)
+        sim.add(Counter("ctr", q))
+        sim.wires.clear()
+        sim.components.clear()
+        assert list(sim.wires) == ["q"] and list(sim.components) == ["ctr"]
+
+    @pytest.mark.parametrize("engine", ["python", "fused"])
+    def test_activity_off_counts_commits_not_toggles(self, engine):
+        sim = Simulator(ClockDomain("clk", 1e6), activity=False)
+        q = sim.wire("q", 8)
+        sim.add(Counter("ctr", q))
+        sim.compile(engine)
+        sim.step(6)
+        assert q.value == 6
+        assert (q.commits, q.toggles) == (6, 0)
+
+    def test_activity_setter_recompiles(self):
+        sim = self._sim()
+        q = sim.wire("q", 8)
+        sim.add(Counter("ctr", q))
+        sim.step(2)
+        toggles = q.toggles
+        assert toggles > 0 and sim.compiled
+        sim.activity = False
+        assert not sim.activity and not sim.compiled
+        sim.step(2)
+        assert q.toggles == toggles and q.commits == 4
+        sim.activity = True
+        sim.step(1)
+        assert q.toggles > toggles
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 200))
@@ -225,15 +248,24 @@ class TestTraceAndActivity:
         sim.step(4)
         assert trace.values("q") == [1, 2, 3, 4]
 
-    def test_wavetrace_changes(self):
+    def test_wavetrace_records_cycle_numbers(self):
         sim = Simulator(ClockDomain("clk", 1e6))
         q = sim.wire("q", 8)
-        v = sim.wire("v", 8)  # never driven
         sim.add(Counter("ctr", q))
-        trace = sim.attach_trace(WaveTrace([q, v]))
+        trace = sim.attach_trace(WaveTrace([q]))
         sim.step(3)
-        assert trace.changes("q") == [(0, 1), (1, 2), (2, 3)]
-        assert trace.changes("v") == [(0, 0)]
+        assert trace.cycles == [0, 1, 2]
+
+    def test_simulator_reset_clears_trace(self):
+        sim = Simulator(ClockDomain("clk", 1e6))
+        q = sim.wire("q", 8)
+        sim.add(Counter("ctr", q))
+        trace = sim.attach_trace(WaveTrace([q]))
+        sim.step(3)
+        sim.reset()
+        assert trace.cycles == [] and trace.values("q") == []
+        sim.step(2)
+        assert trace.cycles == [0, 1] and trace.values("q") == [1, 2]
 
     def test_wavetrace_unknown_wire(self):
         trace = WaveTrace([Wire("a", 4)])
@@ -255,6 +287,23 @@ class TestTraceAndActivity:
         assert rep.by_name("idle").toggle_rate == 0.0
         assert rep.by_name("q").toggle_rate > 0.0
         assert 0.0 < rep.mean_toggle_rate < 1.0
+
+    def test_activity_unknown_wire(self):
+        rep = ActivityReport(cycles=0)
+        with pytest.raises(SimulationError, match="'nope'"):
+            rep.by_name("nope")
+
+    def test_idle_activity_rates_are_zero(self):
+        assert ActivityReport(cycles=0).mean_toggle_rate == 0.0
+        assert WireActivity("w", 8, toggles=0, commits=0).toggle_rate == 0.0
+
+    def test_mean_toggle_rate_is_bit_weighted(self):
+        rep = ActivityReport(cycles=10, wires=(
+            WireActivity("narrow", 1, toggles=10, commits=10),
+            WireActivity("wide", 9, toggles=0, commits=10),
+        ))
+        assert rep.by_name("narrow").toggle_rate == 1.0
+        assert rep.mean_toggle_rate == pytest.approx(10 / 100)
 
     def test_activity_busiest(self):
         sim = Simulator(ClockDomain("clk", 1e6))

@@ -26,6 +26,8 @@ from repro.explore import ExploreSpec
 from repro.explore.refine import run_explore
 from repro.sweep import SweepSpec, run_sweep
 from repro.workloads import DEFAULT_WORKLOAD, Workload, available, get
+from repro.workloads.drm import STATION_SPACING_HZ, DRMReceiverConfig
+from repro.workloads.ofdm import OFDMDemodConfig
 
 WORKLOADS = available()
 
@@ -207,6 +209,61 @@ class TestEngineKwargShims:
 
         with pytest.raises(ConfigurationError, match="unknown RTL run"):
             RTLDDC().run(np.zeros(8, dtype=np.int64), engine="bogus")
+
+
+class TestWorkloadConfigs:
+    """Validation and derived quantities of the DRM and OFDM configs."""
+
+    def test_ofdm_defaults_derived(self):
+        cfg = OFDMDemodConfig()
+        assert cfg.symbol_len == 2048 + 504
+        assert cfg.symbol_rate_hz == pytest.approx(2_048_000.0 / 2552)
+        assert cfg.fft_stages == 11
+        assert cfg.butterflies_per_symbol == 1024 * 11
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("sample_rate_hz", 0.0, "sample_rate_hz"),
+            ("fft_size", 4, "power of two"),
+            ("fft_size", 1000, "power of two"),
+            ("cp_len", -1, "cp_len"),
+            ("cp_len", 2048, "cp_len"),
+            ("carriers", 0, "carriers"),
+            ("carriers", 2049, "carriers"),
+            ("data_width", 7, "data_width"),
+            ("data_width", 33, "data_width"),
+        ],
+    )
+    def test_ofdm_config_validation(self, field, value, match):
+        with pytest.raises(ConfigurationError, match=match):
+            OFDMDemodConfig(**{field: value})
+
+    def test_drm_rails_are_one_station_apart(self):
+        cfg = DRMReceiverConfig()
+        assert cfg.station_frequencies() == tuple(
+            10e6 + k * STATION_SPACING_HZ for k in range(3))
+        rail = cfg.ddc_config(2)
+        assert rail.nco_frequency_hz == cfg.station_frequencies()[2]
+        assert rail.total_decimation == cfg.total_decimation == 2688
+        assert rail.output_rate_hz == cfg.output_rate_hz == pytest.approx(24e3)
+
+    @pytest.mark.parametrize("channel", [-1, 3])
+    def test_drm_channel_out_of_range(self, channel):
+        with pytest.raises(ConfigurationError, match="out of range 0..2"):
+            DRMReceiverConfig().ddc_config(channel)
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"n_channels": 0}, "n_channels"),
+            # The highest rail (not just the first) must stay below Nyquist.
+            ({"n_channels": 400}, "Nyquist"),
+        ],
+    )
+    def test_drm_config_validation(self, kwargs, match):
+        with pytest.raises(ConfigurationError, match=match):
+            DRMReceiverConfig(**kwargs)
 
 
 # ------------------------------------------------------ non-finite configs
