@@ -340,10 +340,10 @@ def build_memory_image(
     input_samples: np.ndarray,
     fir_taps: np.ndarray | None = None,
     data_width: int = 12,
-) -> dict[int, list[int]]:
+) -> dict[int, np.ndarray]:
     """Memory initialisation blocks for a generated program.
 
-    Returns ``{base_address: [words...]}`` with the sine LUT, quantised FIR
+    Returns ``{base_address: integer array}`` with the sine LUT, quantised FIR
     coefficients and the input samples.
     """
     x = np.asarray(input_samples)
@@ -362,8 +362,4 @@ def build_memory_image(
         fir_taps = reference_fir_taps(layout.fir_taps)
     raw_taps, _ = quantize_taps(np.asarray(fir_taps), data_width,
                                 frac_bits=11)
-    return {
-        layout.lut_base: [int(v) for v in lut],
-        layout.coef_base: [int(v) for v in raw_taps],
-        layout.in_base: [int(v) for v in x],
-    }
+    return {layout.lut_base: lut, layout.coef_base: raw_taps, layout.in_base: x}

@@ -21,6 +21,8 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ...errors import ConfigurationError, ExecutionError
 from .assembler import Program
 from .isa import BRANCHES, CYCLES, FLAG_SETTERS, Instruction, Mnemonic
@@ -101,6 +103,11 @@ class WordMemory:
         end = base + len(values)
         if base >= 0 and self.capacity < end <= self.MAX_DENSE_WORDS:
             self._grow(end)
+        if (isinstance(values, np.ndarray) and values.dtype.kind in "iu"
+                and base >= 0 and end <= self.capacity):
+            # integer casts keep the low 32 bits: the wrap of write()
+            self._words[base:end] = values.astype(np.int32).tolist()
+            return
         for i, v in enumerate(values):
             self.write(base + i, v)
 

@@ -19,9 +19,9 @@ DDC schedule with numpy instead, state-synced to the tile exactly:
   ``mul_count``, ``busy_cycles`` (so Table 6 occupancy and
   ``alu_utilisation()`` match exactly), outputs and the cycle counter.
 
-The FIR bookkeeping cycles are executed through the tile's own
-``_fir_step`` against the real local memories, so that path is shared
-with the oracle by construction.
+The FIR bookkeeping events of a window are replayed at once per rail
+(:func:`_fir_events`) against the tile's real local memories; the
+per-event ``_fir_step`` stays the oracle.
 
 The ordering subtlety the vectorisation must honour: within a cycle the
 tile executes ALUs in index order, so ALU0/1 read ``env:x``/``env:x_neg``
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ...errors import ConfigurationError
 from ...fastpath import (
     delay_chain as _delay,
     wrap16 as _wrap16,
@@ -65,6 +66,48 @@ def _paired(src_ts: np.ndarray, src_vals: np.ndarray, init: int,
     return out
 
 
+def _fir_events(tile: MontiumTile, alu: int, op,
+                xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Replay ``len(xs)`` consecutive ``_fir_step`` events of one rail;
+    return the indices of the events that emitted and their outputs.
+
+    Sample ``n`` adds ``(x[n] * h[m*decim - n]) >> 15`` to sum ``m``, held
+    in slot ``m % ring`` and emitted (then zeroed) at ``n = m*decim``.
+    wrap16 is mod 2**16, so each sum wraps once; only the window's first
+    ``ring`` sums start from a preloaded slot, later ones from zero.
+    """
+    coeff_mem, sum_mem = (tile.memories[name] for name in op.meta[:2])
+    prefix, env = op.meta[2], tile.env
+    n0, taps, decim = (env[f"{prefix}.{k}"] for k in ("n", "taps", "decim"))
+    if taps <= 0 or decim <= 0:
+        raise ConfigurationError("FIR_STEP state not initialised")
+    ring = taps // decim + 2
+    n = n0 + np.arange(len(xs), dtype=np.int64)
+    m = -(-n // decim)[:, None] + np.arange(-(-taps // decim))
+    k = m * decim - n[:, None]
+    live = k < taps
+    h = np.array(coeff_mem._data[:taps], dtype=np.int64)[np.where(live, k, 0)]
+    m_first = int(m[0, 0])
+    sums = np.zeros(int(m[live].max()) - m_first + 1, dtype=np.int64)
+    np.add.at(sums, m[live] - m_first, ((xs[:, None] * h) >> 15)[live])
+    ms = m_first + np.arange(len(sums))
+    head = slice(0, min(ring, len(sums)))
+    sums[head] += np.array(sum_mem._data, dtype=np.int64)[ms[head] % ring]
+    sums = _wrap16(sums)
+    emit = n % decim == 0
+    out = sums[n[emit] // decim - m_first]
+    sums[n[emit] // decim - m_first] = 0
+    for j in range(max(0, len(sums) - ring), len(sums)):
+        sum_mem._data[int(ms[j]) % ring] = int(sums[j])
+    c, e = int(live.sum()), int(emit.sum())
+    coeff_mem.reads += c
+    sum_mem.reads += c + e
+    sum_mem.writes += c + e
+    tile.alus[alu].mul_count += c
+    env[f"{prefix}.n"] = n0 + len(xs)
+    return np.flatnonzero(emit), out
+
+
 def process_ddc_block(tile: MontiumTile, program: TileProgram,
                       cycles: int) -> None:
     """Execute ``cycles`` cycles of the DDC schedule, vectorised.
@@ -81,9 +124,7 @@ def process_ddc_block(tile: MontiumTile, program: TileProgram,
     d2, macro = meta.d2, meta.macro
     env = tile.env
 
-    x_in = np.array(
-        tile.inputs[tile._in_pos : tile._in_pos + n], dtype=np.int64
-    )
+    x_in = tile._in_array[tile._in_pos : tile._in_pos + n]
 
     # ------------------------------------------- every-cycle ALUs (0/1/2)
     # ALU0/1 read env:x / env:x_neg one cycle stale (ALU2 runs after them).
@@ -97,8 +138,9 @@ def process_ddc_block(tile: MontiumTile, program: TileProgram,
     luts = {}
     for mem_name, arr in (("mem0_1", "cos"), ("mem1_1", "sin")):
         mem = tile.memories[mem_name]
-        addr = (mem.addr + np.arange(n, dtype=np.int64)) % mem.size
-        luts[arr] = np.array(mem._data, dtype=np.int64)[addr]
+        # the AGU walks the memory cyclically from its current address
+        lut = np.roll(np.array(mem._data, dtype=np.int64), -mem.addr)
+        luts[arr] = np.resize(lut, n)
         mem.addr = (mem.addr + n) % mem.size
         mem.reads += n
 
@@ -185,19 +227,19 @@ def process_ddc_block(tile: MontiumTile, program: TileProgram,
         st.update(d0=a0, d1=q1, t0=t0, d2_=a1, d3=q2, t1=t1, d4=a2,
                   c5out=c5out)
 
-    # FIR bookkeeping: run the tile's own _fir_step per event so the
-    # partial-sum memories, outputs, mul counts and read/write counters
-    # follow the oracle path exactly (I then Q, in cycle order).
+    # FIR bookkeeping: all of the window's events per rail at once; the
+    # outputs interleave I then Q per event, as the stepped tile emits.
     if len(ts_fir):
-        for rail in ("I", "Q"):
-            rails[rail]["fir_in"] = _paired(
-                ts_p2, rails[rail]["c5out"], env[f"env:c5out_{rail}"],
-                ts_fir,
-            )
-        for e in range(len(ts_fir)):
-            for rail, alu in (("I", 3), ("Q", 4)):
-                env[f"env:c5out_{rail}"] = int(rails[rail]["fir_in"][e])
-                tile._fir_step(alu, fir_ops[alu])
+        keys, vals = [], []
+        for r, (rail, alu) in enumerate((("I", 3), ("Q", 4))):
+            fir_in = _paired(ts_p2, rails[rail]["c5out"],
+                             env[f"env:c5out_{rail}"], ts_fir)
+            env[f"env:c5out_{rail}"] = int(fir_in[-1])
+            events, out = _fir_events(tile, alu, fir_ops[alu], fir_in)
+            keys.append(2 * events + r)
+            vals.append(out)
+        order = np.argsort(np.concatenate(keys), kind="stable")
+        tile.outputs.extend(np.concatenate(vals)[order].tolist())
 
     # ------------------------------------------------------- state sync
     def final(rail: str, key: str, ts: np.ndarray, env_key: str) -> None:

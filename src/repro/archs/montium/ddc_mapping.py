@@ -244,11 +244,11 @@ def _load_tile(tile: MontiumTile, config: DDCConfig, taps: np.ndarray) -> None:
     grid = (np.arange(n) + 0.5) / n
     # ALU0's memory holds cos, ALU1's holds sin; the AGU strides through
     # them at the FCW rate (frequencies are quantised to fs/LUT_WORDS).
-    tile.memories["mem0_1"].load([int(v) for v in to_fixed(np.cos(2 * np.pi * grid), q15)])
-    tile.memories["mem1_1"].load([int(v) for v in to_fixed(np.sin(2 * np.pi * grid), q15)])
+    tile.memories["mem0_1"].load(to_fixed(np.cos(2 * np.pi * grid), q15))
+    tile.memories["mem1_1"].load(to_fixed(np.sin(2 * np.pi * grid), q15))
     raw_taps, _ = quantize_taps(taps, 16, frac_bits=15)
     for alu, rail in ((3, "I"), (4, "Q")):
-        tile.memories[f"mem{alu}_1"].load([int(v) for v in raw_taps])
+        tile.memories[f"mem{alu}_1"].load(raw_taps)
         tile.env[f"fir_{rail}.taps"] = len(raw_taps)
         tile.env[f"fir_{rail}.decim"] = config.fir_decimation
         tile.env[f"fir_{rail}.n"] = 0
@@ -294,13 +294,9 @@ def run_ddc_on_tile(
         q15 = QFormat(16, 15)
         n = LUT_WORDS
         grid = ((np.arange(n) * stride) % n + 0.5) / n
-        tile.memories["mem0_1"].load(
-            [int(v) for v in to_fixed(np.cos(2 * np.pi * grid), q15)]
-        )
-        tile.memories["mem1_1"].load(
-            [int(v) for v in to_fixed(np.sin(2 * np.pi * grid), q15)]
-        )
-    tile.load_inputs([int(v) for v in samples])
+        tile.memories["mem0_1"].load(to_fixed(np.cos(2 * np.pi * grid), q15))
+        tile.memories["mem1_1"].load(to_fixed(np.sin(2 * np.pi * grid), q15))
+    tile.load_inputs(samples)
     if engine == "block":
         tile.process_block(program, len(samples))
     else:

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 
+import numpy as np
+
 from ...errors import ConfigurationError, SimulationError
 from .alu import MontiumALU
 from .memory import LocalMemory, RegisterFile
@@ -55,6 +57,7 @@ class MontiumTile:
         self.register_files = [RegisterFile(f"rf{i}") for i in range(self.N_ALUS)]
         self.env: dict[str, int] = defaultdict(int)
         self.inputs: list[int] = []
+        self._in_array = np.empty(0, dtype=np.int64)  # inputs, for the block engine
         self._in_pos = 0
         self.outputs: list[int] = []
         self.cycle = 0
@@ -121,9 +124,10 @@ class MontiumTile:
         return out
 
     # ------------------------------------------------------------- running
-    def load_inputs(self, samples: list[int]) -> None:
-        """Provide the external input stream."""
-        self.inputs = [int(v) for v in samples]
+    def load_inputs(self, samples) -> None:
+        """Provide the external input stream (integers, list or array)."""
+        self._in_array = np.array(samples, dtype=np.int64)
+        self.inputs = self._in_array.tolist()
         self._in_pos = 0
 
     def step(self, program: TileProgram) -> None:
@@ -230,6 +234,7 @@ class MontiumTile:
             rf.reset()
         self.env.clear()
         self.inputs = []
+        self._in_array = np.empty(0, dtype=np.int64)
         self._in_pos = 0
         self.outputs = []
         self.cycle = 0

@@ -148,11 +148,11 @@ def _verify(command: Command, args, spec, before) -> int:
         print(f"VERIFY FAILED: {fast} and {oracle} reports differ", file=sys.stderr)
         return 1
     detail = command.verify_detail(spec, fast_report, oracle_report)
-    print(
-        f"verify OK: {len(text.encode())} bytes identical across engines "
-        f"({detail})\n  {fast} {t_fast * 1e3:.2f} ms, {oracle} "
-        f"{t_oracle * 1e3:.2f} ms, speedup {t_oracle / t_fast:.1f}x"
-    )
+    print(f"verify OK: {len(text.encode())} bytes identical across engines "
+          f"({detail})")
+    # wall times vary run to run: keep them off stdout so it can be cmp'd
+    print(f"  {fast} {t_fast * 1e3:.2f} ms, {oracle} {t_oracle * 1e3:.2f} ms, "
+          f"speedup {t_oracle / t_fast:.1f}x", file=sys.stderr)
     if args.metrics:
         _print_metrics(before, spec.workload, [])
     return 0

@@ -41,7 +41,6 @@ class Rounding(enum.Enum):
 
     TRUNCATE = "truncate"        # floor: drop bits (hardware truncation)
     NEAREST = "nearest"          # round half away from zero
-    FLOOR = "floor"              # alias of TRUNCATE semantics
 
 
 def _as_int64(x: ArrayLike) -> np.ndarray:
@@ -102,7 +101,7 @@ def quantize(
     arr = _as_int64(raw)
     if shift == 0:
         return arr.copy()
-    if rounding in (Rounding.TRUNCATE, Rounding.FLOOR):
+    if rounding is Rounding.TRUNCATE:
         # Arithmetic right shift == floor division by 2**shift.
         return arr >> shift
     if rounding is Rounding.NEAREST:
@@ -127,7 +126,7 @@ def to_fixed(
     scaled = arr * (2.0 ** fmt.frac)
     if rounding is Rounding.NEAREST:
         raw = np.where(scaled >= 0, np.floor(scaled + 0.5), np.ceil(scaled - 0.5))
-    elif rounding in (Rounding.TRUNCATE, Rounding.FLOOR):
+    elif rounding is Rounding.TRUNCATE:
         raw = np.floor(scaled)
     else:
         raise FixedPointError(f"unknown rounding mode {rounding!r}")

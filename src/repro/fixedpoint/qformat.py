@@ -77,15 +77,3 @@ class QFormat:
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"Q{self.width}.{self.frac}"
 
-
-#: 12-bit bus used throughout the FPGA implementation (Section 5.2.1).
-BUS12 = QFormat(12, 11)
-
-#: 31-bit intermediate result of the FPGA polyphase FIR (Fig. 5).
-ACC31 = QFormat(31, 22)
-
-#: 16-bit Montium ALU operand format.
-MONTIUM16 = QFormat(16, 15)
-
-#: 17-bit Montium east/west neighbour port format.
-MONTIUM17 = QFormat(17, 15)

@@ -562,6 +562,66 @@ class TestWordMemoryBoundary:
         assert mem.read(5) == -7
 
 
+_MAX_DENSE = WordMemory.MAX_DENSE_WORDS
+
+
+@st.composite
+def bulk_loads(draw):
+    """A memory's prior writes plus one bulk load: dense, growing,
+    spilling (negative base) or beyond the dense cap, from an integer
+    array of several dtypes or a Python-int list (any magnitude)."""
+    capacity = draw(st.sampled_from([1, 16, 64]))
+    kind = draw(st.sampled_from(["int8", "int32", "int64", "uint64", "list"]))
+    n = draw(st.integers(0, 40))
+    if kind == "list":
+        values = draw(st.lists(st.integers(-(2**80), 2**80),
+                               min_size=n, max_size=n))
+    else:
+        dtype = np.dtype(kind)
+        info = np.iinfo(dtype)
+        ints = st.integers(int(info.min), int(info.max)) | st.sampled_from(
+            [int(info.min), int(info.max), 0, -1 if info.min else 1])
+        values = np.array(draw(st.lists(ints, min_size=n, max_size=n)),
+                          dtype=dtype)
+    base = draw(st.one_of(
+        st.integers(0, capacity),                  # dense / growing
+        st.integers(capacity, 200),                # growing past spills
+        st.integers(-60, -1),                      # spilling
+        # straddling or beyond the dense cap (a load ending at or below
+        # the cap would grow a 4 Mi-word array: correct, but slow here)
+        st.integers(_MAX_DENSE - n + 1, _MAX_DENSE + 30),
+    ))
+    prior = draw(st.lists(
+        st.tuples(st.integers(-70, 260), st.integers(-(2**40), 2**40)),
+        max_size=6,
+    ))
+    return capacity, prior, base, values
+
+
+class TestWordMemoryBulkLoad:
+    @settings(max_examples=150, deadline=None)
+    @given(case=bulk_loads())
+    def test_load_equals_a_loop_of_writes(self, case):
+        """``load`` is ``write`` per word, after the dense array grows
+        to cover the load (when it stays within ``MAX_DENSE_WORDS``)."""
+        capacity, prior, base, values = case
+        fast, slow = WordMemory(capacity), WordMemory(capacity)
+        for addr, value in prior:
+            fast.write(addr, value)
+            slow.write(addr, value)
+        fast.load(base, values)
+        end = base + len(values)
+        if base >= 0 and slow.capacity < end <= _MAX_DENSE:
+            slow._grow(end)
+        for i, v in enumerate(values):
+            slow.write(base + i, v)
+        assert fast.nonzero_items() == slow.nonzero_items()
+        assert fast.capacity == slow.capacity
+        for i in range(len(values)):
+            got = fast.read(base + i)
+            assert got == slow.read(base + i) and type(got) is int
+
+
 # --------------------------------------------------------------------------
 # 6. Montium block engine vs the stepped tile
 # --------------------------------------------------------------------------
@@ -629,6 +689,47 @@ class TestMontiumBlockEquivalence:
         mixed.run(prog_b, k)          # oracle up to an arbitrary cycle
         mixed.process_block(prog_b, n - k)  # fast path for the rest
         assert _tile_state(mixed) == _tile_state(stepped)
+
+    @settings(max_examples=4, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           cuts=st.lists(st.integers(0, 3 * 2688), max_size=5))
+    def test_three_output_periods_array_and_list_inputs(self, seed, cuts):
+        """Three output periods (24 FIR events, 3 outputs per rail) split
+        at arbitrary points, fed as an int64 array and as a list."""
+        n = 3 * 2688
+        x = np.random.default_rng(seed).integers(-2048, 2048, n)
+        stepped, prog = _fresh_tile(x)
+        stepped.run(prog, n)
+        expected = _tile_state(stepped)
+        for samples in (x.astype(np.int64), x.tolist()):
+            blocked, prog_b = _fresh_tile([])
+            blocked.load_inputs(samples)
+            for part in _split(x, cuts):
+                blocked.process_block(prog_b, len(part))
+            assert _tile_state(blocked) == expected
+
+    @pytest.mark.parametrize("n_i, n_q, lead", [(37, 6, 0), (5, 800, 9),
+                                                (1, 2, 343)])
+    def test_fir_window_from_preloaded_state(self, n_i, n_q, lead):
+        """A window entered with non-zero FIR sample counters (the I and Q
+        rails out of phase), non-zero partial sums and a pending FIR
+        input, after ``lead`` stepped cycles."""
+        n = 3 * 2688
+        rng = np.random.default_rng(n_i)
+        x = rng.integers(-2048, 2048, n)
+        tiles = []
+        for _ in range(2):
+            tile, prog = _fresh_tile(x)
+            tile.env["fir_I.n"], tile.env["fir_Q.n"] = n_i, n_q
+            tile.env["env:c5out_I"], tile.env["env:c5out_Q"] = 1234, -777
+            for mem in ("mem3_2", "mem4_2"):
+                tile.memories[mem].load(
+                    np.random.default_rng(7).integers(-2**15, 2**15, 20))
+            tile.run(prog, lead)
+            tiles.append(tile)
+        tiles[0].run(prog, n - lead)
+        tiles[1].process_block(prog, n - lead)
+        assert _tile_state(tiles[1]) == _tile_state(tiles[0])
 
     def test_full_run_matches_and_emits(self):
         cfg = REFERENCE_DDC

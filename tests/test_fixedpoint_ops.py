@@ -106,11 +106,6 @@ class TestQuantize:
         out = int(quantize(np.array([value]), shift)[0])
         assert out == value // (1 << shift)
 
-    @given(st.integers(-(2**40), 2**40), st.integers(0, 20))
-    def test_floor_is_truncate(self, value, shift):
-        x = np.array([value])
-        assert quantize(x, shift, Rounding.FLOOR)[0] == quantize(x, shift)[0]
-
     @given(st.integers(-(2**40), 2**40), st.integers(1, 20))
     def test_nearest_rounds_half_away_from_zero(self, value, shift):
         out = int(quantize(np.array([value]), shift, Rounding.NEAREST)[0])
@@ -140,11 +135,10 @@ class TestConversions:
         # 1.0 * 2**11 = 2048 wraps to -2048
         assert raw[0] == -2048
 
-    @pytest.mark.parametrize("rounding", [Rounding.TRUNCATE, Rounding.FLOOR])
-    def test_truncating_conversion_floors(self, rounding):
+    def test_truncating_conversion_floors(self):
         lsb = Q12F.scale
         raw = to_fixed(np.array([0.75 * lsb, -0.25 * lsb, -1.5 * lsb]), Q12F,
-                       rounding=rounding)
+                       rounding=Rounding.TRUNCATE)
         assert list(raw) == [0, -1, -2]
 
     @pytest.mark.parametrize("sign", [1, -1])

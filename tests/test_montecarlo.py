@@ -648,8 +648,8 @@ class TestCLI:
     def test_verify_mode_passes(self, capsys):
         assert mc_main(["--samples", "300", "--chunk-samples", "128",
                         "--verify"]) == 0
-        out = capsys.readouterr().out
-        assert "verify OK" in out and "speedup" in out
+        captured = capsys.readouterr()
+        assert "verify OK" in captured.out and "speedup" in captured.err
 
     def test_json_output_and_summary(self, capsys, tmp_path):
         path = tmp_path / "pop.json"
