@@ -134,11 +134,12 @@ class GC4016Model(ArchitectureModel):
     paper's Table 7 keeps the 80 MHz point; both are exposed.
     """
 
-    name = "TI GC4016"
+    flexibility = Flexibility.FIXED_FUNCTION
 
     def __init__(self, spec: GC4016Spec = GC4016_SPEC,
                  at_paper_operating_point: bool = True) -> None:
         self.spec = spec
+        self.name = spec.name
         self.at_paper_operating_point = at_paper_operating_point
 
     def supports(self, config: DDCConfig) -> bool:
@@ -156,12 +157,12 @@ class GC4016Model(ArchitectureModel):
     ) -> ImplementationReport:
         """Assemble the Table 7 row (shared by scalar and batched paths)."""
         return ImplementationReport(
-            architecture=self.spec.name,
+            architecture=self.name,
             technology=self.spec.technology,
             clock_hz=clock,
             power_w=power,
             area_mm2=None,
-            flexibility=Flexibility.FIXED_FUNCTION,
+            flexibility=self.flexibility,
             feasible=True,
             notes=(
                 "datasheet GSM example (per channel); chain differs from the"
@@ -205,7 +206,7 @@ class GC4016Model(ArchitectureModel):
             self._report(float(clock), float(power), bool(ok))
             for clock, power, ok in zip(clocks, powers, supported)
         ]
-        return BatchImplementationReport.from_reports(spec.name, reports)
+        return BatchImplementationReport.from_reports(self.name, reports)
 
     def cache_key(self) -> tuple:
         return (

@@ -107,10 +107,11 @@ LOWPOWER_SPEC = LowPowerSpec()
 class LowPowerDDCModel(ArchitectureModel):
     """Gate-count x activity power estimation, calibrated at 27 mW."""
 
-    name = "Customised Low Power DDC"
+    flexibility = Flexibility.FIXED_FUNCTION
 
     def __init__(self, spec: LowPowerSpec = LOWPOWER_SPEC) -> None:
         self.spec = spec
+        self.name = spec.name
         # Calibrate the per-gate energy so the reference chain at the
         # reference clock dissipates exactly the published 27 mW.
         ref = sum(s.weighted_gates for s in gate_count_estimate(REFERENCE_DDC))
@@ -231,12 +232,12 @@ class LowPowerDDCModel(ArchitectureModel):
     ) -> ImplementationReport:
         """Assemble the Table 7 row (shared by scalar and batched paths)."""
         return ImplementationReport(
-            architecture=self.spec.name,
+            architecture=self.name,
             technology=self.spec.technology,
             clock_hz=config.input_rate_hz,
             power_w=power,
             area_mm2=self.spec.area_mm2,
-            flexibility=Flexibility.FIXED_FUNCTION,
+            flexibility=self.flexibility,
             feasible=True,
             notes="gate count x activity estimation (Section 3.2 method)",
         )
@@ -254,7 +255,7 @@ class LowPowerDDCModel(ArchitectureModel):
             for config, power, err in zip(configs, powers, errors)
         ]
         return BatchImplementationReport.from_reports(
-            self.spec.name, reports, errors
+            self.name, reports, errors
         )
 
     def cache_key(self) -> tuple:

@@ -174,8 +174,11 @@ class BatchImplementationReport:
 class ArchitectureModel(ABC):
     """An executable architecture that can realise a DDC configuration."""
 
-    #: Display name used in tables.
+    #: Display name used in tables: the ``architecture`` of every report
+    #: and batch the model produces.
     name: str = "abstract"
+    #: Flexibility class of every report the model produces.
+    flexibility: Flexibility = Flexibility.FIXED_FUNCTION
 
     @abstractmethod
     def implement(self, config: DDCConfig) -> ImplementationReport:
@@ -217,14 +220,6 @@ class ArchitectureModel(ABC):
         return BatchImplementationReport.from_reports(
             self.name, reports, errors
         )
-
-    def supports(self, config: DDCConfig) -> bool:
-        """Whether the architecture can realise ``config`` at all.
-
-        Default: everything is supported; ASIC models override this with
-        their datasheet constraints.
-        """
-        return True
 
     def cache_key(self) -> tuple:
         """Hashable identity for report caching.

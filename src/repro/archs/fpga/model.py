@@ -31,6 +31,8 @@ from .resources import (
 class CycloneModel(ArchitectureModel):
     """Altera Cyclone I/II implementation of the DDC."""
 
+    flexibility = Flexibility.RECONFIGURABLE
+
     def __init__(
         self,
         device: FPGADevice = CYCLONE_II_EP2C5,
@@ -41,16 +43,7 @@ class CycloneModel(ArchitectureModel):
         self.internal_toggle = internal_toggle
         self.input_toggle = input_toggle
         self.power_model = FPGAPowerModel(device)
-        self.name = f"Altera {device.family} {device.name}"
-
-    def supports(self, config: DDCConfig) -> bool:
-        """Fit + timing check."""
-        try:
-            usage = estimate_ddc_resources(self.device, config)
-            require_fit(usage, self.device)
-        except MappingError:
-            return False
-        return config.input_rate_hz <= self.device.fmax_ddc_hz
+        self.name = f"Altera {device.family}"
 
     def _report(
         self, config: DDCConfig, usage: ResourceUsage, total_w: float
@@ -58,12 +51,12 @@ class CycloneModel(ArchitectureModel):
         """Assemble the Table 7 row (shared by scalar and batched paths)."""
         clock_hz = config.input_rate_hz
         return ImplementationReport(
-            architecture=f"Altera {self.device.family}",
+            architecture=self.name,
             technology=self.device.technology,
             clock_hz=clock_hz,
             power_w=total_w,
             area_mm2=None,
-            flexibility=Flexibility.RECONFIGURABLE,
+            flexibility=self.flexibility,
             feasible=clock_hz <= self.device.fmax_ddc_hz,
             notes=(
                 f"{usage.logic_elements} LEs, {usage.memory_bits} memory "
@@ -122,7 +115,7 @@ class CycloneModel(ArchitectureModel):
                 assert usage is not None
                 reports[i] = self._report(configs[i], usage, power.total_w)
         return BatchImplementationReport.from_reports(
-            f"Altera {self.device.family}", reports, errors
+            self.name, reports, errors
         )
 
     def dynamic_power_w(self, config: DDCConfig = REFERENCE_DDC) -> float:
@@ -133,30 +126,6 @@ class CycloneModel(ArchitectureModel):
             usage, config.input_rate_hz, self.internal_toggle, self.input_toggle
         )
         return power.dynamic_w
-
-    def dynamic_power_batch(self, configs: Sequence[DDCConfig]) -> list[float]:
-        """Batched :meth:`dynamic_power_w`: one
-        :func:`~repro.archs.fpga.resources.estimate_ddc_resources_batch`
-        pass plus one :meth:`FPGAPowerModel.estimate_batch` pass over the
-        axis.  A configuration the estimator rejects raises exactly the
-        scalar :meth:`dynamic_power_w` error."""
-        if not configs:
-            return []
-        estimated, errors = estimate_ddc_resources_batch(
-            self.device, configs
-        )
-        usages = []
-        for usage, error in zip(estimated, errors):
-            if error is not None:
-                raise error
-            usages.append(usage)
-        breakdowns = self.power_model.estimate_batch(
-            usages,
-            self.internal_toggle,
-            [c.input_rate_hz for c in configs],
-            self.input_toggle,
-        )
-        return [b.dynamic_w for b in breakdowns]
 
     def cache_key(self) -> tuple:
         return (

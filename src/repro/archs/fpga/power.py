@@ -173,24 +173,8 @@ class FPGAPowerModel:
         usage: ResourceUsage,
         toggle_rates: tuple[float, ...] = (0.05, 0.10, 0.50, 0.875),
         frequency_hz: float = 64_512_000.0,
-        workers: int | None = None,
     ) -> list[tuple[float, PowerBreakdown]]:
-        """The Table 5 sweep: (toggle, breakdown) pairs.
-
-        Rides :meth:`estimate_batch` (one numpy pass); ``workers`` instead
-        fans scalar estimates out over a thread pool (see
-        :mod:`repro.parallel`).  Both paths produce bit-identical
-        breakdowns in input order.
-        """
-        if workers and workers > 1:
-            from ...parallel import parallel_map
-
-            breakdowns = parallel_map(
-                lambda t: self.estimate(usage, frequency_hz,
-                                        internal_toggle=t),
-                toggle_rates,
-                workers=workers,
-            )
-        else:
-            breakdowns = self.estimate_batch(usage, toggle_rates, frequency_hz)
+        """The Table 5 sweep: (toggle, breakdown) pairs, one
+        :meth:`estimate_batch` numpy pass."""
+        breakdowns = self.estimate_batch(usage, toggle_rates, frequency_hz)
         return list(zip(toggle_rates, breakdowns))

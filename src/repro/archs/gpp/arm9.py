@@ -47,7 +47,7 @@ ARM922T = ARM9Spec()
 class ARM9Model(ArchitectureModel):
     """GPP architecture model: profile-driven clock and power estimation."""
 
-    name = "ARM922T"
+    flexibility = Flexibility.PROGRAMMABLE
 
     def __init__(
         self,
@@ -56,6 +56,7 @@ class ARM9Model(ArchitectureModel):
         n_samples: int | None = None,
     ) -> None:
         self.spec = spec
+        self.name = spec.name
         self.spill_slots = spill_slots
         self.n_samples = n_samples
         self._profiled: tuple[DDCConfig, RegionProfile] | None = None
@@ -85,12 +86,12 @@ class ARM9Model(ArchitectureModel):
         power_w = required_hz / 1e6 * self.spec.power_mw_per_mhz * 1e-3
         feasible = required_hz <= self.spec.max_clock_hz
         return ImplementationReport(
-            architecture=self.spec.name,
+            architecture=self.name,
             technology=self.spec.technology,
             clock_hz=required_hz,
             power_w=power_w,
             area_mm2=self.spec.area_mm2,
-            flexibility=Flexibility.PROGRAMMABLE,
+            flexibility=self.flexibility,
             feasible=feasible,
             notes=(
                 f"{prof.instructions_per_second / 1e6:.0f} MIPS, "
@@ -135,7 +136,7 @@ class ARM9Model(ArchitectureModel):
                 reports.append(None)
                 errors.append(exc)
         return BatchImplementationReport.from_reports(
-            self.spec.name, reports, errors
+            self.name, reports, errors
         )
 
     def cache_key(self) -> tuple:

@@ -98,7 +98,10 @@ class WordMemory:
     def load(self, base: int, values) -> None:
         """Bulk-initialise ``values`` at ``base``, growing the dense array
         so bulk-loaded regions (the input sample block) never spill.
-        Loads beyond :attr:`MAX_DENSE_WORDS` stay sparse."""
+        Loads beyond :attr:`MAX_DENSE_WORDS` stay sparse; an empty load
+        changes nothing."""
+        if len(values) == 0:
+            return
         base = int(base)
         end = base + len(values)
         if base >= 0 and self.capacity < end <= self.MAX_DENSE_WORDS:
@@ -133,20 +136,6 @@ class WordMemory:
         out = {a: v for a, v in enumerate(self._words) if v}
         out.update({a: v for a, v in self._spill.items() if v})
         return out
-
-    # mapping-flavoured conveniences for callers that treated the seed
-    # memory as a dict
-    def get(self, addr: int, default: int = 0) -> int:
-        addr = int(addr)
-        if 0 <= addr < self.capacity:
-            return self._words[addr]
-        return self._spill.get(addr, default)
-
-    def __getitem__(self, addr: int) -> int:
-        return self.read(addr)
-
-    def __setitem__(self, addr: int, value: int) -> None:
-        self.write(addr, value)
 
 
 @dataclass

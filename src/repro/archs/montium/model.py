@@ -63,18 +63,11 @@ MONTIUM_SPEC = MontiumSpec()
 class MontiumModel(ArchitectureModel):
     """Montium architecture model: schedule feasibility + 0.6 mW/MHz."""
 
-    name = "Montium TP"
+    flexibility = Flexibility.RECONFIGURABLE
 
     def __init__(self, spec: MontiumSpec = MONTIUM_SPEC) -> None:
         self.spec = spec
-
-    def supports(self, config: DDCConfig) -> bool:
-        """The hand mapping exists for the reference decimation plan."""
-        return (
-            config.cic2_decimation == 16
-            and config.cic5_decimation == 21
-            and config.fir_decimation == 8
-        )
+        self.name = spec.name
 
     def _report(
         self, config: DDCConfig, period: int, config_bytes: int
@@ -83,12 +76,12 @@ class MontiumModel(ArchitectureModel):
         clock_hz = config.input_rate_hz  # one input sample per tile cycle
         power_w = clock_hz / 1e6 * self.spec.power_mw_per_mhz * 1e-3
         return ImplementationReport(
-            architecture=self.spec.name,
+            architecture=self.name,
             technology=self.spec.technology,
             clock_hz=clock_hz,
             power_w=power_w,
             area_mm2=self.spec.area_mm2,
-            flexibility=Flexibility.RECONFIGURABLE,
+            flexibility=self.flexibility,
             feasible=True,
             notes=(
                 f"5-ALU schedule, period {period} cycles, "
@@ -141,7 +134,7 @@ class MontiumModel(ArchitectureModel):
                 reports.append(self._report(config, period, config_bytes))
                 errors.append(None)
         return BatchImplementationReport.from_reports(
-            self.spec.name, reports, errors
+            self.name, reports, errors
         )
 
     def cache_key(self) -> tuple:

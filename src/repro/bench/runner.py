@@ -305,10 +305,12 @@ def _scenario_sweep(ctx):
     # The batched duty-cycle x candidate grid of repro.sweep over the
     # 20001-step Table 7 grid vs the scalar Section 7 loop it replaced.
     # Units are grid cells (duty cycle x candidate).
-    from ..core.evaluator import DDCEvaluator
+    from ..energy.scenarios import ScenarioAnalysis
     from ..sweep import duty_cycle_grid
+    from ..workloads import get
 
-    analysis = DDCEvaluator().scenario_analysis(ctx.cfg)
+    ev = get("ddc").shared_evaluator()
+    analysis = ScenarioAnalysis(ev.scenario_candidates(ctx.cfg))
     steps, base_steps = 20_001, 2_001 if ctx.quick else 20_001
     n_cand = len(analysis.candidates)
     fast = lambda: duty_cycle_grid(analysis, steps).winners()

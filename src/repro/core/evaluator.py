@@ -4,17 +4,15 @@ Runs every architecture model on a configuration, assembles the Table 7
 comparison, applies the paper's technology scaling, and answers the two
 Section 7 scenario questions (static winner, reconfigurable winner).
 
-Two evaluation paths exist and are **bit-identical**:
-
-- the scalar path (:meth:`DDCEvaluator.evaluate`,
-  :meth:`DDCEvaluator.scenario_candidates`) — one configuration at a
-  time through each model's scalar ``implement``, the seed behaviour and
-  the oracle;
-- the batched path (:meth:`DDCEvaluator.evaluate_batch`,
-  :meth:`DDCEvaluator.scenario_candidates_batch`) — whole
-  :class:`~repro.config.DDCConfig` axes through each model's
-  ``implement_batch`` in one call, which the study engines and the
-  paper artifacts ride.
+Two entry points serve one configuration at a time
+(:meth:`DDCEvaluator.evaluate`, the Table 7 comparison and the winners;
+:meth:`DDCEvaluator.scenario_candidates`, the Section 7 candidates), and
+one serves whole configuration axes
+(:meth:`DDCEvaluator.report_batches`, one ``implement_batch`` per model,
+which the study engines feed to
+:meth:`DDCEvaluator.scenario_candidate_outcomes_from_batches`).  On a
+cached evaluator every path shares the same per-(model, configuration)
+reports, so their answers are bit-identical.
 
 :class:`DDCEvaluator` is stateless: every method takes the configuration
 explicitly and two interleaved calls on one instance can never observe
@@ -41,7 +39,7 @@ from ..archs.base import (
 )
 from ..config import DDCConfig, REFERENCE_DDC
 from ..energy.comparison import ArchitectureComparison
-from ..energy.scenarios import ScenarioAnalysis, ScenarioCandidate
+from ..energy.scenarios import ScenarioCandidate
 from ..energy.technology import TECH_130NM, scale_power
 from ..errors import ConfigurationError, MappingError
 
@@ -102,10 +100,6 @@ class ReportCache:
 
     def __init__(self) -> None:
         self._entries: dict[tuple, tuple] = {}
-        # Batch-report architecture label per model key, recorded the
-        # first time a model runs so fully-cached (even fully-unmappable)
-        # batches reproduce the model's own label bit for bit.
-        self._architectures: dict[tuple, str] = {}
         self.hits = 0
         self.misses = 0
 
@@ -115,7 +109,6 @@ class ReportCache:
     def clear(self) -> None:
         """Drop every entry (and reset the hit/miss counters)."""
         self._entries.clear()
-        self._architectures.clear()
         self.hits = 0
         self.misses = 0
 
@@ -150,22 +143,6 @@ class ReportCache:
             )
         self._entries[(model_key, tuple(config_key))] = (report, error)
 
-    def architecture_labels(self) -> dict[tuple, str]:
-        """Per-model batch-report labels recorded so far (store payload)."""
-        return dict(self._architectures)
-
-    def insert_architecture(self, model_key: tuple, label: str) -> None:
-        """Warm-start one model's batch-report architecture label."""
-        self._architectures.setdefault(model_key, label)
-
-    def _run_model(
-        self, model: ArchitectureModel, configs: Sequence[DDCConfig]
-    ) -> BatchImplementationReport:
-        """One uncached model call, recording its architecture label."""
-        batch = model.implement_batch(configs)
-        self._architectures.setdefault(model.cache_key(), batch.architecture)
-        return batch
-
     def _outcome(
         self, model: ArchitectureModel, config: DDCConfig
     ) -> tuple[ImplementationReport | None, Exception | None]:
@@ -177,20 +154,10 @@ class ReportCache:
             return entry
         self.misses += 1
         telemetry.counter("cache.miss")
-        batch = self._run_model(model, [config])
+        batch = model.implement_batch([config])
         entry = (batch.reports[0], batch.errors[0])
         self._entries[key] = entry
         return entry
-
-    def implement(
-        self, model: ArchitectureModel, config: DDCConfig
-    ) -> ImplementationReport:
-        """Cached ``model.implement(config)`` (re-raises cached errors)."""
-        report, error = self._outcome(model, config)
-        if error is not None:
-            raise error
-        assert report is not None
-        return report
 
     def implement_batch(
         self, model: ArchitectureModel, configs: Sequence[DDCConfig]
@@ -202,7 +169,7 @@ class ReportCache:
         without touching the model.
         """
         if not configs:
-            return self._run_model(model, configs)
+            return model.implement_batch(configs)
         model_key = model.cache_key()
         outcomes: list[tuple | None] = []
         missing: list[int] = []
@@ -221,9 +188,7 @@ class ReportCache:
         if missing:
             self.misses += len(missing)
             telemetry.counter("cache.miss", len(missing))
-            fresh = self._run_model(
-                model, [configs[i] for i in missing]
-            )
+            fresh = model.implement_batch([configs[i] for i in missing])
             for j, i in enumerate(missing):
                 entry = (fresh.reports[j], fresh.errors[j])
                 self._entries[
@@ -233,7 +198,7 @@ class ReportCache:
         reports = [entry[0] for entry in outcomes]  # type: ignore[index]
         errors = [entry[1] for entry in outcomes]  # type: ignore[index]
         return BatchImplementationReport.from_reports(
-            self._architectures.get(model_key, model.name), reports, errors
+            model.name, reports, errors
         )
 
 
@@ -316,18 +281,6 @@ class DDCEvaluator:
         )
         return [self._implement_batch(model, configs) for model in self.models]
 
-    def _dynamic_powers(
-        self, model: ArchitectureModel, configs: Sequence[DDCConfig]
-    ) -> list[float] | None:
-        """Batched ``dynamic_power_w`` per config (None: model has none)."""
-        dyn = getattr(model, "dynamic_power_w", None)
-        if dyn is None:
-            return None
-        dyn_batch = getattr(model, "dynamic_power_batch", None)
-        if dyn_batch is not None:
-            return dyn_batch(configs)
-        return [dyn(c) for c in configs]
-
     # ------------------------------------------------------------ evaluate
     def evaluate(self, config: DDCConfig = REFERENCE_DDC) -> EvaluationResult:
         """Run every model; build the comparison and scenario answers."""
@@ -350,63 +303,6 @@ class DDCEvaluator:
         reconf = self._reconfigurable_winner(reports, config)
         return EvaluationResult(config, reports, comparison, static, reconf)
 
-    def evaluate_batch(
-        self, configs: Sequence[DDCConfig]
-    ) -> list[EvaluationResult]:
-        """Batched :meth:`evaluate` over a whole configuration axis.
-
-        One ``implement_batch`` call per model serves every
-        configuration, and the dynamic-power components batch through
-        ``dynamic_power_batch`` where a model provides it; each returned
-        result is bit-identical to the scalar :meth:`evaluate` of the
-        same configuration, and a configuration some model cannot map
-        raises exactly the scalar call's error.
-        """
-        if not configs:
-            return []
-        batches = [
-            self._implement_batch(model, configs) for model in self.models
-        ]
-        # Materialise reports first so an unmappable configuration raises
-        # the same error, at the same model, as the scalar path would.
-        per_config_reports = [
-            [batch.report_at(i) for batch in batches]
-            for i in range(len(configs))
-        ]
-        dyn_powers = [
-            self._dynamic_powers(model, configs) for model in self.models
-        ]
-        results = []
-        for i, config in enumerate(configs):
-            reports = per_config_reports[i]
-            comparison = ArchitectureComparison(TECH_130NM)
-            for j, report in enumerate(reports):
-                scaled = None
-                if (
-                    dyn_powers[j] is not None
-                    and report.technology.feature_um < 0.13
-                ):
-                    scaled = scale_power(
-                        dyn_powers[j][i], report.technology, TECH_130NM
-                    )
-                comparison.add(report, scaled_power_w=scaled)
-            results.append(
-                EvaluationResult(
-                    config,
-                    reports,
-                    comparison,
-                    self._static_winner(reports),
-                    self._reconfigurable_winner(
-                        reports, config,
-                        dyn_powers=[
-                            d[i] if d is not None else None
-                            for d in dyn_powers
-                        ],
-                    ),
-                )
-            )
-        return results
-
     # ------------------------------------------------------------- winners
     def _static_winner(self, reports: list[ImplementationReport]) -> str:
         """Section 7.1: full-time DDC -> lowest feasible native power."""
@@ -419,7 +315,6 @@ class DDCEvaluator:
         self,
         reports: list[ImplementationReport],
         config: DDCConfig,
-        dyn_powers: Sequence[float | None] | None = None,
     ) -> str:
         """Section 7.2: part-time DDC -> best *reconfigurable* architecture.
 
@@ -433,23 +328,17 @@ class DDCEvaluator:
         due to its smaller technology size".
 
         ``config`` is the configuration the reports were produced for —
-        threaded explicitly (the evaluator keeps no per-call state);
-        ``dyn_powers`` optionally carries pre-batched dynamic powers so
-        the batched path avoids per-config model calls.
+        threaded explicitly (the evaluator keeps no per-call state).
         """
         best_name = None
         best_power = float("inf")
-        for j, (model, report) in enumerate(zip(self.models, reports)):
+        for model, report in zip(self.models, reports):
             if not report.feasible:
                 continue
             if report.flexibility == Flexibility.FIXED_FUNCTION:
                 continue
-            if dyn_powers is not None:
-                dyn_value = dyn_powers[j]
-                power = dyn_value if dyn_value is not None else report.power_w
-            else:
-                dyn = getattr(model, "dynamic_power_w", None)
-                power = dyn(config) if dyn else report.power_w
+            dyn = getattr(model, "dynamic_power_w", None)
+            power = dyn(config) if dyn else report.power_w
             if power < best_power:
                 best_power = power
                 best_name = report.architecture
@@ -463,25 +352,13 @@ class DDCEvaluator:
         standby_fraction: float = 0.05,
         strict: bool = True,
     ) -> list[ScenarioCandidate]:
-        """The scalar twin of :meth:`scenario_candidates_batch`: one
-        scalar ``implement`` per model, bit-identical candidates."""
+        """One configuration's scenario candidates, one (cached) model
+        run each, through the builder the batched engines share."""
         outcomes = [self._outcome(model, config) for model in self.models]
         columns = [_Column((report,), (error,)) for report, error in outcomes]
         return self.scenario_candidates_from_batches(
             columns, [config], standby_fraction, strict
         )[0]
-
-    def scenario_candidates_batch(
-        self,
-        configs: Sequence[DDCConfig],
-        standby_fraction: float = 0.05,
-        strict: bool = True,
-    ) -> list[list[ScenarioCandidate]]:
-        """:meth:`scenario_candidates_from_batches` over one
-        ``implement_batch`` call per model."""
-        return self.scenario_candidates_from_batches(
-            self.report_batches(configs), configs, standby_fraction, strict
-        )
 
     def scenario_candidates_from_batches(
         self,
@@ -555,21 +432,6 @@ class DDCEvaluator:
                 raise error
             out.append((None, error))
         return out
-
-    def scenario_analysis(
-        self, config: DDCConfig = REFERENCE_DDC,
-        standby_fraction: float = 0.05,
-    ) -> ScenarioAnalysis:
-        """Duty-cycle analysis over all feasible architectures.
-
-        Rides the batched candidate path (one ``implement_batch`` per
-        model), which is bit-identical to the scalar
-        :meth:`scenario_candidates`.
-        """
-        return ScenarioAnalysis(
-            self.scenario_candidates_batch([config], standby_fraction)[0]
-        )
-
 
 class _Column(NamedTuple):
     """One model's scalar outcome, shaped like a one-configuration batch

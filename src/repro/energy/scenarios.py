@@ -28,11 +28,11 @@ Two evaluation paths exist and are **bit-identical**:
   a time, the seed behaviour and the oracle;
 - the batched path (:meth:`ScenarioAnalysis.cost_batch` /
   :meth:`ScenarioAnalysis.evaluate_batch`) — whole numpy duty-cycle x
-  candidate grids in one pass, which :meth:`ScenarioAnalysis.sweep`,
-  :meth:`ScenarioAnalysis.winning_regions` and the :mod:`repro.sweep`
-  subsystem ride.  Both compute ``d*P_active + (1-d)*P_idle`` with the
-  same operation order in float64, so the grids agree bit for bit (pinned
-  by the Hypothesis suite in ``tests/test_energy.py``).
+  candidate grids in one pass, which the :mod:`repro.sweep` subsystem,
+  the explorer and the paper figures ride.  Both compute
+  ``d*P_active + (1-d)*P_idle`` with the same operation order in
+  float64, so the grids agree bit for bit (pinned by the Hypothesis suite
+  in ``tests/test_energy.py``).
 """
 
 from __future__ import annotations
@@ -192,20 +192,6 @@ class ScenarioGrid:
             self.winner_indices
         ].tolist()
 
-    def results(self) -> list[ScenarioResult]:
-        """Materialise the grid as scalar-identical :class:`ScenarioResult`s."""
-        out: list[ScenarioResult] = []
-        for k, d in enumerate(self.duty_cycles):
-            powers = {
-                name: float(self.powers_w[k, j])
-                for j, name in enumerate(self.names)
-            }
-            out.append(
-                ScenarioResult(float(d), self.names[self.winner_indices[k]],
-                               powers)
-            )
-        return out
-
     def winning_regions(self) -> list[tuple[float, float, str]]:
         """(start, end, winner) intervals over the grid's duty-cycle span."""
         idx = self.winner_indices
@@ -267,14 +253,6 @@ class ScenarioAnalysis:
         return ScenarioGrid(
             duty_cycles=d, names=self.names, powers_w=self.cost_batch(d)
         )
-
-    def sweep(self, steps: int = 101) -> list[ScenarioResult]:
-        """Evaluate duty cycles 0..1 on a regular grid (batched path)."""
-        return self.evaluate_batch(duty_grid(steps)).results()
-
-    def winning_regions(self, steps: int = 1001) -> list[tuple[float, float, str]]:
-        """(start, end, winner) intervals of duty cycle (batched path)."""
-        return self.evaluate_batch(duty_grid(steps)).winning_regions()
 
 
 def duty_cycle_crossover(

@@ -281,7 +281,7 @@ def _evaluate_cells(
     """Build the cells of one model pass, for either engine.
 
     ``keys`` are the cells' ``(point, index)`` fault-site keys, aligned
-    with ``configs``; ``batches`` holds one labelled report column per
+    with ``configs``; ``batches`` holds one report column per
     model; ``masks[i][j]`` marks model ``j`` on cell ``i``'s frontier;
     ``winner_map(analysis, steps)`` returns ``(winners, regions)``.
     Snapshots come from the batches whatever the cell's outcome, so a
@@ -399,21 +399,12 @@ def run_explore(
     wanted = set(spec.architectures) if spec.architectures else None
     if engine == "dense":
         ev = evaluator if evaluator is not None else workload.evaluator()
-        # The per-model batch-report labels (a per-model constant, also
-        # used for models that map nothing anywhere); the scalar batches
-        # carry the models' own names, which may differ.
-        labels = [m.implement_batch([]).architecture for m in ev.models]
         coarse_set = set(spec.coarse_indices())
         indices = range(spec.target_steps)
         results = []
         for point in points:
             configs = [spec.config_at(point, index) for index in indices]
-            batches = [
-                dataclasses.replace(
-                    m.implement_batch_scalar(configs), architecture=label
-                )
-                for m, label in zip(ev.models, labels)
-            ]
+            batches = [m.implement_batch_scalar(configs) for m in ev.models]
             masks = [
                 frontier_scalar(
                     [b.reports[i] for b in batches], spec.objectives, wanted

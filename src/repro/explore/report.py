@@ -13,9 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-import sys
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from ..errors import ConfigurationError
 from .refine import PointExploration
@@ -114,15 +112,6 @@ class ExploreReport:
                 f"unknown report format {fmt!r}; expected one of {FORMATS}"
             )
         return self.to_json() if fmt == "json" else self.to_csv()
-
-    def write(self, path: str | Path | None, fmt: str = "json") -> str:
-        """Write to ``path`` (``None`` or ``"-"`` = stdout); returns text."""
-        text = self.render(fmt)
-        if path is None or str(path) == "-":
-            sys.stdout.write(text)
-        else:
-            Path(path).write_text(text)
-        return text
 
     def summary(self) -> str:
         """Human-readable digest printed by the CLI."""

@@ -198,12 +198,6 @@ class ExploreSpec(ConfigGrid):
         _, lo, hi = self.axis
         return lo + (hi - lo) * index / (self.target_steps - 1)
 
-    def axis_values(self) -> np.ndarray:
-        """Every target-grid axis value, :meth:`value_at` order."""
-        return np.array(
-            [self.value_at(k) for k in range(self.target_steps)]
-        )
-
     def coarse_indices(self) -> list[int]:
         """Target-grid indices of the coarse grid."""
         return list(

@@ -4,7 +4,6 @@ A :class:`ReportStore` is one JSONL file (schema
 ``repro-explore-store/v1``): a header line followed by self-contained
 records —
 
-- ``label`` records: the batch-report architecture label of one model;
 - ``report`` records: one ``(model, configuration)`` implement outcome —
   the full :class:`~repro.archs.base.ImplementationReport` field set, or
   the cached :class:`~repro.errors.ConfigurationError` /
@@ -13,8 +12,12 @@ records —
   keyed by the digest of its search space;
 - ``checkpoint`` records: one in-flight exploration's resume state
   (evaluated cells, pending set, round counters), keyed the same way —
-  written after every adaptive round, dropped on completion.  Readers
-  ignore record kinds they do not know, so the schema stays ``v1``.
+  written after every adaptive round, dropped on completion.
+
+Readers ignore record kinds they do not know, so the schema stays
+``v1``: files from before a model's ``name`` was the ``architecture`` of
+its reports still hold ``label`` records, which load as nothing and drop
+out on the next save.
 
 **Content-hashed invalidation**: models are identified by the SHA-256
 digest of ``repr(model.cache_key())`` and configurations by their
@@ -165,24 +168,23 @@ class ReportStore:
         except OSError:
             pass
 
-    def _read_records(self) -> tuple[dict, dict, dict, dict]:
-        """(labels, reports, frontiers, checkpoints) keyed for dedup.
+    def _read_records(self) -> tuple[dict, dict, dict]:
+        """(reports, frontiers, checkpoints) keyed for dedup.
 
         Tolerates a missing file; salvages a torn/garbled one (valid
         lines kept, bad lines quarantined — see the class docstring);
         a parseable header naming a foreign schema still raises.
         """
-        labels: dict[str, str] = {}
         reports: dict[tuple[str, str], dict] = {}
         frontiers: dict[str, dict] = {}
         checkpoints: dict[str, dict] = {}
         self.last_salvaged = 0
         if not self.path.exists():
-            return labels, reports, frontiers, checkpoints
+            return reports, frontiers, checkpoints
         with self.path.open() as fh:
             lines = fh.readlines()
         if not lines or not lines[0].strip():
-            return labels, reports, frontiers, checkpoints
+            return reports, frontiers, checkpoints
         try:
             head = json.loads(lines[0])
             if not isinstance(head, dict):
@@ -191,7 +193,7 @@ class ReportStore:
             # A garbled header means nothing after it can be trusted to
             # be this store's data: quarantine the whole file.
             self._quarantine(lines)
-            return labels, reports, frontiers, checkpoints
+            return reports, frontiers, checkpoints
         if head.get("schema") != SCHEMA:
             raise ConfigurationError(
                 f"{self.path}: unknown store schema {head.get('schema')!r}"
@@ -203,9 +205,7 @@ class ReportStore:
             try:
                 record = json.loads(line)
                 kind = record.get("kind")
-                if kind == "label":
-                    labels[record["model"]] = record["architecture"]
-                elif kind == "report":
+                if kind == "report":
                     key = (record["model"], json.dumps(record["config"]))
                     reports[key] = record
                 elif kind == "frontier":
@@ -218,27 +218,12 @@ class ReportStore:
                 # Torn tail or foreign garbage: salvage what parsed.
                 bad.append(line)
         self._quarantine(bad)
-        return labels, reports, frontiers, checkpoints
+        return reports, frontiers, checkpoints
 
     def _write_records(
-        self,
-        labels: dict,
-        reports: dict,
-        frontiers: dict,
-        checkpoints: dict,
+        self, reports: dict, frontiers: dict, checkpoints: dict
     ) -> None:
         lines = [json.dumps({"schema": SCHEMA})]
-        for digest in sorted(labels):
-            lines.append(
-                json.dumps(
-                    {
-                        "kind": "label",
-                        "model": digest,
-                        "architecture": labels[digest],
-                    },
-                    sort_keys=True,
-                )
-            )
         for key in sorted(reports):
             lines.append(json.dumps(reports[key], sort_keys=True))
         for digest in sorted(frontiers):
@@ -299,7 +284,7 @@ class ReportStore:
         )
 
     @contextmanager
-    def _update(self) -> Iterator[tuple[dict, dict, dict, dict]]:
+    def _update(self) -> Iterator[tuple[dict, dict, dict]]:
         """Lock the store for one read-modify-write: yields the records
         of :meth:`_read_records` for the caller to merge and write back
         (:meth:`_write_records`) inside the block."""
@@ -327,14 +312,10 @@ class ReportStore:
         simply not loaded.
         """
         with telemetry.span("store.load", path=str(self.path)):
-            labels, reports, _, _ = self._read_records()
+            reports, _, _ = self._read_records()
             by_digest = {
                 model_digest(m.cache_key()): m.cache_key() for m in models
             }
-            for digest, label in labels.items():
-                key = by_digest.get(digest)
-                if key is not None:
-                    cache.insert_architecture(key, label)
             loaded = 0
             for record in reports.values():
                 key = by_digest.get(record["model"])
@@ -367,19 +348,15 @@ class ReportStore:
         """
         with telemetry.span("store.save", path=str(self.path)):
             with self._update() as records:
-                labels, reports, _, _ = records
-                self._merge_cache(labels, reports, cache)
+                reports, _, _ = records
+                self._merge_cache(reports, cache)
                 self._write_records(*records)
             telemetry.counter("store.saved", len(reports))
             return len(reports)
 
     @staticmethod
-    def _merge_cache(
-        labels: dict, reports: dict, cache: ReportCache
-    ) -> None:
-        """Fold the cache's entries into (labels, reports), cache wins."""
-        for model_key, label in cache.architecture_labels().items():
-            labels[model_digest(model_key)] = label
+    def _merge_cache(reports: dict, cache: ReportCache) -> None:
+        """Fold the cache's entries into ``reports``, cache wins."""
         for model_key, config_key, report, error in cache.entries():
             digest = model_digest(model_key)
             config_list = list(config_key)
@@ -410,7 +387,7 @@ class ReportStore:
         """Record one exploration's report document; returns its digest."""
         digest = space_digest(spec, models)
         with self._update() as records:
-            _, _, frontiers, _ = records
+            _, frontiers, _ = records
             frontiers[digest] = doc
             self._write_records(*records)
         return digest
@@ -434,9 +411,9 @@ class ReportStore:
         """
         digest = space_digest(spec, models)
         with self._update() as records:
-            labels, reports, _, checkpoints = records
+            reports, _, checkpoints = records
             if cache is not None:
-                self._merge_cache(labels, reports, cache)
+                self._merge_cache(reports, cache)
             checkpoints[digest] = doc
             self._write_records(*records)
         return digest
@@ -445,7 +422,7 @@ class ReportStore:
         self, spec: ExploreSpec, models: Sequence[ArchitectureModel]
     ) -> dict | None:
         """The stored resume state for this exact space, if any."""
-        _, _, _, checkpoints = self._read_records()
+        _, _, checkpoints = self._read_records()
         return checkpoints.get(space_digest(spec, models))
 
     def clear_checkpoint(
@@ -453,6 +430,6 @@ class ReportStore:
     ) -> None:
         """Drop this space's resume state (the run completed)."""
         with self._update() as records:
-            _, _, _, checkpoints = records
+            _, _, checkpoints = records
             if checkpoints.pop(space_digest(spec, models), None) is not None:
                 self._write_records(*records)

@@ -59,6 +59,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from ..archs.base import Flexibility
 from ..energy.scenarios import (
     ScenarioCandidate,
     check_duty_cycles,
@@ -350,8 +351,10 @@ def build_candidate_table(
     active = np.full((m, n_arch), np.nan)
     idle = np.full((m, n_arch), np.nan)
     names = [model.name for model in evaluator.models]
-    reusable = [False] * n_arch
-    named = [False] * n_arch
+    reusable = [
+        model.flexibility != Flexibility.FIXED_FUNCTION
+        for model in evaluator.models
+    ]
     failures = list(build_failures.values())
     for i, (r, (candidates, error)) in enumerate(zip(valid_rows, outcomes)):
         if error is not None:
@@ -368,8 +371,6 @@ def build_candidate_table(
         for j, cand in zip(columns, candidates):
             active[r, j] = cand.active_power_w
             idle[r, j] = cand.idle_power_w
-            if not named[j]:
-                names[j], reusable[j], named[j] = cand.name, cand.reusable, True
     ok = ~np.all(np.isnan(active), axis=1)
 
     if len(set(names)) != len(names):

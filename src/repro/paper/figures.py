@@ -114,10 +114,12 @@ def figure_duty_cycle(
     batched model layer (the per-process shared evaluator); the payload
     is the full :class:`~repro.energy.scenarios.ScenarioGrid`.
     """
+    from ..energy.scenarios import ScenarioAnalysis
     from ..sweep import duty_cycle_grid
     from ..workloads import get
 
-    analysis = get("ddc").shared_evaluator().scenario_analysis(config)
+    ev = get("ddc").shared_evaluator()
+    analysis = ScenarioAnalysis(ev.scenario_candidates(config))
     grid = duty_cycle_grid(analysis, steps)
     regions = grid.winning_regions()
     keys = {name: str(j) for j, name in enumerate(grid.names)}

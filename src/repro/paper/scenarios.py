@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 from ..config import DDCConfig, REFERENCE_DDC
 from ..core.evaluator import DDCEvaluator
+from ..energy.scenarios import ScenarioAnalysis
 
 
 @dataclass
@@ -35,19 +36,20 @@ def section7_scenarios(
 ) -> Section7Result:
     """Recompute the paper's conclusion.
 
-    Batched end to end: the architecture models run through the shared
-    evaluator's ``evaluate_batch``/``scenario_analysis`` (each model's
-    ``implement_batch``, cached per process) and the duty-cycle map rides
-    the batched sweep engine (:func:`repro.sweep.duty_cycle_grid` — one
-    numpy pass over the whole grid) rather than 501 scalar evaluations;
-    the output is bit-identical to the scalar paths either way.
+    The architecture models run through the shared evaluator's
+    ``evaluate``/``scenario_candidates`` (each model's ``implement_batch``,
+    cached per process) and the duty-cycle map rides the batched sweep
+    engine (:func:`repro.sweep.duty_cycle_grid` — one numpy pass over the
+    whole grid) rather than 501 scalar evaluations; the output is
+    bit-identical to the scalar paths either way.
     """
     from ..sweep import duty_cycle_grid
     from ..workloads import get
 
     ev = evaluator or get("ddc").shared_evaluator()
-    result = ev.evaluate_batch([config])[0]
-    grid = duty_cycle_grid(ev.scenario_analysis(config), steps)
+    result = ev.evaluate(config)
+    analysis = ScenarioAnalysis(ev.scenario_candidates(config))
+    grid = duty_cycle_grid(analysis, steps)
     return Section7Result(
         static_winner=result.static_winner,
         reconfigurable_winner=result.reconfigurable_winner,

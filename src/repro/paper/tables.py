@@ -158,13 +158,11 @@ def table4() -> TableResult:
     )
 
 
-def table5(workers: int | None = None) -> TableResult:
+def table5() -> TableResult:
     """Table 5: Cyclone I power vs internal toggle rate.
 
     The sweep rides :meth:`FPGAPowerModel.estimate_batch` — one numpy
-    pass over the toggle grid; ``workers`` instead fans scalar estimates
-    out over a thread pool.  Output is bit-identical either way (see
-    :mod:`repro.parallel`).
+    pass over the toggle grid.
     """
     from ..archs.fpga.devices import CYCLONE_I_EP1C3
     from ..archs.fpga.power import FPGAPowerModel
@@ -172,7 +170,7 @@ def table5(workers: int | None = None) -> TableResult:
 
     usage = estimate_ddc_resources(CYCLONE_I_EP1C3)
     model = FPGAPowerModel(CYCLONE_I_EP1C3)
-    sweep = model.table5_sweep(usage, workers=workers)
+    sweep = model.table5_sweep(usage)
     rows = [
         ("Total Thermal Power Dissipation",
          *(f"{b.total_mw:.1f} mW" for _, b in sweep)),
@@ -234,7 +232,7 @@ def table7(
     from ..workloads import get
 
     ev = evaluator or get("ddc").shared_evaluator()
-    result = ev.evaluate_batch([config])[0]
+    result = ev.evaluate(config)
     rows = []
     for r in result.comparison.rows:
         area = f"{r.area_mm2:.1f}mm2" if r.area_mm2 is not None else "n.a."

@@ -1,9 +1,8 @@
 """Deterministic parallel mapping for sweep workloads.
 
-The Table 5 power sweep, the scenario sweeps of :mod:`repro.sweep` and
-the population chunks of :mod:`repro.montecarlo` are embarrassingly
-parallel: independent evaluations
-of a pure function over a parameter grid.  :func:`parallel_map` gives
+The scenario sweeps of :mod:`repro.sweep` and the population chunks of
+:mod:`repro.montecarlo` are embarrassingly parallel: independent
+evaluations of a pure function over a parameter grid.  :func:`parallel_map` gives
 them a shared ``workers=`` knob with two backends:
 
 - ``backend="thread"`` (default) — a

@@ -3,9 +3,9 @@
 :func:`evaluate_point` turns one :class:`~repro.sweep.spec.SweepPoint`
 into a :class:`PointResult`: it binds the point to a configuration, runs
 the architecture models through the **batched model layer**
-(:meth:`~repro.core.evaluator.DDCEvaluator.scenario_candidates_batch`,
-i.e. each model's ``implement_batch`` — no scalar ``implement`` call sits
-on the grid hot path), and evaluates the whole duty-cycle x candidate
+(the shared evaluator's cached reports, i.e. each model's
+``implement_batch`` — no scalar ``implement`` call sits on the grid hot
+path), and evaluates the whole duty-cycle x candidate
 grid through the batched scenario APIs
 (:meth:`~repro.energy.scenarios.ScenarioAnalysis.evaluate_batch`,
 :func:`~repro.energy.scenarios.duty_cycle_crossover_batch`).
@@ -223,10 +223,10 @@ def point_candidates(
 ) -> list[ScenarioCandidate]:
     """The point's scenario candidates through the selected model path.
 
-    ``engine="batch"`` rides the shared evaluator's
-    ``scenario_candidates_batch`` (each model's ``implement_batch``, with
-    the per-process report cache); ``engine="scalar"`` runs the seed
-    scalar path on a fresh, uncached evaluator.  Both are bit-identical.
+    ``engine="batch"`` asks the shared evaluator (each model's
+    ``implement_batch``, with the per-process report cache);
+    ``engine="scalar"`` runs the seed scalar path on a fresh, uncached
+    evaluator.  Both are bit-identical.
     strict=False either way: architectures whose model cannot map this
     point (e.g. the Montium off its reference schedule) drop out of the
     candidate set instead of aborting the whole sweep.
@@ -234,14 +234,13 @@ def point_candidates(
     _check_engine(engine)
     config = spec.config_at(point)
     workload = _spec_workload(spec)
-    if engine == "batch":
-        candidates = workload.shared_evaluator().scenario_candidates_batch(
-            [config], spec.standby_fraction, strict=False
-        )[0]
-    else:
-        candidates = workload.evaluator().scenario_candidates(
-            config, spec.standby_fraction, strict=False
-        )
+    evaluator = (
+        workload.shared_evaluator() if engine == "batch"
+        else workload.evaluator()
+    )
+    candidates = evaluator.scenario_candidates(
+        config, spec.standby_fraction, strict=False
+    )
     return select_candidates(candidates, spec.architectures)
 
 

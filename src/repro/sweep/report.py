@@ -12,9 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-import sys
 from dataclasses import dataclass
-from pathlib import Path
 
 from ..errors import ConfigurationError
 from .engine import PointFailure, PointResult
@@ -83,15 +81,6 @@ class SweepReport:
                 f"unknown report format {fmt!r}; expected one of {FORMATS}"
             )
         return self.to_json() if fmt == "json" else self.to_csv()
-
-    def write(self, path: str | Path | None, fmt: str = "json") -> str:
-        """Write to ``path`` (``None`` or ``"-"`` = stdout); returns text."""
-        text = self.render(fmt)
-        if path is None or str(path) == "-":
-            sys.stdout.write(text)
-        else:
-            Path(path).write_text(text)
-        return text
 
     def summary(self) -> str:
         """Human-readable digest printed by the CLI."""

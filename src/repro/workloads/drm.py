@@ -116,14 +116,12 @@ class DRMARM9Model(ArchitectureModel):
     """GPP: ``n_channels`` profiled software rails on one (fast) core."""
 
     name = "ARM922T (DRM)"
+    flexibility = Flexibility.PROGRAMMABLE
 
     def __init__(self) -> None:
         from ..archs.gpp.arm9 import ARM9Model
 
         self.inner = ARM9Model()
-
-    def supports(self, config: DRMReceiverConfig) -> bool:
-        return True
 
     def implement(self, config: DRMReceiverConfig) -> ImplementationReport:
         # Every rail runs the same instruction mix (only the NCO stride
@@ -137,7 +135,7 @@ class DRMARM9Model(ArchitectureModel):
             clock_hz=clock_hz,
             power_w=base.power_w * n,
             area_mm2=base.area_mm2,
-            flexibility=Flexibility.PROGRAMMABLE,
+            flexibility=self.flexibility,
             feasible=clock_hz <= self.inner.spec.max_clock_hz,
             notes=(
                 f"{n} software DDC rail(s) at {base.clock_hz / 1e6:.0f} MHz "
@@ -150,15 +148,18 @@ class DRMARM9Model(ArchitectureModel):
 class DRMCycloneModel(ArchitectureModel):
     """FPGA: ``n_channels`` DDC rail footprints on one Cyclone device."""
 
+    flexibility = Flexibility.RECONFIGURABLE
+
     def __init__(self, device=None) -> None:
         from ..archs.fpga.devices import CYCLONE_II_EP2C5
         from ..archs.fpga.power import FPGAPowerModel
 
         self.device = device if device is not None else CYCLONE_II_EP2C5
         self.power_model = FPGAPowerModel(self.device)
-        self.name = (
-            f"Altera {self.device.family} {self.device.name} (DRM)"
-        )
+        self.name = f"Altera {self.device.family} (DRM)"
+
+    def cache_key(self) -> tuple:
+        return (type(self).__qualname__, self.device.name)
 
     def _usage(self, config: DRMReceiverConfig):
         from ..archs.fpga.resources import (
@@ -176,18 +177,6 @@ class DRMCycloneModel(ArchitectureModel):
             pins=rail.pins,
         )
 
-    def supports(self, config: DRMReceiverConfig) -> bool:
-        from ..errors import MappingError
-
-        try:
-            usage = self._usage(config)
-        except (ConfigurationError, MappingError):
-            return False
-        return (
-            usage.fits(self.device)
-            and config.input_rate_hz <= self.device.fmax_ddc_hz
-        )
-
     def implement(self, config: DRMReceiverConfig) -> ImplementationReport:
         from ..archs.fpga.resources import require_fit
 
@@ -197,12 +186,12 @@ class DRMCycloneModel(ArchitectureModel):
             usage, config.input_rate_hz, 0.10, 0.50
         )
         return ImplementationReport(
-            architecture=f"Altera {self.device.family} (DRM)",
+            architecture=self.name,
             technology=self.device.technology,
             clock_hz=config.input_rate_hz,
             power_w=power.total_w,
             area_mm2=None,
-            flexibility=Flexibility.RECONFIGURABLE,
+            flexibility=self.flexibility,
             feasible=config.input_rate_hz <= self.device.fmax_ddc_hz,
             notes=(
                 f"{config.n_channels} DDC rail(s): {usage.logic_elements} "
@@ -216,14 +205,12 @@ class DRMMontiumModel(ArchitectureModel):
     """Montium: one TP tile per channel, the paper's mapping per tile."""
 
     name = "Montium TP (DRM)"
+    flexibility = Flexibility.RECONFIGURABLE
 
     def __init__(self) -> None:
         from ..archs.montium.model import MontiumModel
 
         self.inner = MontiumModel()
-
-    def supports(self, config: DRMReceiverConfig) -> bool:
-        return self.inner.supports(config.ddc_config(0))
 
     def implement(self, config: DRMReceiverConfig) -> ImplementationReport:
         base = self.inner.implement(config.ddc_config(0))
@@ -234,7 +221,7 @@ class DRMMontiumModel(ArchitectureModel):
             clock_hz=base.clock_hz,
             power_w=base.power_w * n,
             area_mm2=self.inner.spec.area_mm2 * n,
-            flexibility=Flexibility.RECONFIGURABLE,
+            flexibility=self.flexibility,
             feasible=base.feasible,
             notes=f"{n} tile(s), each: {base.notes}",
         )

@@ -92,6 +92,7 @@ class OFDMARM9Model(ArchitectureModel):
     """GPP: software radix-2 FFT on the ARM922T."""
 
     name = "ARM922T (OFDM)"
+    flexibility = Flexibility.PROGRAMMABLE
 
     #: Cycles per radix-2 butterfly on the scalar core: 4 multiplies,
     #: 6 adds/subs, loads/stores — the same order of accounting as the
@@ -111,9 +112,6 @@ class OFDMARM9Model(ArchitectureModel):
         )
         return config.symbol_rate_hz * cycles
 
-    def supports(self, config: OFDMDemodConfig) -> bool:
-        return True
-
     def implement(self, config: OFDMDemodConfig) -> ImplementationReport:
         clock_hz = self._clock_hz(config)
         power_w = clock_hz / 1e6 * self.spec.power_mw_per_mhz * 1e-3
@@ -123,7 +121,7 @@ class OFDMARM9Model(ArchitectureModel):
             clock_hz=clock_hz,
             power_w=power_w,
             area_mm2=self.spec.area_mm2,
-            flexibility=Flexibility.PROGRAMMABLE,
+            flexibility=self.flexibility,
             feasible=clock_hz <= self.spec.max_clock_hz,
             notes=(
                 f"{config.butterflies_per_symbol} butterflies/symbol at "
@@ -136,15 +134,18 @@ class OFDMARM9Model(ArchitectureModel):
 class OFDMCycloneModel(ArchitectureModel):
     """FPGA: one time-shared radix-2 butterfly engine per device."""
 
+    flexibility = Flexibility.RECONFIGURABLE
+
     def __init__(self, device=None) -> None:
         from ..archs.fpga.devices import CYCLONE_II_EP2C5
         from ..archs.fpga.power import FPGAPowerModel
 
         self.device = device if device is not None else CYCLONE_II_EP2C5
         self.power_model = FPGAPowerModel(self.device)
-        self.name = (
-            f"Altera {self.device.family} {self.device.name} (OFDM)"
-        )
+        self.name = f"Altera {self.device.family} (OFDM)"
+
+    def cache_key(self) -> tuple:
+        return (type(self).__qualname__, self.device.name)
 
     def _usage(self, config: OFDMDemodConfig):
         from ..archs.fpga.resources import _ALPHA_MULT, ResourceUsage
@@ -183,16 +184,6 @@ class OFDMCycloneModel(ArchitectureModel):
             config.symbol_rate_hz * config.butterflies_per_symbol
         )
 
-    def supports(self, config: OFDMDemodConfig) -> bool:
-        try:
-            usage = self._usage(config)
-        except (ConfigurationError, MappingError):
-            return False
-        return (
-            usage.fits(self.device)
-            and self._clock_hz(config) <= self.device.fmax_ddc_hz
-        )
-
     def implement(self, config: OFDMDemodConfig) -> ImplementationReport:
         from ..archs.fpga.resources import require_fit
 
@@ -201,12 +192,12 @@ class OFDMCycloneModel(ArchitectureModel):
         clock_hz = self._clock_hz(config)
         power = self.power_model.estimate(usage, clock_hz, 0.10, 0.50)
         return ImplementationReport(
-            architecture=f"Altera {self.device.family} (OFDM)",
+            architecture=self.name,
             technology=self.device.technology,
             clock_hz=clock_hz,
             power_w=power.total_w,
             area_mm2=None,
-            flexibility=Flexibility.RECONFIGURABLE,
+            flexibility=self.flexibility,
             feasible=clock_hz <= self.device.fmax_ddc_hz,
             notes=(
                 f"time-shared butterfly: {usage.logic_elements} LEs, "
@@ -220,6 +211,7 @@ class OFDMMontiumModel(ArchitectureModel):
     """Montium TP: butterflies spread over the tile's five ALUs."""
 
     name = "Montium TP (OFDM)"
+    flexibility = Flexibility.RECONFIGURABLE
 
     #: The tile keeps real-time FFTs up to this clock (the DDC mapping
     #: runs the tile at the 64.5 MHz sample rate; 100 MHz is the
@@ -249,13 +241,6 @@ class OFDMMontiumModel(ArchitectureModel):
         cycles = 2 * config.butterflies_per_symbol + config.carriers
         return config.symbol_rate_hz * cycles / self.spec.n_alus
 
-    def supports(self, config: OFDMDemodConfig) -> bool:
-        try:
-            self._check_memories(config)
-        except MappingError:
-            return False
-        return self._clock_hz(config) <= self.MAX_CLOCK_HZ
-
     def implement(self, config: OFDMDemodConfig) -> ImplementationReport:
         self._check_memories(config)
         clock_hz = self._clock_hz(config)
@@ -266,7 +251,7 @@ class OFDMMontiumModel(ArchitectureModel):
             clock_hz=clock_hz,
             power_w=power_w,
             area_mm2=self.spec.area_mm2,
-            flexibility=Flexibility.RECONFIGURABLE,
+            flexibility=self.flexibility,
             feasible=clock_hz <= self.MAX_CLOCK_HZ,
             notes=(
                 f"{config.butterflies_per_symbol} butterflies/symbol over "

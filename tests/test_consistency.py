@@ -99,6 +99,6 @@ def test_population_bin_winners_equal_the_sweep(overrides):
 
 def test_table7_static_winner_is_the_sweep_winner_at_full_duty(overrides):
     config = dataclasses.replace(REFERENCE_DDC, **overrides)
-    result = get_workload("ddc").shared_evaluator().evaluate_batch([config])[0]
+    result = get_workload("ddc").shared_evaluator().evaluate(config)
     assert result.static_winner in [row[0] for row in table7(config).rows]
     assert sweep_winners(overrides)[-1] == result.static_winner

@@ -10,6 +10,7 @@ from repro.core import (
     DDCSpec,
     enumerate_plans,
 )
+from repro.energy import ScenarioAnalysis, duty_grid
 from repro.errors import ConfigurationError
 
 
@@ -133,8 +134,8 @@ class TestEvaluator:
     def test_scenario_analysis_regions(self):
         ev = DDCEvaluator()
         ev.evaluate(REFERENCE_DDC)
-        analysis = ev.scenario_analysis(REFERENCE_DDC)
-        regions = analysis.winning_regions(steps=101)
+        analysis = ScenarioAnalysis(ev.scenario_candidates(REFERENCE_DDC))
+        regions = analysis.evaluate_batch(duty_grid(101)).winning_regions()
         # High duty cycle -> the ASIC; low duty cycle -> a reconfigurable.
         assert regions[-1][2] == "Customised Low Power DDC"
         assert regions[0][2] != "Customised Low Power DDC"

@@ -134,7 +134,7 @@ class TestScenarios:
 
     def test_winning_regions_cover_unit_interval(self):
         analysis = ScenarioAnalysis(self._candidates())
-        regions = analysis.winning_regions()
+        regions = analysis.evaluate_batch(duty_grid(1001)).winning_regions()
         assert regions[0][0] == 0.0
         assert regions[-1][1] == 1.0
         for (lo1, hi1, _), (lo2, _, _) in zip(regions, regions[1:]):
@@ -186,7 +186,8 @@ class TestScenarios:
         assert at_zero.winner == "m"
         # The cheapest active fabric wins at every d > 0, so there is a
         # single winning region and no crossover strictly inside (0, 1].
-        assert analysis.winning_regions(steps=101) == [(0.0, 1.0, "m")]
+        grid = analysis.evaluate_batch(duty_grid(101))
+        assert grid.winning_regions() == [(0.0, 1.0, "m")]
         matrix = duty_cycle_crossover_batch(cands)
         off_diag = matrix[~np.eye(len(cands), dtype=bool)]
         # All pairwise "crossovers" collapse to the shared zero-cost point.
@@ -226,11 +227,15 @@ class TestBatchedScenarioPaths:
     @given(_candidates_strategy, st.integers(2, 64))
     def test_evaluate_batch_equals_scalar_sweep(self, cands, steps):
         analysis = ScenarioAnalysis(cands)
-        batch = analysis.evaluate_batch(duty_grid(steps)).results()
+        grid = analysis.evaluate_batch(duty_grid(steps))
         scalar = [
             analysis.evaluate(i / (steps - 1)) for i in range(steps)
         ]
-        assert batch == scalar
+        assert grid.duty_cycles.tolist() == [r.duty_cycle for r in scalar]
+        assert grid.winners() == [r.winner for r in scalar]
+        assert [
+            dict(zip(grid.names, row)) for row in grid.powers_w.tolist()
+        ] == [r.powers_w for r in scalar]
 
     @given(_candidates_strategy)
     def test_crossover_batch_equals_scalar_pairwise(self, cands):

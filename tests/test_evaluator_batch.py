@@ -38,6 +38,8 @@ from repro.core.evaluator import (
 from repro.errors import ConfigurationError
 from repro.workloads import get as get_workload
 
+from cache_helpers import cached_implement
+
 #: A configuration no default model set restricted to the Montium can map.
 OFF_REFERENCE = dataclasses.replace(
     REFERENCE_DDC, cic5_decimation=42, fir_decimation=4
@@ -71,6 +73,7 @@ def assert_batch_equals_scalar(model, configs) -> None:
     scalar = model.implement_batch_scalar(configs)
     assert isinstance(batch, BatchImplementationReport)
     assert len(batch) == len(scalar) == len(configs)
+    assert batch.architecture == scalar.architecture == model.name
     for i in range(len(configs)):
         assert batch.reports[i] == scalar.reports[i], configs[i]
         b_err, s_err = batch.errors[i], scalar.errors[i]
@@ -80,6 +83,7 @@ def assert_batch_equals_scalar(model, configs) -> None:
             assert str(b_err) == str(s_err)
         assert bool(batch.mappable[i]) == (s_err is None)
         if scalar.reports[i] is not None:
+            assert scalar.reports[i].architecture == model.name
             assert batch.power_w[i] == scalar.reports[i].power_w
             assert batch.clock_hz[i] == scalar.reports[i].clock_hz
             assert bool(batch.feasible[i]) == scalar.reports[i].feasible
@@ -104,6 +108,23 @@ class TestImplementBatchEqualsScalar:
     @given(configs=configs_strategy())
     def test_random_batches(self, model, configs):
         assert_batch_equals_scalar(model, configs)
+
+    def test_a_renamed_spec_renames_the_model(self):
+        """Spec-built models take their one name from the spec."""
+        from repro.archs.asic.gc4016 import GC4016_SPEC, GC4016Model
+        from repro.archs.asic.lowpower import LOWPOWER_SPEC, LowPowerDDCModel
+        from repro.archs.gpp.arm9 import ARM922T, ARM9Model
+        from repro.archs.montium.model import MONTIUM_SPEC, MontiumModel
+
+        for cls, spec in (
+            (GC4016Model, GC4016_SPEC),
+            (LowPowerDDCModel, LOWPOWER_SPEC),
+            (ARM9Model, ARM922T),
+            (MontiumModel, MONTIUM_SPEC),
+        ):
+            model = cls(dataclasses.replace(spec, name="renamed"))
+            assert model.name == "renamed"
+            assert_batch_equals_scalar(model, [REFERENCE_DDC])
 
     def test_report_at_raises_the_scalar_error(self):
         from repro.archs.montium.model import MontiumModel
@@ -183,8 +204,8 @@ class TestReportCache:
     def test_hits_and_misses(self):
         cache = ReportCache()
         model = self._model()
-        first = cache.implement(model, REFERENCE_DDC)
-        again = cache.implement(model, REFERENCE_DDC)
+        first = cached_implement(cache, model, REFERENCE_DDC)
+        again = cached_implement(cache, model, REFERENCE_DDC)
         assert first == again
         assert model.served == 1
         assert (cache.hits, cache.misses) == (1, 1)
@@ -192,8 +213,8 @@ class TestReportCache:
     def test_content_hashing_ignores_object_identity(self):
         cache = ReportCache()
         model = self._model()
-        cache.implement(model, DDCConfig())
-        cache.implement(model, dataclasses.replace(DDCConfig()))
+        cached_implement(cache, model, DDCConfig())
+        cached_implement(cache, model, dataclasses.replace(DDCConfig()))
         assert model.served == 1
         assert config_cache_key(DDCConfig()) == config_cache_key(
             dataclasses.replace(DDCConfig())
@@ -206,7 +227,7 @@ class TestReportCache:
             dataclasses.replace(REFERENCE_DDC, data_width=w)
             for w in (8, 10, 12)
         ]
-        cache.implement(model, grid[1])
+        cached_implement(cache, model, grid[1])
         batch = cache.implement_batch(model, grid)
         assert model.served == 3  # one scalar miss + two batch misses
         assert [r is not None for r in batch.reports] == [True] * 3
@@ -219,12 +240,12 @@ class TestReportCache:
         model = _CountingModel(MontiumModel())
         for _ in range(2):
             with pytest.raises(ConfigurationError, match="16/21/8"):
-                cache.implement(model, OFF_REFERENCE)
+                cached_implement(cache, model, OFF_REFERENCE)
         assert model.served == 1
 
     def test_clear_resets_counters(self):
         cache = ReportCache()
-        cache.implement(self._model(), REFERENCE_DDC)
+        cached_implement(cache, self._model(), REFERENCE_DDC)
         cache.clear()
         assert (len(cache), cache.hits, cache.misses) == (0, 0, 0)
 
@@ -239,8 +260,8 @@ class TestReportCache:
         clone = pickle.loads(pickle.dumps(cache))
         assert len(clone) == len(cache)
         model = self._model()
-        assert clone.implement(model, REFERENCE_DDC) == cache.implement(
-            model, REFERENCE_DDC
+        assert cached_implement(clone, model, REFERENCE_DDC) == (
+            cached_implement(cache, model, REFERENCE_DDC)
         )
 
     def test_cached_batch_matches_uncached_when_all_unmappable(self):
@@ -270,11 +291,11 @@ class TestReportCache:
         from repro.archs.fpga.model import CycloneModel
 
         cache = ReportCache()
-        one = cache.implement(
-            CycloneModel(CYCLONE_I_EP1C3), REFERENCE_DDC
+        one = cached_implement(
+            cache, CycloneModel(CYCLONE_I_EP1C3), REFERENCE_DDC
         )
-        two = cache.implement(
-            CycloneModel(CYCLONE_II_EP2C5), REFERENCE_DDC
+        two = cached_implement(
+            cache, CycloneModel(CYCLONE_II_EP2C5), REFERENCE_DDC
         )
         assert one != two and len(cache) == 2
 
@@ -328,12 +349,13 @@ class TestStatelessEvaluator:
             == DDCEvaluator().evaluate(REFERENCE_DDC).reconfigurable_winner
         )
 
-    def test_evaluate_batch_equals_scalar_evaluate(self):
-        ev = DDCEvaluator()
-        grid = [REFERENCE_DDC, FAST_INPUT]
-        batched = ev.evaluate_batch(grid)
-        for config, result in zip(grid, batched):
-            scalar = ev.evaluate(config)
+    def test_cached_evaluate_equals_scalar_evaluate(self):
+        """The cached evaluator (one-configuration ``implement_batch``
+        calls) answers exactly like the uncached scalar one."""
+        cached = DDCEvaluator(cache=ReportCache())
+        for config in (REFERENCE_DDC, FAST_INPUT):
+            result = cached.evaluate(config)
+            scalar = DDCEvaluator().evaluate(config)
             assert result.reports == scalar.reports
             assert result.static_winner == scalar.static_winner
             assert (
@@ -341,10 +363,12 @@ class TestStatelessEvaluator:
             )
             assert result.render() == scalar.render()
 
-    def test_scenario_candidates_batch_equals_scalar(self):
+    def test_candidates_from_batches_equal_scalar(self):
         ev = DDCEvaluator()
         grid = [REFERENCE_DDC, OFF_REFERENCE, FAST_INPUT]
-        batched = ev.scenario_candidates_batch(grid, strict=False)
+        batched = ev.scenario_candidates_from_batches(
+            ev.report_batches(grid), grid, strict=False
+        )
         for config, candidates in zip(grid, batched):
             assert candidates == ev.scenario_candidates(
                 config, strict=False
@@ -352,8 +376,9 @@ class TestStatelessEvaluator:
 
     def test_strict_batch_raises_like_scalar(self):
         ev = DDCEvaluator()
+        grid = [REFERENCE_DDC, OFF_REFERENCE]
         with pytest.raises(ConfigurationError, match="16/21/8"):
-            ev.scenario_candidates_batch([REFERENCE_DDC, OFF_REFERENCE])
+            ev.scenario_candidates_from_batches(ev.report_batches(grid), grid)
 
     def test_fully_unmappable_config_is_a_clear_error(self):
         """A grid point no model maps must raise a ConfigurationError
@@ -369,7 +394,10 @@ class TestStatelessEvaluator:
         with pytest.raises(
             ConfigurationError, match="cic5_decimation=42"
         ):
-            ev.scenario_candidates_batch([OFF_REFERENCE], strict=False)
+            ev.scenario_candidates_from_batches(
+                ev.report_batches([OFF_REFERENCE]), [OFF_REFERENCE],
+                strict=False,
+            )
 
     def test_all_infeasible_is_a_clear_error_too(self):
         from repro.archs.gpp.arm9 import ARM9Model

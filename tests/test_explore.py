@@ -49,6 +49,9 @@ from repro.explore import (
 )
 from repro.explore.__main__ import main as explore_main
 from repro.explore.store import space_digest
+from repro.workloads import get as get_workload
+
+from cache_helpers import cached_implement
 
 #: A small space spanning both Cyclone f_max thresholds (candidate-set
 #: flips at ~66.08 and ~80.87 MHz) — cheap enough for scalar oracles.
@@ -62,7 +65,7 @@ SMALL_SPACE = ExploreSpec(
 
 def stored_frontier(store, spec, models):
     """The report document ``save_frontier`` stored for this space, if any."""
-    _, _, frontiers, _ = store._read_records()
+    _, frontiers, _ = store._read_records()
     return frontiers.get(space_digest(spec, models))
 
 
@@ -210,9 +213,8 @@ class TestExploreSpec:
         assert SMALL_SPACE.coarse_indices() == [0, 4, 8]
         assert SMALL_SPACE.coarse_stride == 4
         assert SMALL_SPACE.n_cells == 9
-        values = SMALL_SPACE.axis_values()
-        assert values[0] == 48_384_000.0
-        assert values[-1] == 96_768_000.0
+        assert SMALL_SPACE.value_at(0) == 48_384_000.0
+        assert SMALL_SPACE.value_at(8) == 96_768_000.0
 
 
 class TestAdaptiveEqualsDense:
@@ -240,6 +242,26 @@ class TestAdaptiveEqualsDense:
         dense = run_explore(spec, "dense")
         assert adaptive.render("json") == dense.render("json")
         assert len(adaptive.points) == 2
+
+    def test_filtered_drm_frontier_names_the_reports(self):
+        """Regression: the drm Cyclone models once labelled their batches
+        with the device name but their reports without it, so filtering
+        by the report name dropped the Cyclone II from the adaptive
+        frontier only and the engines' reports differed."""
+        wanted = "Altera Cyclone II (DRM)"
+        spec = ExploreSpec(
+            workload="drm", coarse_steps=3, target_steps=9,
+            duty_cycle_steps=3, architectures=(wanted, "Montium TP (DRM)"),
+        )
+        drm = get_workload("drm")
+        adaptive = run_explore(
+            spec, "adaptive", drm.evaluator(cache=ReportCache())
+        )
+        dense = run_explore(spec, "dense", drm.evaluator())
+        assert adaptive.render("json") == dense.render("json")
+        cells = [cell for p in adaptive.points for cell in p.cells]
+        assert any(wanted in cell.candidates for cell in cells)
+        assert any(wanted in cell.frontier for cell in cells)
 
     @settings(max_examples=8, deadline=None)
     @given(
@@ -331,7 +353,7 @@ class TestReportStore:
     def test_invalidation_by_model_content_hash(self, tmp_path):
         cache = ReportCache()
         model = LowPowerDDCModel()
-        cache.implement(model, REFERENCE_DDC)
+        cached_implement(cache, model, REFERENCE_DDC)
         store = ReportStore(tmp_path / "store.jsonl")
         store.save(cache)
         # A model whose constants changed has a different cache_key()
@@ -379,9 +401,37 @@ class TestReportStore:
         assert store.load(ReportCache(), default_models()) == 0
         assert store.last_salvaged == 2
 
+    def test_old_label_records_load_and_drop_out(self, tmp_path):
+        """Store files written before a model's name was its reports'
+        architecture hold ``label`` records: they load as nothing, the
+        report records beside them still load, and the next save drops
+        them."""
+        model = LowPowerDDCModel()
+        cache = ReportCache()
+        report = cached_implement(cache, model, REFERENCE_DDC)
+        store = ReportStore(tmp_path / "store.jsonl")
+        store.save(cache)
+        head, *records = store.path.read_text().splitlines()
+        label = json.dumps(
+            {
+                "architecture": model.name,
+                "kind": "label",
+                "model": model_digest(model.cache_key()),
+            },
+            sort_keys=True,
+        )
+        store.path.write_text("\n".join([head, label, *records]) + "\n")
+        warm = ReportCache()
+        assert store.load(warm, [model]) == 1
+        assert store.last_salvaged == 0
+        assert cached_implement(warm, model, REFERENCE_DDC) == report
+        assert warm.misses == 0
+        store.save(warm)
+        assert '"kind": "label"' not in store.path.read_text()
+
     def test_save_leaves_no_temp_droppings(self, tmp_path):
         cache = ReportCache()
-        cache.implement(LowPowerDDCModel(), REFERENCE_DDC)
+        cached_implement(cache, LowPowerDDCModel(), REFERENCE_DDC)
         store = ReportStore(tmp_path / "store.jsonl")
         store.save(cache)
         store.save(cache)
@@ -390,10 +440,10 @@ class TestReportStore:
     def test_save_merges_with_existing_records(self, tmp_path):
         store = ReportStore(tmp_path / "store.jsonl")
         first = ReportCache()
-        first.implement(LowPowerDDCModel(), REFERENCE_DDC)
+        cached_implement(first, LowPowerDDCModel(), REFERENCE_DDC)
         store.save(first)
         second = ReportCache()
-        second.implement(MontiumModel(), REFERENCE_DDC)
+        cached_implement(second, MontiumModel(), REFERENCE_DDC)
         assert store.save(second) == 2  # union, not clobber
 
     def test_warm_start_hit_rate_and_identical_frontiers(self, tmp_path):
@@ -437,7 +487,7 @@ class TestReportCacheHook:
             model.cache_key(), config_cache_key(REFERENCE_DDC), report,
             None,
         )
-        assert cache.implement(model, REFERENCE_DDC) == report
+        assert cached_implement(cache, model, REFERENCE_DDC) == report
         assert cache.hits == 1 and cache.misses == 0
         entries = list(cache.entries())
         assert entries == [

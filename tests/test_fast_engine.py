@@ -555,6 +555,14 @@ class TestWordMemoryBoundary:
         assert mem.read((1 << 30) + 1) == 6
         assert mem.nonzero_items() == {1 << 30: 5, (1 << 30) + 1: 6}
 
+    def test_empty_load_leaves_capacity_unchanged(self):
+        """Nothing to load grows nothing, even ending inside the cap."""
+        mem = WordMemory(capacity=16)
+        mem.load(1 << 22, [])
+        mem.load(1 << 21, np.empty(0, np.int64))
+        assert mem.capacity == 16
+        assert mem.nonzero_items() == {}
+
     def test_numpy_scalars_normalised(self):
         mem = WordMemory()
         mem.write(np.int64(5), np.int64(-7))
@@ -603,7 +611,8 @@ class TestWordMemoryBulkLoad:
     @given(case=bulk_loads())
     def test_load_equals_a_loop_of_writes(self, case):
         """``load`` is ``write`` per word, after the dense array grows
-        to cover the load (when it stays within ``MAX_DENSE_WORDS``)."""
+        to cover a non-empty load (when it stays within
+        ``MAX_DENSE_WORDS``)."""
         capacity, prior, base, values = case
         fast, slow = WordMemory(capacity), WordMemory(capacity)
         for addr, value in prior:
@@ -611,7 +620,7 @@ class TestWordMemoryBulkLoad:
             slow.write(addr, value)
         fast.load(base, values)
         end = base + len(values)
-        if base >= 0 and slow.capacity < end <= _MAX_DENSE:
+        if len(values) and base >= 0 and slow.capacity < end <= _MAX_DENSE:
             slow._grow(end)
         for i, v in enumerate(values):
             slow.write(base + i, v)

@@ -378,7 +378,8 @@ from repro.explore.store import ReportStore
 
 cache = ReportCache()
 for n in sys.argv[2].split(","):
-    cache.implement(LowPowerDDCModel(), replace(REFERENCE_DDC, fir_taps=int(n)))
+    config = replace(REFERENCE_DDC, fir_taps=int(n))
+    cache.implement_batch(LowPowerDDCModel(), [config])
 ReportStore(sys.argv[1]).save(cache)
 """
 
@@ -404,7 +405,7 @@ class TestStoreConcurrency:
         cache_b = ReportCache()
         for n in (69, 71, 73):
             config = dataclasses.replace(REFERENCE_DDC, fir_taps=n)
-            cache_b.implement(LowPowerDDCModel(), config)
+            cache_b.implement_batch(LowPowerDDCModel(), [config])
         repo_src = str(Path(__file__).resolve().parent.parent / "src")
         writer_a = subprocess.Popen(
             [sys.executable, "-c", STORE_WRITER, str(path), "63,65,67"],
@@ -438,15 +439,9 @@ class TestTornWrites:
         prefix and quarantines the torn line."""
         store = ReportStore(tmp_path / "store.jsonl")
         cache = ReportCache()
+        config = explore_spec().config_at(explore_spec().points()[0], 0)
         for model in DDCEvaluator().models:
-            try:
-                cache.implement(
-                    model, explore_spec().config_at(
-                        explore_spec().points()[0], 0
-                    )
-                )
-            except Exception:
-                pass
+            cache.implement_batch(model, [config])
         store.save(cache)
         intact = store.path.read_text()
         plan = FaultPlan(
@@ -461,7 +456,7 @@ class TestTornWrites:
             with pytest.raises(InjectedFault):
                 store.save(cache)
         assert store.path.read_text() != intact  # really torn
-        labels, reports, _, _ = store._read_records()
+        store._read_records()
         assert store.last_salvaged == 1
         assert store.quarantine_path.exists()
         # Salvage + rewrite: the next save restores a clean store whose

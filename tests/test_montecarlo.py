@@ -460,16 +460,16 @@ class TestStreaming:
         digest, calls = self._digest_and_restreams(spec)
         assert calls, "the first-chunk brackets were expected to miss"
         assert digest == (
-            "83919e45ec0dacf4f1d08f6d8ad2c5e235d3fec777234bebb1e8fece4d87fbc8"
+            "fcb957fa3f3261cdfd021ca78c01284afee61ec6fc5470c3214c90962ba195a6"
         )
         oracle = run_population(spec, engine="scalar").render()
         assert hashlib.sha256(oracle.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("spec_kwargs, keys, restreams, want", [
         (CYCLE, (3, 4), [{3, 4}],
-         "5a9170c8a32784fa8f164443148b9938f4d8c4036d50d53c4db0b91144982cf3"),
+         "53b4a6c93aede39dafb6d5c1b382f0d7e895f0a63a46d60ca9fe2404f5130fd3"),
         (dict(n_samples=20_000, chunk_samples=1_000, seed=6), (1, 2, 3), [],
-         "7554d7094c503b9ac35be661536275a323220f55d36be28761bce0b8bd928a3d"),
+         "ca8f75a04a7c4e631f98d0ae41e1a8540fc23df267e8649e65764b7a39fdda4d"),
     ])
     def test_skipped_chunks_stay_dropped_and_byte_identical(
         self, spec_kwargs, keys, restreams, want
@@ -480,9 +480,9 @@ class TestStreaming:
 
     @pytest.mark.parametrize("workload, want", [
         ("ddc",
-         "b784dbb3e69e07c93c599c2f102e1f35dd6a136a50cd9d680de5dfb7e41cde52"),
+         "b90d69c9dac3e8467e3b817386746dbc44101ae182dccdadf0de4bc6bb264e13"),
         ("drm",
-         "44865a36758b8a1908c4fc75df28bd7279875dfad2905e4a8274f57d27cd46df"),
+         "ec26393e534e6be6fceb698b32ca8dacf2d5b241d7e4ae080b30ba56ca76a155"),
     ])
     def test_reference_config_only_population(self, workload, want):
         spec = PopulationSpec(
@@ -527,59 +527,59 @@ class TestStreaming:
 #: 3-axis ddc population of :data:`WIDE_AXES`.
 PINNED_DIGESTS = {
     "ddc-0-1":
-        "8b8e29dd61f2eae4b755fc9129655d0705f921a4884d44a03d32ca5743d227c2",
+        "d01328a4e8bfa38365bd125a48a2c27e0573c7ef46b244092f8bc643aab41b0a",
     "ddc-0-999":
-        "49b47ee9239a0f3e40cb19443e649f2f20f4f4b4ee695f49892c0b2ce2b12f9c",
+        "3896027dacc943715f1cfb9681b129a4bee11f8427010490d41e912dd230e931",
     "ddc-0-100000":
-        "497968696cc5ac563d3365ea19f6c998cf37c06f514440f8ff137fb168c6218b",
+        "a37c21b14bd94c00eb44a7af4b3eff3c7cce76a53ef8765b2d18b5f50d108046",
     "ddc-0-1000000":
-        "df1923d2786811c839be15307b3561dba3f29ea230869898d8654e716146f415",
+        "994f8bbba1aa321335f6a793722a31fb9f1bd9207d7747433945829aeb24452f",
     "ddc-1-1":
-        "4004314f6c98eb0da660e2f5b16010e5f76c1c2a514d0fc1f82d28b8af92eefe",
+        "da2258592559deef2440658c10827f188e54b22b3d39ce178f49ee9ecdc0c3cb",
     "ddc-1-999":
-        "7b4d7ad92641d604091a9f8162b2aca5d74f4ca1547c21c332d57293a8320233",
+        "a7858d6030dba4d699ca3be152d90b01cca37ac3f5f47bcf3b1c5224eff49212",
     "ddc-1-100000":
-        "45bbf6436718bcc071a23d9d482d8b4f03c976a4790ec54b419e19045a1d25c1",
+        "b14502418fa85932800d00452276c170cecb2ad788b0612992f821176470c545",
     "ddc-1-1000000":
-        "4a873aaf708910d7062d467bab4305d67519bc76667d357d075c2d13bd0513d1",
+        "32c7790d548804d235d5840c46e3d41288d8af573f5fe74b22a803a12489cbc0",
     "ddc-7-1":
-        "27ad7d69fab849257bef176cb98d3db090122e2cd8d362020f5ddd28e8420fbe",
+        "a18260d7179dcb48bfa1b276aae86222901e4a53026d3c4ccbea3930361c3dd2",
     "ddc-7-999":
-        "db75e6663e3c0b10d0eefec796dd2a66acbe41b1805258a272de251e9495664c",
+        "b32480048d87a87428caa972ff4badfb8f61f1ee04ff947331247666f20ffec6",
     "ddc-7-100000":
-        "7c0e59b561480128610ad40000dd62d1da16592ecca1f11b221b7aa3d6f0aee5",
+        "a66f6c323fd7b6b30cc1bec96da7837ab5a73882e2053db6ecd890bcc101104e",
     "ddc-7-1000000":
-        "82b128415d36c36c075fc6f472603bd9fc8d9ba17cd887e4cd18e6d9fa537ee6",
+        "59d03fdfac05459bff58be91fdadf537c31592cd0c96955d20f302928e628407",
     "drm-0-1":
-        "51d14a5dd3346d6565faa9198469d1a5335058e753a22d552d7a8c11813df5fd",
+        "9a9257127e8a8feec4cacf122b855c44a95dfbf710b57c86a9301a931bf947a5",
     "drm-0-999":
-        "a0df735cf62a1a8fb3dee7aa44ea5f81721813ca5738aec733bde384c4b4e97c",
+        "b7660396c28903d88e6d12937557b110714c4097e72ee951010b07d196fd97b1",
     "drm-0-100000":
-        "a8776faff6967c37256776581ca56901abdac5c2f145120ee060c3d3aeba71f7",
+        "667e8667ecf6776ab8f24b0cd24cc8cb32080cf54a9e36c9424d837dd11a8907",
     "drm-0-1000000":
-        "815169f9ec11eaffce572020a25ea97a1843611588055b6ee85ef01265bed78b",
+        "817a4e840f86841476aa6155b98a59e45b68d9c338153506f573c1aae5e67c7f",
     "drm-1-1":
-        "db46211dba8175d41c88c76027b3cbc288b33c499f67f77b7cc9136134eb701e",
+        "52d9923c6ee1cf16454ad322280b8b0b6cb8cabcc587677b240f76c9971ef769",
     "drm-1-999":
-        "fa4de4e7b2116f087c9bc6fb18bbdb0c1008dae369d4b9c245e1ba08c8fa97a5",
+        "b7810f156ddd85c3de26d8614d97380e8ff25be1011080f2ddb89481e2d22129",
     "drm-1-100000":
-        "9ad7e67cf71578574ea705ebb10964ce52df7e226d796937bbb77149af4deb5a",
+        "532a5cd2858d2ec3050d590e621b0770223a2f8aeb29caa43c7703e36414005d",
     "drm-1-1000000":
-        "4e87d7aace1d10b53d0aee8cffdd3d24b9907c248900119cc1f632520853a7df",
+        "98de8845d6237be8ce53cd414985f029167574d5c55cd4bc26b6e7ee7cf23534",
     "drm-7-1":
-        "c3024bbeac454af7f1a74baf3433b08d2f728d562a6b3623b7cc5ac92045000b",
+        "c39a78d2125420d9fb46430fcfc05f57a3c4a246dd918b7dbf676e313ee8aa90",
     "drm-7-999":
-        "4b80317d0dac9f8c72dd13f3e938c114b281c1719338119ddb317216147b4b4b",
+        "172197ffb1c4f5597b309917e717faac4e1c6f3f2a09a490e98b0a4864ae2f87",
     "drm-7-100000":
-        "e71daaad40505924b3b85cd86fa6f74708ad6ddc46fa55a2afe4700f67b39f98",
+        "3acc208620cd774a78e3fa99644a8363c3d4597026c351f8b9b2f35d7500530b",
     "drm-7-1000000":
-        "aa3e91cf456049d5c75c76d1e4195f4e2bf5cd7b74a62cbb6056b83cc6ee5b70",
+        "6ee4e021589c6d615ae49c0aae378ff5023e70b0479c9ce2a68af5c83aed4e88",
     "wide-0-100000":
-        "550e6be5f68d8d67e259e33f3396efb2d92fe122890ad7c91691e16ec6fe19fd",
+        "629bb2880ed62c658ed12b93095a3a72ff01426d91c746180f97495ee5f4d6c5",
     "wide-1-100000":
-        "1ce73ca9a4240f07594a77969117dffff086be003fb45f8d7fef1d91f60840c0",
+        "5efd486e69a1e294cd958f70632741fb699dbd69656afff7370593b27a90ee54",
     "wide-7-100000":
-        "c35d95830a58bdd97e3461db78c3146dd112050c83eb6abcccd5dc44f1c4f397",
+        "cd9c20670c7ed4370ef0f36a3f5a2ab5e74cc8e04d74db50d0a2d4b974ffe370",
 }
 WIDE_AXES = (
     ("fir_taps", Choice(values=(31, 63, 95, 125, 255))),
@@ -618,6 +618,32 @@ class TestPinnedDigests:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             PINNED_DIGESTS[key]
         )
+
+
+class TestColumnIdentity:
+    """A column's name and ``reusable`` flag come from its model, not
+    from the first feasible row."""
+
+    def test_never_feasible_columns(self):
+        """Regression: at 95 MHz neither Cyclone meets timing, and the
+        columns with no feasible row were printed under the device
+        names with ``reusable`` false, as was the ARM922T's always."""
+        spec = PopulationSpec(
+            n_samples=1000, seed=0,
+            axes=(("input_rate_hz", Choice(values=(95e6,))),),
+        )
+        text = run_population(spec).render()
+        assert run_population(spec, engine="scalar").render() == text
+        columns = {a["name"]: a for a in json.loads(text)["architectures"]}
+        assert list(columns) == [
+            "TI GC4016", "Customised Low Power DDC", "ARM922T",
+            "Altera Cyclone I", "Altera Cyclone II", "Montium TP",
+        ]
+        for name in ("ARM922T", "Altera Cyclone I", "Altera Cyclone II"):
+            assert columns[name]["n_feasible"] == 0
+            assert columns[name]["reusable"] is True
+        assert columns["Montium TP"]["reusable"] is True
+        assert columns["TI GC4016"]["reusable"] is False
 
 
 class TestReportHelpers:

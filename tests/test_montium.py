@@ -301,10 +301,11 @@ class TestMontiumModel:
         report = MontiumModel().implement(REFERENCE_DDC)
         assert report.area_mm2 == pytest.approx(2.2)
 
-    def test_supports_reference_only(self):
+    def test_maps_the_reference_plan_only(self):
         model = MontiumModel()
-        assert model.supports(REFERENCE_DDC)
-        assert not model.supports(DDCConfig(cic2_decimation=8))
+        assert model.implement(REFERENCE_DDC).feasible
+        with pytest.raises(ConfigurationError, match="16/21/8"):
+            model.implement(DDCConfig(cic2_decimation=8))
 
 
 class TestVectorisedScheduleAnalysis:

@@ -86,6 +86,50 @@ class TestWorkloadConformance:
                 cands = ev.scenario_candidates(cfg, strict=False)
                 assert cands, f"{name}: no candidate at {field}={value}"
 
+    @staticmethod
+    def _scenario_configs(wl):
+        """The default configuration and each scenario-axis value bound
+        alone to it, each also at 8-bit words (so that the smallest
+        devices map something too)."""
+        configs = [wl.default_config] + [
+            dataclasses.replace(wl.default_config, **{field: value})
+            for field, values in wl.scenario_axes().items()
+            for value in values
+        ]
+        return configs + [
+            dataclasses.replace(c, data_width=8) for c in configs
+        ]
+
+    def test_one_name_per_model(self, name):
+        """A model's ``name`` is the ``architecture`` of its vectorised
+        batch, its scalar batch and every report it maps."""
+        wl = get(name)
+        configs = self._scenario_configs(wl)
+        labels = {}
+        for model in wl.models():
+            batch = model.implement_batch(configs)
+            scalar = model.implement_batch_scalar(configs)
+            empty = model.implement_batch([])
+            reports = [
+                r for r in batch.reports + scalar.reports if r is not None
+            ]
+            assert reports, f"{model.name} maps no configuration"
+            labels[model.name] = {
+                batch.architecture, scalar.architecture, empty.architecture,
+            } | {r.architecture for r in reports}
+        assert {n: ls for n, ls in labels.items() if ls != {n}} == {}
+
+    def test_reports_carry_the_model_flexibility(self, name):
+        wl = get(name)
+        configs = self._scenario_configs(wl)
+        for model in wl.models():
+            reports = model.implement_batch(configs).reports
+            assert all(
+                r.flexibility == model.flexibility
+                for r in reports
+                if r is not None
+            )
+
     def test_models_fresh_and_evaluator_shared(self, name):
         wl = get(name)
         a, b = wl.models(), wl.models()
