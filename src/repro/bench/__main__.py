@@ -52,7 +52,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--trace", default=None, metavar="PATH",
-        help="write a merged JSONL execution trace with one bench.run "
+        help="write a JSONL execution trace with one bench.run "
         "span per bench (wall time, warmup + repeats included); "
         "summarise with `python -m repro.telemetry PATH`",
     )

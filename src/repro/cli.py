@@ -44,7 +44,7 @@ class Command:
     verify_detail: Callable[[Any, Any, Any], str]
     lost: Callable[[Any], str]  # what a partial report lost
     formats: tuple[str, ...] = ()  # --format choices, if several
-    pooled: bool = True  # has --workers/--backend
+    pooled: bool = True  # has --workers
     #: ``(args, hits, misses) -> lines`` printed after the report-cache
     #: line of ``--summary`` and ``--metrics``.
     extra_lines: Callable[..., list[str]] = lambda args, hits, misses: []
@@ -62,9 +62,8 @@ def _add_shared(parser: argparse.ArgumentParser, command: Command) -> None:
         "(default: %(default)s)")
     if command.pooled:
         add("--workers", type=int, default=None,
-            help="fan the work out over a pool (default: serial)")
-        add("--backend", choices=("thread", "process"), default="thread",
-            help="pool type for --workers (default: %(default)s)")
+            help="fan the work out over a thread pool of at most this many "
+            "threads, capped at the CPU count (default: serial)")
     add("--engine", choices=command.engines, default=fast,
         help=f"evaluation path ({oracle} = the scalar oracle; "
         "default: %(default)s)")
@@ -85,8 +84,8 @@ def _add_shared(parser: argparse.ArgumentParser, command: Command) -> None:
         "byte-identical reports and report the measured speedup; exits 1 "
         "on any divergence")
     add("--trace", default=None, metavar="PATH",
-        help="write a merged JSONL execution trace of this run (pool "
-        "workers included) to PATH; summarise it with "
+        help="write a JSONL execution trace of this run (pool threads "
+        "included) to PATH; summarise it with "
         "`python -m repro.telemetry PATH`")
     add("--metrics", action="store_true",
         help="print report-cache hit rates to stderr (never touches the "
@@ -102,6 +101,7 @@ def main(command: Command, argv: list[str] | None = None) -> int:
     command.add_arguments(parser)
     args = parser.parse_args(argv)
     try:
+        _check_verify_flags(args)
         with tracing(args.trace):
             spec = command.build_spec(args)
             before = cache_counts(spec.workload)
@@ -110,6 +110,19 @@ def main(command: Command, argv: list[str] | None = None) -> int:
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def _check_verify_flags(args: argparse.Namespace) -> None:
+    """Refuse report flags ``--verify`` would silently drop: it prints
+    only its verdict line."""
+    if not args.verify:
+        return
+    for flag, given in (("--output", args.output != "-"),
+                        ("--summary", args.summary)):
+        if given:
+            raise ConfigurationError(
+                f"--verify prints only its verdict; drop {flag}"
+            )
 
 
 def _report(command: Command, args, spec, before) -> int:

@@ -88,10 +88,8 @@ class ReportCache:
 
     **Picklability contract**: every entry is a frozen dataclass of
     primitives (or a library exception), so a populated cache — and any
-    evaluator holding one — pickles cleanly; ``backend="process"`` sweep
-    workers each hold their own per-process cache (their workload's
-    :meth:`~repro.workloads.base.Workload.shared_evaluator`) and amortise
-    model evaluation across the points they serve.
+    evaluator holding one — pickles cleanly, and the explore store can
+    spill it to disk.
 
     Nothing expires implicitly: :meth:`clear` drops every entry.
     ``hits``/``misses`` make cache behaviour observable for tests and

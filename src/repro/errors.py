@@ -50,20 +50,6 @@ class MappingError(ReproError):
     """
 
 
-class TaskFailedError(ReproError):
-    """A pooled task lost its worker process on every allowed attempt.
-
-    Raised by :func:`repro.parallel.parallel_map` when its pool breaks
-    (``BrokenExecutor``): at once under ``attempts=1``, or once an item
-    has been handed to ``attempts`` pools that all died.  ``__cause__``
-    carries the break; ``attempts`` records how many times the task ran.
-    """
-
-    def __init__(self, message: str, attempts: int = 1) -> None:
-        super().__init__(message)
-        self.attempts = attempts
-
-
 class PartialResultError(ReproError):
     """An execution-layer run degraded so far that no result survived.
 

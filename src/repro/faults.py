@@ -1,8 +1,8 @@
 """Deterministic fault injection for the execution layer.
 
 The chaos suite (``pytest -m faults``) has to prove that the recovery
-paths of :mod:`repro.parallel`, :mod:`repro.sweep`, :mod:`repro.explore`
-and :mod:`repro.montecarlo` reproduce fault-free output *byte for byte*.  That
+paths of :mod:`repro.sweep`, :mod:`repro.explore`, :mod:`repro.montecarlo`
+and the explore store reproduce fault-free output *byte for byte*.  That
 needs faults which strike at declared places, a declared number of
 times, regardless of scheduling — not random monkey-patching.
 
@@ -18,9 +18,8 @@ production code.  An active plan fires every spec whose ``site`` (and
 
 - ``kind="error"`` — raise :class:`InjectedFault` (a transient task
   failure; retries see the next invocation succeed);
-- ``kind="kill"``  — ``os._exit(kill_code)``: a dead worker process,
-  i.e. ``BrokenExecutor`` for a process pool, a dirty shutdown for a
-  CLI run;
+- ``kind="kill"``  — ``os._exit(kill_code)``: a dirty shutdown of a
+  CLI run (the checkpoint/resume story);
 - ``kind="sleep"`` — block ``delay_s`` seconds (e.g. hold a store
   writer inside its read-modify-write while a second writer arrives);
 - ``kind="torn"``  — truncate the file at the site's ``path`` by
@@ -30,17 +29,17 @@ production code.  An active plan fires every spec whose ``site`` (and
 **Determinism.**  Firing counts, not invocation counts, are tracked: a
 spec with ``times=1`` injects exactly one fault no matter how often the
 site is re-visited by retries or engine rounds.  In one process the
-counters are an in-memory table.  Across processes (pool workers, CLI
-children) two mechanisms compose:
+counters are an in-memory table.  Across processes (CLI children, two
+store writers) two mechanisms compose:
 
 - the plan travels in the :data:`ENV_VAR` environment variable
-  (:func:`activate` sets it, workers parse it lazily), and
+  (:func:`activate` sets it, children parse it lazily), and
 - when ``scratch`` names a directory, firings are claimed through
-  atomically created marker files there, so "exactly one worker kill"
-  holds even though the killed worker takes its memory with it.
+  atomically created marker files there, so "exactly one kill" holds
+  even though the killed process takes its memory with it.
 
 Keys make injection scheduling-independent: a spec keyed on cell index
-3 fires wherever cell 3 runs, in whichever worker, in whichever order.
+3 fires wherever cell 3 runs, in whichever thread, in whichever order.
 """
 
 from __future__ import annotations
@@ -72,7 +71,7 @@ class FaultSpec:
 
     ``keys`` restricts the spec to matching site keys (empty = any key);
     ``times`` bounds firings per distinct key.  Keys are compared by
-    ``repr`` so tuples and ints survive the JSON round-trip to worker
+    ``repr`` so tuples and ints survive the JSON round-trip to child
     processes unchanged.
     """
 
@@ -144,7 +143,7 @@ class FaultPlan:
 
     ``scratch`` (optional) is a directory for firing-claim marker files
     — required whenever a ``kill`` fault must fire a bounded number of
-    times across pool workers (the killed worker cannot remember having
+    times across processes (the killed process cannot remember having
     fired).  In-memory counters serve the single-process case.
     """
 
@@ -201,9 +200,8 @@ def active_plan() -> FaultPlan | None:
 def activate(plan: FaultPlan) -> None:
     """Arm ``plan`` here and (via the environment) in child processes.
 
-    Firing counters start fresh.  Process-pool workers inherit the
-    environment at spawn time — arm the plan *before* the pool exists
-    (``repro.parallel.shutdown()`` forces fresh pools).
+    Firing counters start fresh.  Child processes inherit the
+    environment at spawn time, so arm the plan before starting them.
     """
     global _ACTIVE
     with _LOCK:

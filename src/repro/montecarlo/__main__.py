@@ -4,8 +4,8 @@ With no arguments it simulates a 100k-user population of the default
 workload (the workload's declared duty-cycle and axis distributions)
 and prints the JSON report.  ``--duty``/``--axis`` override the
 distributions with the grammar of
-:func:`~repro.montecarlo.spec.parse_distribution`, ``--backend process
---workers N`` fans sample chunks out over a pool, and ``--verify``
+:func:`~repro.montecarlo.spec.parse_distribution`, ``--workers N``
+fans sample chunks out over a thread pool, and ``--verify``
 proves the vectorised estimator byte-identical to the per-sample
 scalar oracle loop while timing both (the shared flags: :mod:`repro.cli`).
 """
@@ -88,8 +88,7 @@ COMMAND = cli.Command(
     add_arguments=add_arguments,
     build_spec=build_spec,
     run=lambda args, spec, engine, pooled: run_population(
-        spec, workers=args.workers if pooled else None,
-        backend=args.backend, engine=engine,
+        spec, workers=args.workers if pooled else None, engine=engine,
     ),
     warm_spec=lambda spec: replace(spec, n_samples=64, chunk_samples=32),
     verify_detail=lambda spec, fast, oracle: (

@@ -8,8 +8,7 @@ Execution plan for a :class:`~repro.montecarlo.spec.PopulationSpec`:
    snapshot of the generator at the start of each.  Every pass gives
    each draw a copy of its snapshot and advances them in lockstep, chunk
    by chunk: chunked PCG64 draws equal one full draw, which is why
-   reports are byte-identical across chunk sizes, worker counts and
-   thread/process backends.
+   reports are byte-identical across chunk sizes and worker counts.
 2. **Deduplicate to distinct configurations.**  Axis index tuples are
    packed into mixed-radix codes and histogrammed chunk by chunk.  10^6
    samples over ``choice(63,125,255)`` cost three model evaluations.
@@ -22,7 +21,8 @@ Execution plan for a :class:`~repro.montecarlo.spec.PopulationSpec`:
 4. **Chunked fused streaming.**  Chunks go through
    :func:`repro.energy.scenarios.effective_power_samples` +
    :func:`~repro.energy.scenarios.winner_counts` via
-   :func:`repro.parallel.parallel_map`, at most ``workers`` in flight.
+   :func:`repro.parallel.parallel_map`, at most one per pool thread in
+   flight.
    The table and the histogram fix each column's feasible count, hence
    the sorted positions the report reads; per position only values in
    a narrowing bracket are kept (:class:`_Brackets`), so memory does not
@@ -54,6 +54,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -70,7 +71,7 @@ from .. import telemetry
 from ..errors import ConfigurationError
 from ..faults import fault_point
 from ..parallel import parallel_map
-from ..resilience import ATTEMPTS, check_not_all_failed, run_guarded
+from ..resilience import check_not_all_failed, run_guarded
 from .spec import PopulationSpec
 
 ENGINES = ("vector", "scalar")
@@ -424,7 +425,7 @@ def _chunk_task(
     on_error: str,
     item: tuple[int, int, np.ndarray, np.ndarray],
 ) -> tuple[int, int, np.ndarray, np.ndarray] | ChunkFailure:
-    """Pool task for one chunk (module-level + partial: picklable)."""
+    """Pool task for one chunk."""
     index, start, duty_c, rows_c = item
 
     def run() -> tuple[np.ndarray, np.ndarray]:
@@ -570,7 +571,6 @@ def _run_vector(
     rows_of: Callable[[np.ndarray], np.ndarray],
     row_samples: np.ndarray,
     workers: int | None,
-    backend: str,
 ) -> tuple[list[Any], np.ndarray, list[ChunkFailure]]:
     from .report import OrderStatistics, rank_indices
 
@@ -586,10 +586,12 @@ def _run_vector(
     counts = np.zeros((spec.duty_bins, len(table.names)), dtype=np.int64)
     chunk_failures: list[ChunkFailure] = []
     task = functools.partial(_chunk_task, table, spec.duty_bins, spec.on_error)
-    attempts, stream = ATTEMPTS[spec.on_error], chunks()
-    # At most ``workers`` chunks in flight, so memory stays per-chunk.
-    while window := list(itertools.islice(stream, max(1, workers or 1))):
-        for result in parallel_map(task, window, workers, backend, attempts):
+    stream = chunks()
+    # At most one chunk per pool thread in flight, so memory stays
+    # per-chunk however large ``workers`` is.
+    in_flight = max(1, min(workers or 1, os.cpu_count() or 1))
+    while window := list(itertools.islice(stream, in_flight)):
+        for result in parallel_map(task, window, workers):
             if isinstance(result, ChunkFailure):
                 chunk_failures.append(result)
                 continue
@@ -681,16 +683,15 @@ def _run_scalar(
 def run_population(
     spec: PopulationSpec,
     workers: int | None = None,
-    backend: str = "thread",
     engine: str = "vector",
 ):
     """Run a population spec to a deterministic report.
 
     ``engine="vector"`` is the production path (dedup + chunked fused
-    streaming, optionally fanned out over ``workers``/``backend``);
+    streaming, optionally fanned out over ``workers`` threads);
     ``engine="scalar"`` is the per-sample oracle loop (always serial —
     it *is* the reference).  Identical specs produce byte-identical
-    reports across engines, chunk sizes, worker counts and backends.
+    reports across engines, chunk sizes and worker counts.
     Populations over the engine's ``MAX_*_SAMPLES`` are refused up front.
     """
     from .report import build_report
@@ -722,7 +723,7 @@ def run_population(
         chunk_failures: list[ChunkFailure] = []
     else:
         columns, counts, chunk_failures = _run_vector(
-            spec, table, snapshots, rows_of, row_samples, workers, backend
+            spec, table, snapshots, rows_of, row_samples, workers
         )
 
     # Every valid sample lands exactly one winner count, so the counts

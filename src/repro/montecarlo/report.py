@@ -10,7 +10,7 @@ The JSON document is a pure function of the
 :class:`~repro.montecarlo.spec.PopulationSpec` (sorted keys, no
 timings, no host info, execution knobs excluded from the spec block),
 which is what the seeded-determinism tests byte-compare across seeds,
-engines, chunk sizes and pool backends.
+engines, chunk sizes and worker counts.
 
 Percentiles use the **nearest-rank** definition (the value at index
 ``ceil(q * m / 100)`` of the sorted sample, 1-based): an actual sample

@@ -23,14 +23,14 @@ reproducible:
   so every sampled value passes
   :func:`repro.energy.scenarios.check_duty_cycles` by construction.
 
-All distributions are frozen dataclasses of primitives/tuples: picklable
-(process-pool chunk fan-out), comparable, and serialisable via
+All distributions are frozen dataclasses of primitives/tuples: hashable,
+comparable, and serialisable via
 :meth:`Distribution.describe` into the deterministic report JSON.
 Sampling draws from a single ``numpy.random.Generator`` in declaration
 order — duty cycle first, then axes — and the engine replays each draw
 chunk by chunk from a snapshot (see :class:`Distribution`), which is
-what makes reports byte-identical across chunk sizes, worker counts and
-backends.
+what makes reports byte-identical across chunk sizes and worker
+counts.
 """
 
 from __future__ import annotations

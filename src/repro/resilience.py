@@ -2,7 +2,7 @@
 
 The sweep, explore and montecarlo engines share one ``on_error``
 vocabulary and one per-item runner, so a failing cell is handled the
-same way whichever engine, worker count or backend ran it:
+same way whichever engine or worker count ran it:
 
 - :data:`ON_ERROR_POLICIES` / :func:`check_on_error` — the shared
   ``on_error`` vocabulary of :class:`~repro.sweep.spec.SweepSpec`,
@@ -15,9 +15,7 @@ same way whichever engine, worker count or backend ran it:
   - ``"retry"`` — like ``"skip"``, but a failing cell runs up to
     ``ATTEMPTS["retry"]`` times; only a cell that fails every attempt
     is recorded.
-- :data:`ATTEMPTS` — how many times each mode runs one item.  The same
-  number is the attempt budget :func:`repro.parallel.parallel_map`
-  gives an item whose worker process died.
+- :data:`ATTEMPTS` — how many times each mode runs one item.
 - :func:`run_guarded` — the one runner that applies a policy to one
   item (a sweep point, an explore cell, a montecarlo chunk), and
   :func:`check_not_all_failed` (a run that kept nothing raises).

@@ -10,7 +10,7 @@ Table 7 grid — asked one configuration at a time.  This subsystem serves
 - :mod:`~repro.sweep.engine` — batched execution: each point's whole
   duty-cycle x candidate grid is one numpy pass through the
   energy/scenario batch APIs, bit-identical to the scalar path, with
-  ``backend="process"`` fan-out for grids that outgrow the GIL;
+  an optional ``workers=`` thread-pool fan-out;
 - :mod:`~repro.sweep.report` — deterministic JSON/CSV reports.
 
 CLI::

@@ -3,8 +3,8 @@
 With no arguments it regenerates the Table 7 scenario grid — the paper's
 feasible architectures against the 0..1 duty-cycle grid — through the
 batched engine and prints the JSON report.  ``--axis`` adds configuration
-axes, ``--backend process --workers N`` fans points out over a process
-pool, and ``--verify`` proves the batched run byte-identical to the
+axes, ``--workers N`` fans points out over a thread pool, and
+``--verify`` proves the batched run byte-identical to the
 scalar oracle while timing both (the shared flags: :mod:`repro.cli`).
 """
 
@@ -53,8 +53,7 @@ COMMAND = cli.Command(
     add_arguments=add_arguments,
     build_spec=build_spec,
     run=lambda args, spec, engine, pooled: run_sweep(
-        spec, workers=args.workers if pooled else None,
-        backend=args.backend, engine=engine,
+        spec, workers=args.workers if pooled else None, engine=engine,
     ),
     warm_spec=lambda spec: replace(spec, duty_cycle_steps=2),
     verify_detail=lambda spec, fast, oracle: f"{spec.n_grid_cells} grid cells",

@@ -23,11 +23,8 @@ cycle, one pairwise crossover at a time).  Both engines emit bit-identical
 ``python -m repro.sweep --verify`` mode and the ``scenario_sweep`` /
 ``evaluator_batch`` bench baselines run against.
 
-Everything here is a module-level callable over picklable descriptors
-(:class:`~repro.energy.scenarios.ScenarioCandidate` lists are frozen
-dataclasses of primitives), so :func:`run_sweep` can fan points out over
-``backend="process"`` pools (see :mod:`repro.parallel`) with
-deterministic, serial-identical output.
+:func:`run_sweep` can fan points out over a thread pool (see
+:mod:`repro.parallel`) with deterministic, serial-identical output.
 """
 
 from __future__ import annotations
@@ -52,7 +49,7 @@ from .. import telemetry
 from ..errors import ConfigurationError
 from ..faults import fault_point
 from ..parallel import parallel_map
-from ..resilience import ATTEMPTS, check_not_all_failed, run_guarded
+from ..resilience import check_not_all_failed, run_guarded
 from .spec import SweepPoint, SweepSpec
 
 #: Engines accepted by :func:`evaluate_point` / :func:`run_sweep`.
@@ -109,7 +106,7 @@ class PointFailure:
     recorded by type name and message.  ``attempts`` counts how often
     the point ran; it is deliberately excluded from comparison and from
     the JSON document — reports must stay a pure function of the spec
-    and the outcomes, identical across engines and backends.
+    and the outcomes, identical across engines and worker counts.
     """
 
     index: int
@@ -207,12 +204,7 @@ def _check_engine(engine: str) -> None:
 
 
 def _spec_workload(spec: SweepSpec):
-    """Resolve the spec's workload through the per-process registry.
-
-    Specs carry the workload *name* (picklable); each worker process
-    resolves it here, so the batch engine's shared evaluator — and its
-    report cache — is per process, exactly as before the workload layer.
-    """
+    """Resolve the spec's workload (specs carry only its *name*)."""
     from ..workloads import get
 
     return get(getattr(spec, "workload", "ddc"))
@@ -247,7 +239,7 @@ def point_candidates(
 def evaluate_point(
     spec: SweepSpec, point: SweepPoint, engine: str = "batch"
 ) -> PointResult:
-    """Evaluate one grid point (module-level: safe for process pools)."""
+    """Evaluate one grid point."""
     _check_engine(engine)
     return _point_result(
         spec, point, point_candidates(spec, point, engine), engine
@@ -259,7 +251,7 @@ def _point_task(
     engine: str,
     item: "tuple[SweepPoint, list | Exception | None]",
 ) -> "PointResult | PointFailure":
-    """One point under the spec's ``on_error`` policy (picklable pool task).
+    """One point under the spec's ``on_error`` policy (the pool task).
 
     ``item`` pairs the point with the batch engine's pre-built
     candidates, with the candidate-phase error that already doomed it (a
@@ -377,7 +369,6 @@ def _batch_candidates(
 def run_sweep(
     spec: SweepSpec,
     workers: int | None = None,
-    backend: str = "thread",
     engine: str = "batch",
 ):
     """Execute the whole grid; returns a :class:`~repro.sweep.report.SweepReport`.
@@ -385,10 +376,8 @@ def run_sweep(
     With ``engine="batch"`` the whole configuration axis goes through
     **one** candidate-builder pass (each architecture model's
     ``implement_batch`` runs once over every point) before any grid math;
-    ``workers``/``backend`` then fan the per-point duty-cycle grids out
-    via :func:`repro.parallel.parallel_map` over picklable
-    (point, candidates) descriptors, so ``backend="process"`` ships no
-    model work to the children at all.  The scalar oracle engine keeps
+    ``workers`` then fans the per-point duty-cycle grids out via
+    :func:`repro.parallel.parallel_map`.  The scalar oracle engine keeps
     the seed shape — a fresh evaluator running scalar ``implement`` per
     point.  Every combination of knobs returns byte-identical reports in
     point order.
@@ -397,11 +386,7 @@ def run_sweep(
     strict first-failure-aborts contract; ``"skip"``/``"retry"`` record
     failing points on the report's error channel instead (see
     :class:`PointFailure`) and mark the report partial, all through
-    :func:`repro.resilience.run_guarded`.  Under ``"retry"`` the pooled
-    map additionally arms :func:`~repro.parallel.parallel_map`'s
-    ``BrokenExecutor`` recovery, so a killed process-pool worker costs
-    re-submission, not the sweep; under the other modes it raises
-    :class:`~repro.errors.TaskFailedError`.  If *every* point fails,
+    :func:`repro.resilience.run_guarded`.  If *every* point fails,
     :class:`~repro.errors.PartialResultError` is raised — an all-failure
     "report" helps nobody.
     """
@@ -417,7 +402,7 @@ def run_sweep(
     raw = parallel_map(
         functools.partial(_point_task, spec, engine),
         list(zip(points, prepared)),
-        workers=workers, backend=backend, attempts=ATTEMPTS[spec.on_error],
+        workers=workers,
     )
     results = [r for r in raw if isinstance(r, PointResult)]
     failures = tuple(r for r in raw if isinstance(r, PointFailure))

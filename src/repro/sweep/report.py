@@ -2,8 +2,8 @@
 
 The JSON document (schema ``repro-sweep/v1``) is a pure function of the
 spec and the grid values — it carries no engine, timing or host metadata —
-so the batched and scalar engines, and the thread and process backends,
-all serialise to *byte-identical* output.  ``python -m repro.sweep
+so the batched and scalar engines, serial or pooled, all serialise to
+*byte-identical* output.  ``python -m repro.sweep
 --verify`` leans on exactly that property.
 """
 

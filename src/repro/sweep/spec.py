@@ -5,9 +5,9 @@ A :class:`SweepSpec` names *what* to sweep — parameter axes over
 architecture subset — without saying how to execute it.  The engine
 (:mod:`repro.sweep.engine`) expands the spec into a deterministic list of
 :class:`SweepPoint` task descriptors and evaluates them; because spec and
-points are frozen dataclasses of primitives, they pickle cleanly and the
-same sweep can fan out over threads or processes
-(:func:`repro.parallel.parallel_map`) with byte-identical results.
+points are frozen dataclasses of primitives, the same sweep can fan out
+over a thread pool (:func:`repro.parallel.parallel_map`) with
+byte-identical results.
 
 The grid itself, :class:`ConfigGrid`, is shared with
 :class:`~repro.explore.spec.ExploreSpec`'s discrete axes.
@@ -129,8 +129,8 @@ class SweepSpec(ConfigGrid):
         Registry name of the workload being swept
         (:func:`repro.workloads.get`); the default ``"ddc"`` is the
         paper's kernel.  Stored as the *name*, not the instance, so
-        specs stay picklable and process-pool workers resolve the
-        workload (and its per-process shared evaluator) lazily.
+        specs stay frozen primitives and the engine resolves the
+        workload (and its shared evaluator) lazily.
     axes:
         Ordered ``(field, values)`` pairs; each field must be a field of
         the workload's configuration dataclass.  The grid is the

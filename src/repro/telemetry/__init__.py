@@ -1,12 +1,10 @@
 """Process-wide tracing and metrics for the evaluation stack.
 
-The stack built in PRs 1-9 (batched models, adaptive explore,
-fault-tolerant pools, the Monte-Carlo population engine) is a black box
-at runtime: the only timing instrumentation was ad-hoc ``perf_counter``
-pairs in the CLI ``--verify`` branches, and counters such as
-``ReportCache.hits`` were tallied but reported nowhere.  This package is
-the substrate that makes per-phase cost, cache efficacy and worker
-behaviour visible — and provably free when disabled.
+The stack (batched models, adaptive explore, the thread pool, the
+Monte-Carlo population engine) is a black box at runtime without this
+package: counters such as ``ReportCache.hits`` are tallied but reported
+nowhere.  It makes per-phase cost, cache efficacy and worker behaviour
+visible — and provably free when disabled.
 
 Two primitives:
 
@@ -16,7 +14,7 @@ Two primitives:
   tests and traces describe the same places, plus seam-level names
   (``parallel.task``, ``store.load``, ``bench.run``).
 - :func:`counter` / :func:`histogram` — point metrics (cache hits,
-  broken pools, batch sizes, kernel dispatches).
+  batch sizes, kernel dispatches).
 
 **Disabled is the default and costs (almost) nothing.**  A module-level
 flag is checked once per call; :func:`span` returns a shared no-op
@@ -25,57 +23,40 @@ no locking, no buffering.  ``tests/test_telemetry.py`` pins both the
 structure (nothing reaches the emit path when disabled) and a generous
 wall-clock bound on the ``parallel_map`` hot path.
 
-**Cross-process collection** copies the :mod:`repro.faults` pattern:
-:func:`enable` writes the trace directory to :data:`ENV_VAR`
-(``REPRO_TRACE_DIR``); pool workers inherit the environment at spawn and
-initialise themselves from it at import, each appending to its own
-``shard-<pid>.jsonl`` under that directory.  Shards are merged (sorted
-on ``(pid, seq)``, torn tails from killed workers salvaged) into one
-trace file by :func:`repro.telemetry.collect.merge_trace` — the
-:func:`tracing` context manager used by the ``--trace`` CLI flags does
-enable/run/merge in one step.  Like fault plans, tracing must be enabled
-*before* a persistent pool spawns its workers
-(``repro.parallel.shutdown()`` forces fresh pools).
+**Collection.**  :func:`tracing` (what the ``--trace PATH`` CLI flags
+use) arms tracing for a block; records from every thread buffer in
+memory, stamped ``(pid, tid, seq)``, and on exit the trace is written to
+``PATH`` once: a ``repro-trace/v1`` header line, then one record per
+line in emission order.  The write is atomic (temp file +
+``os.replace``), mirroring :class:`repro.explore.store.ReportStore`.
+:func:`load_trace` reads such a file back.
 
 **Telemetry never perturbs results.**  Timestamps and durations live
-only in trace records, never in reports; trace I/O failures are
-swallowed; the three ``--verify`` CLIs stay byte-identical with
-``--trace`` active (pinned by tests).
+only in trace records, never in reports; the three ``--verify`` CLIs
+stay byte-identical with ``--trace`` active (pinned by tests).
 """
 
 from __future__ import annotations
 
 import json
 import os
-import shutil
 import tempfile
 import threading
 import time
 from contextlib import contextmanager
+from pathlib import Path
 from typing import Any, Iterator
 
-#: Environment variable carrying the shard directory to child processes
-#: (the same propagation path ``REPRO_FAULTS`` uses).
-ENV_VAR = "REPRO_TRACE_DIR"
-
-#: Schema tag written into merged trace headers.
+#: Schema tag written into trace headers.
 SCHEMA = "repro-trace/v1"
-
-#: Shard filename pattern inside a trace directory.
-SHARD_PREFIX = "shard-"
-
-#: Buffered records per process before an automatic shard append.
-FLUSH_EVERY = 512
 
 # ----------------------------------------------------------------- state
 #: The one flag the hot path checks.  Everything else lives behind it.
 _enabled = False
 
 _LOCK = threading.Lock()
-_trace_dir: str | None = None
-_pid: int | None = None
 _seq = 0
-_buffer: list[dict] = []
+_records: list[dict] = []
 
 
 class _NullSpan:
@@ -127,99 +108,22 @@ class _Span:
 
 # ------------------------------------------------------------- emit path
 def _emit(record: dict) -> None:
-    """Stamp ``pid``/``tid``/``seq`` and buffer one record (thread-safe).
-
-    A pid change since the last emit means this process was forked from
-    an enabled parent: the inherited buffer belongs to the parent (which
-    still holds its own copy), so it is dropped and the sequence counter
-    restarts — each process owns exactly its own shard.
-    """
-    global _pid, _seq
-    pid = os.getpid()
+    """Stamp ``pid``/``tid``/``seq`` and buffer one record (thread-safe)."""
+    global _seq
     with _LOCK:
         if not _enabled:
             return
-        if pid != _pid:
-            _pid = pid
-            _seq = 0
-            _buffer.clear()
-        record["pid"] = pid
+        record["pid"] = os.getpid()
         record["tid"] = threading.get_ident()
         record["seq"] = _seq
         _seq += 1
-        _buffer.append(record)
-        if len(_buffer) >= FLUSH_EVERY:
-            _flush_locked()
-
-
-def _flush_locked() -> None:
-    """Append the buffer to this process's shard file (lock held).
-
-    Trace I/O must never take the run down: an unwritable shard (the
-    trace directory was merged and removed while a persistent pool
-    worker outlived it) drops the records silently.
-    """
-    if not _buffer or _trace_dir is None:
-        return
-    lines = "".join(
-        json.dumps(rec, sort_keys=True, default=repr) + "\n"
-        for rec in _buffer
-    )
-    _buffer.clear()
-    shard = os.path.join(_trace_dir, f"{SHARD_PREFIX}{_pid}.jsonl")
-    try:
-        with open(shard, "a", encoding="utf-8") as fh:
-            fh.write(lines)
-    except OSError:
-        pass
-
-
-def flush() -> None:
-    """Write buffered records to this process's shard file."""
-    if not _enabled:
-        return
-    with _LOCK:
-        _flush_locked()
+        _records.append(record)
 
 
 # ------------------------------------------------------------ public API
 def enabled() -> bool:
     """True when tracing is active in this process."""
     return _enabled
-
-
-def enable(trace_dir: str | os.PathLike) -> None:
-    """Arm tracing here and (via the environment) in child processes.
-
-    ``trace_dir`` is created if missing; every participating process
-    appends records to its own ``shard-<pid>.jsonl`` inside it.  Pool
-    workers inherit the environment at spawn — enable *before* the pool
-    exists (``repro.parallel.shutdown()`` forces fresh pools), exactly
-    as with ``repro.faults.activate``.
-    """
-    global _enabled, _trace_dir, _pid, _seq
-    path = os.fspath(trace_dir)
-    os.makedirs(path, exist_ok=True)
-    with _LOCK:
-        if _enabled and _trace_dir == path:
-            return
-        _flush_locked()
-        _trace_dir = path
-        _pid = os.getpid()
-        _seq = 0
-        _buffer.clear()
-        _enabled = True
-    os.environ[ENV_VAR] = path
-
-
-def disable() -> None:
-    """Flush and disarm tracing here and for future child processes."""
-    global _enabled, _trace_dir
-    with _LOCK:
-        _flush_locked()
-        _enabled = False
-        _trace_dir = None
-    os.environ.pop(ENV_VAR, None)
 
 
 def span(name: str, **attrs: Any) -> "_Span | _NullSpan":
@@ -232,13 +136,6 @@ def span(name: str, **attrs: Any) -> "_Span | _NullSpan":
     if not _enabled:
         return _NULL_SPAN
     return _Span(name, attrs)
-
-
-def event(name: str, **attrs: Any) -> None:
-    """Emit a point-in-time marker (``pool.drain``, ...)."""
-    if not _enabled:
-        return
-    _emit({"kind": "event", "name": name, "t": time.time(), "attrs": attrs})
 
 
 def counter(name: str, value: int = 1, **attrs: Any) -> None:
@@ -272,39 +169,53 @@ def histogram(name: str, value: float, **attrs: Any) -> None:
 
 
 @contextmanager
-def tracing(trace_path: str | os.PathLike | None) -> Iterator[str | None]:
-    """Enable tracing for a block and merge shards to ``trace_path``.
+def tracing(trace_path: str | os.PathLike | None) -> Iterator[None]:
+    """Trace a block and write the records to ``trace_path`` on exit.
 
-    The CLI ``--trace PATH`` implementation: shards collect in a private
-    temporary directory while the block runs (workers included, via the
-    environment), then :func:`repro.telemetry.collect.merge_trace`
-    writes the single merged JSONL trace to ``trace_path`` and the shard
-    directory is removed.  ``trace_path=None`` is a no-op so callers can
+    The CLI ``--trace PATH`` implementation (see the module docstring
+    for the file format).  ``trace_path=None`` is a no-op so callers can
     wrap unconditionally.
     """
+    global _enabled, _seq
     if trace_path is None:
-        yield None
+        yield
         return
-    shard_dir = tempfile.mkdtemp(prefix="repro-trace-")
-    enable(shard_dir)
+    with _LOCK:
+        _records.clear()
+        _seq = 0
+        _enabled = True
     try:
-        yield shard_dir
+        yield
     finally:
-        disable()
-        from .collect import merge_trace
-
-        merge_trace(shard_dir, trace_path)
-        shutil.rmtree(shard_dir, ignore_errors=True)
-
-
-def _init_from_env() -> None:
-    """Self-arm in processes spawned with :data:`ENV_VAR` set (workers)."""
-    raw = os.environ.get(ENV_VAR)
-    if raw:
-        try:
-            enable(raw)
-        except OSError:  # unwritable inherited dir: stay disabled
-            pass
+        with _LOCK:
+            _enabled = False
+            records = _records[:]
+            _records.clear()
+        _write_trace(records, Path(trace_path))
 
 
-_init_from_env()
+def _write_trace(records: list[dict], out: Path) -> None:
+    """Write the header and ``records`` to ``out`` atomically."""
+    out.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(
+        dir=str(out.parent), prefix=out.name, suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            header = {"schema": SCHEMA, "records": len(records)}
+            fh.write(json.dumps(header, sort_keys=True) + "\n")
+            for rec in records:
+                fh.write(json.dumps(rec, sort_keys=True, default=repr) + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, out)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def load_trace(path: str | os.PathLike) -> list[dict]:
+    """The records of a trace file written by :func:`tracing`, in
+    emission order (the header line is dropped)."""
+    with open(path, encoding="utf-8") as fh:
+        return [rec for rec in map(json.loads, fh) if "schema" not in rec]

@@ -1,10 +1,9 @@
 """CLI: summarise a trace produced by the ``--trace`` flags.
 
-``python -m repro.telemetry TRACE`` accepts either a merged trace file
-(what ``--trace PATH`` writes) or a raw shard directory (a
-``REPRO_TRACE_DIR`` that was never merged) and prints per-span-name
-duration stats, counter totals, report-cache hit rates, worker
-utilisation and the top-N slowest spans.  ``--json`` emits the summary
+``python -m repro.telemetry TRACE`` reads the trace file a ``--trace
+PATH`` run wrote and prints per-span-name duration stats, counter
+totals, report-cache hit rates, worker utilisation and the top-N
+slowest spans.  ``--json`` emits the summary
 document instead, for machine consumers (CI artifacts).
 
 Exit codes: 0 summary rendered; 2 unreadable or empty trace.
@@ -16,7 +15,7 @@ import argparse
 import json
 import sys
 
-from .collect import load_trace
+from . import load_trace
 from .summary import render, summarize
 
 
@@ -27,8 +26,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "trace",
-        help="merged trace file written by --trace PATH, or a shard "
-        "directory (REPRO_TRACE_DIR)",
+        help="trace file written by --trace PATH",
     )
     parser.add_argument(
         "--top",
@@ -46,7 +44,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         records = load_trace(args.trace)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: cannot read trace {args.trace!r}: {exc}",
               file=sys.stderr)
         return 2

@@ -1,7 +1,7 @@
 """Trace summarisation: duration stats, cache rates, worker utilisation.
 
 :func:`summarize` reduces a record list (from
-:func:`repro.telemetry.collect.load_trace`) to a plain JSON-able dict;
+:func:`repro.telemetry.load_trace`) to a plain JSON-able dict;
 :func:`render` formats that dict as the text report the
 ``python -m repro.telemetry`` CLI prints:
 
@@ -11,8 +11,8 @@
 - histogram stats (batch sizes);
 - report-cache hit rate from the ``cache.hit`` / ``cache.miss``
   counters;
-- worker utilisation: for every ``(pid, tid)`` that executed
-  ``parallel.task`` spans, busy seconds over the worker's active
+- worker utilisation: for every thread (keyed ``pid/tid``) that
+  executed ``parallel.task`` spans, busy seconds over its active
   wall-clock window;
 - the top-N slowest individual spans.
 """
@@ -47,7 +47,6 @@ def summarize(records: list[dict]) -> dict[str, Any]:
     dispatch: dict[str, int] = defaultdict(int)
     hist: dict[str, list[float]] = defaultdict(list)
     tasks: dict[tuple[int, int], list[tuple[float, float]]] = defaultdict(list)
-    events: dict[str, int] = defaultdict(int)
 
     for rec in records:
         kind = rec.get("kind")
@@ -68,8 +67,6 @@ def summarize(records: list[dict]) -> dict[str, Any]:
                 dispatch[tier] += value
         elif kind == "histogram":
             hist[name].append(float(rec.get("value", 0.0)))
-        elif kind == "event":
-            events[name] += 1
 
     hits = counters.get("cache.hit", 0)
     misses = counters.get("cache.miss", 0)
@@ -109,7 +106,6 @@ def summarize(records: list[dict]) -> dict[str, Any]:
             }
             for name, vals in sorted(hist.items())
         },
-        "events": dict(sorted(events.items())),
         "cache": {
             "hits": hits,
             "misses": misses,

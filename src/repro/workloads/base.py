@@ -17,7 +17,7 @@ a workload says
 
 Everything downstream is inherited: a workload in the registry works
 with ``python -m repro.sweep|explore|montecarlo --workload NAME``,
-``repro.parallel`` process pools, the ``on_error`` failure policies and
+the ``--workers`` thread pool, the ``on_error`` failure policies and
 a ``<name>_sweep`` bench entry.  The conformance suite
 (``tests/test_workloads.py``) asserts the contract over every workload.
 """
@@ -80,8 +80,7 @@ class Workload(ABC):
         :class:`~repro.core.evaluator.ReportCache`.  The registry caches
         instances per process, so the sweep engine, the explorer, the
         paper artifacts and the benches all warm and read one cache per
-        workload — in ``backend="process"`` pool workers too, which
-        rebuild it on first use.
+        workload.
         """
         if self._shared_evaluator is None:
             from ..core.evaluator import ReportCache

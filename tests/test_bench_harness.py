@@ -18,7 +18,7 @@ from repro.bench.runner import (
     time_fn,
 )
 from repro.errors import ConfigurationError
-from repro.telemetry.collect import load_trace
+from repro.telemetry import load_trace
 
 
 def _result(name: str, sps: float, baseline: float | None = None) -> BenchResult:

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import faults, parallel
+from repro import faults
 from repro.archs.asic.lowpower import LowPowerDDCModel
 from repro.config import REFERENCE_DDC
 from repro.core.evaluator import DDCEvaluator, ReportCache
@@ -156,82 +156,28 @@ class TestSweepChaos:
             with pytest.raises(InjectedFault):
                 run_sweep(sweep_spec())
 
-    def test_worker_kill_under_retry_recovers(self, tmp_path):
-        """A killed process-pool worker costs a rebuild, not the sweep:
-        on_error="retry" arms BrokenExecutor recovery and the report
-        comes back byte-identical to the fault-free pooled run."""
+    def test_pooled_retry_recovers_byte_identical(self):
+        """A point error under retry on the thread pool is retried in its
+        task: the report equals the fault-free serial one."""
         baseline = run_sweep(sweep_spec()).render()
-        parallel.shutdown()  # workers must spawn after the plan is armed
-        plan = FaultPlan(
-            (FaultSpec("sweep.point", kind="kill", keys=(1,)),),
-            scratch=str(tmp_path),
-        )
-        try:
-            with faults.inject(plan):
-                report = run_sweep(
-                    sweep_spec(on_error="retry"), workers=2,
-                    backend="process",
-                )
-        finally:
-            parallel.shutdown()
+        with faults.inject(one_fault("sweep.point", 1)):
+            report = run_sweep(sweep_spec(on_error="retry"), workers=2)
         assert not report.partial
         doc = json.loads(report.render())
         assert doc["points"] == json.loads(baseline)["points"]
 
 
 class TestMontecarloChaos:
-    def test_worker_kill_under_retry_recovers(self, tmp_path):
-        """A worker killed on chunk 1 costs a pool rebuild: the pooled
-        retry report is byte-identical to the fault-free retry run."""
+    def test_pooled_retry_recovers_byte_identical(self):
+        """A chunk error under retry on the thread pool costs a re-run of
+        that chunk: the report equals the fault-free retry run."""
         spec = PopulationSpec(
             seed=6, n_samples=512, chunk_samples=128, on_error="retry"
         )
         baseline = run_population(spec).render()
-        parallel.shutdown()  # workers must spawn after the plan is armed
-        plan = FaultPlan(
-            (FaultSpec("montecarlo.chunk", kind="kill", keys=(1,)),),
-            scratch=str(tmp_path),
-        )
-        try:
-            with faults.inject(plan):
-                report = run_population(spec, workers=2, backend="process")
-        finally:
-            parallel.shutdown()
-        assert any(tmp_path.iterdir())  # the kill fired
+        with faults.inject(one_fault("montecarlo.chunk", 1)):
+            report = run_population(spec, workers=2)
         assert report.render() == baseline
-
-
-#: A kill fault per study CLI: (module, fault site, CLI arguments).
-DEAD_WORKER_RUNS = [
-    ("repro.sweep", "sweep.point", ["--axis", "fir_taps=63,125,255"]),
-    ("repro.montecarlo", "montecarlo.chunk",
-     ["--samples", "512", "--chunk-samples", "128"]),
-]
-
-
-class TestDeadWorkerExit:
-    @pytest.mark.parametrize("on_error", ["raise", "skip"])
-    @pytest.mark.parametrize("module, site, args", DEAD_WORKER_RUNS)
-    def test_dead_worker_exits_2_with_error(
-        self, tmp_path, module, site, args, on_error
-    ):
-        """Without retry a dead pool worker ends the run as a
-        TaskFailedError: exit 2 with one error line, no traceback."""
-        plan = FaultPlan(
-            (FaultSpec(site, kind="kill", keys=(1,)),), scratch=str(tmp_path)
-        )
-        repo_src = str(Path(__file__).resolve().parent.parent / "src")
-        run = subprocess.run(
-            [sys.executable, "-m", module, *args, "--workers", "2",
-             "--backend", "process", "--on-error", on_error],
-            env={**os.environ, "PYTHONPATH": repo_src,
-                 faults.ENV_VAR: plan.to_json()},
-            capture_output=True, text=True, timeout=120,
-        )
-        assert run.returncode == 2, run.stderr
-        assert run.stderr.startswith("error: a process pool worker died")
-        assert "Traceback" not in run.stderr
-        assert run.stdout == ""
 
 
 class TestExploreChaos:

@@ -1,10 +1,14 @@
-"""``import repro`` and the four default CLIs must not load scipy.
+"""``import repro`` and the four default CLIs must not load scipy, and
+``import repro`` and the three study CLIs no process-pool machinery.
 
 scipy.signal alone costs over a second of import time, several times the
 rest of a cold CLI run.  Only a few non-default paths call it (the
 direct-form ``FIRFilter`` and the Kaiser design), and they import it
-themselves.  Wall-clock guards are too noisy on shared runners to hold this
-line, so these tests check ``sys.modules`` in a fresh interpreter instead.
+themselves.  A run is one process: ``repro.parallel`` is a thread pool,
+so ``multiprocessing`` and ``concurrent.futures.process`` are import
+cost with no use.  Wall-clock guards are too noisy on shared runners to
+hold this line, so these tests check ``sys.modules`` in a fresh
+interpreter instead.
 """
 
 from __future__ import annotations
@@ -19,10 +23,12 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 #: Runs ``import repro`` (no arguments) or one CLI module through runpy,
-#: then prints the scipy modules it left behind as the last stdout line.
+#: then prints the scipy and process-pool modules it left behind as the
+#: last stdout line.
 PROBE = """
 import runpy, sys
-sys.argv = sys.argv[1:]
+FORBIDDEN = tuple(sys.argv[1].split(","))
+sys.argv = sys.argv[2:]
 if sys.argv:
     try:
         runpy.run_module(sys.argv[0], run_name="__main__")
@@ -31,27 +37,31 @@ if sys.argv:
             raise
 else:
     import repro
-print(",".join(sorted(m for m in sys.modules if m.startswith("scipy"))))
+print(",".join(sorted(m for m in sys.modules if m.startswith(FORBIDDEN))))
 """
 
 
+SCIPY = ("scipy",)
+PROCESS_POOL = ("multiprocessing", "concurrent.futures.process")
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, forbidden",
     [
-        [],
-        ["repro.sweep"],
-        ["repro.explore"],
-        ["repro.montecarlo", "--seed", "0"],
-        ["repro.paper", "--check", "tests/goldens"],
+        ([], SCIPY + PROCESS_POOL),
+        (["repro.sweep"], SCIPY + PROCESS_POOL),
+        (["repro.explore"], SCIPY + PROCESS_POOL),
+        (["repro.montecarlo", "--seed", "0"], SCIPY + PROCESS_POOL),
+        (["repro.paper", "--check", "tests/goldens"], SCIPY),
     ],
     ids=["import", "sweep", "explore", "montecarlo", "paper"],
 )
-def test_default_path_loads_no_scipy(argv):
+def test_default_path_loads_no_scipy(argv, forbidden):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, *argv],
+        [sys.executable, "-c", PROBE, ",".join(forbidden), *argv],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     loaded = proc.stdout.splitlines()[-1]
-    assert loaded == "", f"scipy modules loaded: {loaded}"
+    assert loaded == "", f"forbidden modules loaded: {loaded}"

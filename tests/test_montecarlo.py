@@ -3,7 +3,7 @@
 The load-bearing property is *byte-identity*: the vectorised population
 engine (dedup + chunked fused streaming) and the per-sample scalar
 oracle loop must serialise to exactly the same JSON report, for every
-workload, chunk size, worker count and pool backend — and fault
+workload, chunk size and worker count — and fault
 recovery under ``on_error="retry"`` must not perturb a byte either.
 """
 
@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 import tracemalloc
 from unittest import mock
 
@@ -286,7 +287,7 @@ class TestEngineByteIdentity:
         scalar = run_population(spec, engine="scalar").render()
         assert vector.encode() == scalar.encode()
 
-    def test_chunk_size_workers_backend_do_not_change_bytes(self):
+    def test_chunk_size_and_workers_do_not_change_bytes(self):
         spec = PopulationSpec(seed=5, **SMALL)
         want = run_population(spec).render()
         for variant in (
@@ -295,10 +296,7 @@ class TestEngineByteIdentity:
         ):
             assert run_population(variant).render() == want
         assert run_population(spec, workers=3).render() == want
-        assert (
-            run_population(spec, workers=2, backend="process").render()
-            == want
-        )
+        assert run_population(spec, workers=2).render() == want
 
     def test_different_seed_different_bytes(self):
         a = run_population(PopulationSpec(seed=0, **SMALL)).render()
@@ -308,6 +306,27 @@ class TestEngineByteIdentity:
     def test_unknown_engine_rejected(self):
         with pytest.raises(ConfigurationError, match="engine"):
             run_population(PopulationSpec(**SMALL), engine="quantum")
+
+    def test_negative_workers_rejected(self):
+        with pytest.raises(ConfigurationError, match="workers"):
+            run_population(PopulationSpec(**SMALL), workers=-1)
+
+    def test_huge_worker_count_keeps_one_chunk_per_thread(self, monkeypatch):
+        """workers=10**6 must not pull 10**6 chunks into memory at once."""
+        from repro.montecarlo import engine
+
+        windows = []
+
+        def spy(fn, items, *args, **kwargs):
+            windows.append(len(items))
+            return [fn(x) for x in items]
+
+        monkeypatch.setattr(engine, "parallel_map", spy)
+        spec = PopulationSpec(seed=5, **SMALL)
+        report = run_population(dataclasses.replace(spec, chunk_samples=37),
+                                workers=10**6)
+        assert report.render() == run_population(spec).render()
+        assert max(windows) <= (os.cpu_count() or 1)
 
     def test_report_document_schema(self):
         report = run_population(PopulationSpec(seed=2, **SMALL))
@@ -592,7 +611,6 @@ VARIANTS = {
     "chunk1000": ({"chunk_samples": 1000}, {}),
     "chunk65536": ({"chunk_samples": 65536}, {}),
     "thread2": ({}, {"workers": 2}),
-    "process2": ({}, {"workers": 2, "backend": "process"}),
 }
 
 

@@ -1,7 +1,7 @@
 """Tests for the repro.sweep subsystem: spec, engine, report, CLI.
 
 The load-bearing property is *byte-identity*: the batched engine, the
-scalar oracle engine, and every workers/backend combination must
+scalar oracle engine, and every worker count must
 serialise to exactly the same report.
 """
 
@@ -172,13 +172,10 @@ class TestEngine:
 
 
 class TestRunSweepParallel:
-    def test_thread_and_process_backends_byte_identical(self):
+    def test_thread_pool_byte_identical_to_serial(self):
         serial = run_sweep(TWO_POINT).to_json()
-        threaded = run_sweep(TWO_POINT, workers=2).to_json()
-        procs = run_sweep(
-            TWO_POINT, workers=2, backend="process"
-        ).to_json()
-        assert serial == threaded == procs
+        assert run_sweep(TWO_POINT, workers=2).to_json() == serial
+        assert run_sweep(TWO_POINT, workers=10**6).to_json() == serial
 
     def test_points_come_back_in_point_order(self):
         report = run_sweep(TWO_POINT, workers=2)

@@ -1,4 +1,4 @@
-"""Telemetry layer: spans, counters, shard merge, CLI contracts.
+"""Telemetry layer: spans, counters, the trace file, CLI contracts.
 
 The load-bearing invariants pinned here:
 
@@ -8,40 +8,41 @@ The load-bearing invariants pinned here:
 - telemetry never perturbs results: the sweep/explore/montecarlo CLIs
   produce byte-identical reports with and without ``--trace``, and all
   three ``--verify`` modes pass with tracing active;
-- per-pid shard merge is deterministic (same shards -> same bytes) under
-  the process backend and after a killed worker (torn shards salvaged,
-  run recovered by the resilience layer);
-- ``python -m repro.telemetry`` summarises a process-backend montecarlo
-  trace into span stats, cache hit rates and worker utilisation.
+- ``tracing(path)`` writes one trace file holding every record of the
+  block, pool threads included;
+- ``python -m repro.telemetry`` summarises a pooled montecarlo trace
+  into span stats, cache hit rates and worker utilisation.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
+import threading
 import time
 
 import pytest
 
-from repro import faults, parallel, telemetry
+from repro import parallel, telemetry
 from repro.core.evaluator import ReportCache
 from repro.explore.__main__ import main as explore_main
 from repro.explore.store import ReportStore
-from repro.faults import FaultPlan, FaultSpec
 from repro.montecarlo.__main__ import main as montecarlo_main
 from repro.sweep.__main__ import main as sweep_main
 from repro.sweep.engine import run_sweep
 from repro.sweep.spec import SweepSpec
+from repro.telemetry import load_trace
 from repro.telemetry.__main__ import main as telemetry_main
-from repro.telemetry.collect import load_trace, merge_trace, read_shards
 from repro.telemetry.summary import render, summarize
 
 
-@pytest.fixture(autouse=True)
-def _telemetry_disabled_after():
-    """Every test leaves tracing disarmed (and the env var unset)."""
-    yield
-    telemetry.disable()
+def _traced(tmp_path, fn) -> list[dict]:
+    """Run ``fn()`` under ``tracing`` and return the records it left."""
+    trace = tmp_path / "trace.jsonl"
+    with telemetry.tracing(trace):
+        fn()
+    return load_trace(trace)
 
 
 def _double(x: int) -> int:
@@ -60,45 +61,64 @@ class TestCoreAPI:
         assert not telemetry.enabled()
         assert telemetry.span("a") is telemetry.span("b", k=1)
 
-    def test_enable_emit_flush_shard(self, tmp_path):
-        telemetry.enable(tmp_path)
-        assert telemetry.enabled()
-        assert os.environ[telemetry.ENV_VAR] == str(tmp_path)
-        with telemetry.span("demo", cell=3):
-            telemetry.counter("hits", 2)
-            telemetry.histogram("batch", 7)
-            telemetry.event("mark")
-        telemetry.flush()
-        records, n_shards, salvaged = read_shards(tmp_path)
-        assert n_shards == 1 and salvaged == 0
+    def test_tracing_records_every_kind(self, tmp_path):
+        def run():
+            assert telemetry.enabled()
+            with telemetry.span("demo", cell=3):
+                telemetry.counter("hits", 2)
+                telemetry.histogram("batch", 7)
+
+        records = _traced(tmp_path, run)
+        assert not telemetry.enabled()
         kinds = [r["kind"] for r in records]
-        assert sorted(kinds) == ["counter", "event", "histogram", "span"]
+        assert sorted(kinds) == ["counter", "histogram", "span"]
         # every record is stamped with this process and a rising seq
         assert {r["pid"] for r in records} == {os.getpid()}
-        assert [r["seq"] for r in records] == sorted(r["seq"] for r in records)
+        assert [r["seq"] for r in records] == [0, 1, 2]
         span = next(r for r in records if r["kind"] == "span")
         assert span["name"] == "demo"
         assert span["attrs"] == {"cell": 3}
         assert span["dur"] >= 0.0
-        telemetry.disable()
-        assert telemetry.ENV_VAR not in os.environ
 
-    def test_tracing_context_merges_and_cleans_up(self, tmp_path):
+    def test_tracing_writes_one_file_with_a_header(self, tmp_path):
         out = tmp_path / "trace.jsonl"
-        with telemetry.tracing(out) as shard_dir:
+        with telemetry.tracing(out):
             telemetry.counter("c")
-            assert telemetry.enabled()
-        assert not telemetry.enabled()
-        assert not os.path.exists(shard_dir)
+        assert os.listdir(tmp_path) == ["trace.jsonl"]  # no temp file left
         lines = out.read_text().splitlines()
         header = json.loads(lines[0])
-        assert header["schema"] == telemetry.SCHEMA
-        assert header["records"] == 1 and header["salvaged"] == 0
+        assert header == {"schema": telemetry.SCHEMA, "records": 1}
         assert load_trace(out)[0]["name"] == "c"
 
+    def test_concurrent_emits_lose_no_record(self, tmp_path):
+        """More threads than cores emitting under a short switch interval:
+        every record survives, with one unique, gap-free seq each."""
+        n_threads, per_thread = 8, 500
+
+        def emit():
+            for _ in range(per_thread):
+                telemetry.counter("c")
+
+        def run():
+            threads = [threading.Thread(target=emit) for _ in range(n_threads)]
+            old = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+            finally:
+                sys.setswitchinterval(old)
+            assert not any(t.is_alive() for t in threads)
+
+        records = _traced(tmp_path, run)
+        assert sorted(r["seq"] for r in records) == list(
+            range(n_threads * per_thread)
+        )
+
     def test_tracing_none_is_a_noop(self):
-        with telemetry.tracing(None) as shard_dir:
-            assert shard_dir is None
+        with telemetry.tracing(None):
             assert not telemetry.enabled()
 
 
@@ -111,12 +131,9 @@ class TestDisabledPath:
         monkeypatch.setattr(telemetry, "_emit", boom)
         telemetry.counter("x")
         telemetry.histogram("x", 1.0)
-        telemetry.event("x")
         with telemetry.span("x"):
             pass
-        assert parallel.parallel_map(
-            _double, [1, 2, 3], workers=2, backend="thread"
-        ) == [2, 4, 6]
+        assert parallel.parallel_map(_double, [1, 2, 3], workers=2) == [2, 4, 6]
         assert run_sweep(_sweep_spec()).points
 
     def test_disabled_overhead_bound_on_parallel_map_hot_path(self):
@@ -147,101 +164,10 @@ class TestDisabledPath:
         assert best / (2 * n) < 5e-6
 
 
-# ------------------------------------------------------------- shard merge
-class TestShardMerge:
-    def _write_shards(self, d):
-        (d / "shard-2.jsonl").write_text(
-            json.dumps({"kind": "counter", "name": "b", "pid": 2, "seq": 0}) + "\n"
-        )
-        (d / "shard-1.jsonl").write_text(
-            json.dumps({"kind": "counter", "name": "a", "pid": 1, "seq": 1})
-            + "\n"
-            + json.dumps({"kind": "counter", "name": "a", "pid": 1, "seq": 0})
-            + "\n"
-            + '{"kind": "counter", "torn tail...'
-        )
-
-    def test_merge_sorts_salvages_and_is_deterministic(self, tmp_path):
-        self._write_shards(tmp_path)
-        out1, out2 = tmp_path / "m1.jsonl", tmp_path / "m2.jsonl"
-        header = merge_trace(tmp_path, out1)
-        merge_trace(tmp_path, out2)
-        assert out1.read_bytes() == out2.read_bytes()
-        assert header == {
-            "schema": telemetry.SCHEMA,
-            "records": 3,
-            "shards": 2,
-            "salvaged": 1,
-        }
-        records = load_trace(out1)
-        assert [(r["pid"], r["seq"]) for r in records] == [(1, 0), (1, 1), (2, 0)]
-
-    def test_process_backend_workers_write_their_own_shards(self, tmp_path):
-        parallel.shutdown()  # workers must spawn after tracing is armed
-        telemetry.enable(tmp_path / "shards")
-        try:
-            result = parallel.parallel_map(
-                _double, list(range(8)), workers=2, backend="process"
-            )
-        finally:
-            telemetry.disable()
-            parallel.shutdown()
-        assert result == [2 * x for x in range(8)]
-        records, n_shards, _ = read_shards(tmp_path / "shards")
-        task_pids = {r["pid"] for r in records if r.get("name") == "parallel.task"}
-        # every task ran in a pool worker, never the parent
-        assert task_pids and os.getpid() not in task_pids
-        assert n_shards >= 2  # parent shard + at least one worker shard
-        out1, out2 = tmp_path / "m1.jsonl", tmp_path / "m2.jsonl"
-        merge_trace(tmp_path / "shards", out1)
-        merge_trace(tmp_path / "shards", out2)
-        assert out1.read_bytes() == out2.read_bytes()
-
-    @pytest.mark.faults
-    def test_killed_worker_shard_merge_is_deterministic(self, tmp_path):
-        """A SIGKILLed worker loses its buffer mid-run; the merge still
-        succeeds (torn tails salvaged) and stays byte-deterministic,
-        while the resilience layer recovers the run itself."""
-        baseline = run_sweep(_sweep_spec()).render()
-        parallel.shutdown()
-        telemetry.enable(tmp_path / "shards")
-        plan = FaultPlan(
-            (FaultSpec("sweep.point", kind="kill", keys=(1,)),),
-            scratch=str(tmp_path),
-        )
-        try:
-            with faults.inject(plan):
-                report = run_sweep(
-                    _sweep_spec(on_error="retry"), workers=2, backend="process"
-                )
-        finally:
-            telemetry.disable()
-            parallel.shutdown()
-        assert not report.partial
-        assert (
-            json.loads(report.render())["points"]
-            == json.loads(baseline)["points"]
-        )
-        out1, out2 = tmp_path / "m1.jsonl", tmp_path / "m2.jsonl"
-        h1 = merge_trace(tmp_path / "shards", out1)
-        merge_trace(tmp_path / "shards", out2)
-        assert out1.read_bytes() == out2.read_bytes()
-        assert h1["records"] > 0
-        # the parent observed the broken pool on the telemetry channel
-        names = {r["name"] for r in load_trace(out1)}
-        assert "parallel.broken_pool" in names
-
-
 # ------------------------------------------------------- instrumented seams
 class TestInstrumentation:
     def test_sweep_and_cache_records(self, tmp_path):
-        telemetry.enable(tmp_path)
-        try:
-            run_sweep(_sweep_spec())
-            telemetry.flush()
-        finally:
-            telemetry.disable()
-        records, _, _ = read_shards(tmp_path)
+        records = _traced(tmp_path, lambda: run_sweep(_sweep_spec()))
         names = {r["name"] for r in records}
         assert "sweep.point" in names
         assert "cache.miss" in names or "cache.hit" in names
@@ -251,32 +177,27 @@ class TestInstrumentation:
         from repro.workloads import get as get_workload
 
         models = get_workload("ddc").shared_evaluator().models
-        telemetry.enable(tmp_path / "shards")
-        try:
+
+        def run():
             store = ReportStore(tmp_path / "store.jsonl")
             cache = ReportCache()
             store.save(cache)
             store.load(cache, models)
-            telemetry.flush()
-        finally:
-            telemetry.disable()
-        records, _, _ = read_shards(tmp_path / "shards")
+
+        records = _traced(tmp_path, run)
         names = [r["name"] for r in records]
         assert "store.save" in names and "store.load" in names
 
     def test_kernel_dispatch_counter_names_the_tier_that_ran(self, tmp_path):
         from repro.dsp.nco import NCO, NCOMode
 
-        telemetry.enable(tmp_path)
-        try:
+        def run():
             NCO(1e6, 1e5).generate(8)
             NCO(1e6, 1e5).generate(8, engine="python")
             # Taylor mode has no fused kernel: the oracle runs and says so
             NCO(1e6, 1e5, mode=NCOMode.TAYLOR).generate(8, engine="fused")
-            telemetry.flush()
-        finally:
-            telemetry.disable()
-        records, _, _ = read_shards(tmp_path)
+
+        records = _traced(tmp_path, run)
         tiers = [r["attrs"] for r in records if r["name"] == "kernel.dispatch"]
         assert tiers == [
             {"primitive": "nco", "engine": "fused"},
@@ -359,16 +280,33 @@ class TestCLIByteIdentity:
         assert "store warm-hit rate: 100.0%" in captured.out
 
 
+class TestVerifyRefusesReportFlags:
+    """``--verify`` prints only its verdict, so a report flag it would
+    silently drop is refused up front: exit 2, naming the flag."""
+
+    @pytest.mark.parametrize(
+        "flag", [["--output", "report.json"], ["--summary"]],
+        ids=["output", "summary"],
+    )
+    @pytest.mark.parametrize(
+        "main", [sweep_main, explore_main, montecarlo_main],
+        ids=["sweep", "explore", "montecarlo"],
+    )
+    def test_refused_with_exit_2(self, main, flag, tmp_path, capsys,
+                                 monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["--verify", *flag]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and flag[0] in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestTelemetryCLI:
-    def test_summarises_process_backend_montecarlo_run(self, tmp_path, capsys):
+    def test_summarises_pooled_montecarlo_run(self, tmp_path, capsys):
         trace = tmp_path / "mc.jsonl"
         argv = ["--samples", "2000", "--chunk-samples", "256", "--workers", "2"]
-        argv += ["--backend", "process", "--trace", str(trace)]
-        parallel.shutdown()  # fresh pool, spawned inside the traced run
-        try:
-            assert montecarlo_main(argv) == 0
-        finally:
-            parallel.shutdown()
+        assert montecarlo_main(argv + ["--trace", str(trace)]) == 0
         capsys.readouterr()
         assert telemetry_main([str(trace)]) == 0
         out = capsys.readouterr().out
@@ -376,20 +314,20 @@ class TestTelemetryCLI:
         assert "report-cache:" in out
         assert "worker utilisation" in out
         assert "slowest" in out
-        # machine-readable path: per-worker task accounting is present
-        doc = summarize(load_trace(trace))
-        assert doc["workers"]
-        assert sum(w["tasks"] for w in doc["workers"].values()) >= 8
+        # machine-readable path: every chunk ran as a parallel.task span
+        records = load_trace(trace)
+        tasks = [r for r in records if r["name"] == "parallel.task"]
+        assert len(tasks) == 8  # 2000 samples in chunks of 256
+        doc = summarize(records)
+        assert sum(w["tasks"] for w in doc["workers"].values()) == 8
         assert render(doc, top=3)
-
-    def test_summary_accepts_a_raw_shard_dir(self, tmp_path, capsys):
-        telemetry.enable(tmp_path / "shards")
-        with telemetry.span("demo"):
-            pass
-        telemetry.disable()
-        assert telemetry_main([str(tmp_path / "shards")]) == 0
-        assert "demo" in capsys.readouterr().out
 
     def test_unreadable_trace_is_a_clean_error(self, tmp_path, capsys):
         assert telemetry_main([str(tmp_path / "missing.jsonl")]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_damaged_trace_is_a_clean_error(self, tmp_path, capsys):
+        trace = tmp_path / "t.jsonl"
+        trace.write_text('{"kind": "counter", "name": "c"}\n{"kind": ')
+        assert telemetry_main([str(trace)]) == 2
+        assert "error: cannot read trace" in capsys.readouterr().err

@@ -4,8 +4,8 @@ The parametrized half of this file is the *conformance suite* the
 ``Workload`` protocol promises: every workload in the registry must pass
 it unchanged.  It asserts protocol completeness (identity, default
 configuration, axes, models), the batch == scalar bit-identity contract
-through ``run_sweep``/``run_explore``, and config picklability through a
-``repro.parallel`` process pool.
+through ``run_sweep``/``run_explore`` (serial and on the thread pool),
+and config picklability.
 
 The rest covers the registry (names, the default, unknown names, the one
 shared evaluator per workload), the ``--workload`` CLI flag, the RTL
@@ -172,14 +172,14 @@ class TestWorkloadConformance:
         dense = run_explore(spec, "dense", wl.evaluator())
         assert adaptive.render("json") == dense.render("json")
 
-    def test_sweep_process_pool_identity(self, name):
+    def test_sweep_thread_pool_identity(self, name):
         spec = SweepSpec.from_axes(
             dict(get(name).scenario_axes()),
             duty_cycle_steps=2,
             workload=name,
         )
         serial = run_sweep(spec)
-        pooled = run_sweep(spec, workers=2, backend="process")
+        pooled = run_sweep(spec, workers=2)
         assert serial.render("json") == pooled.render("json")
 
 
