@@ -29,8 +29,10 @@ from repro.explore.refine import run_explore
 from repro.explore.spec import ExploreSpec
 from repro.explore.store import ReportStore
 from repro.faults import FaultPlan, FaultSpec, InjectedFault
+from repro.montecarlo.__main__ import main as montecarlo_main
 from repro.montecarlo.engine import run_population
 from repro.montecarlo.spec import PopulationSpec
+from repro.sweep.__main__ import main as sweep_main
 from repro.sweep.engine import run_sweep
 from repro.sweep.spec import SweepSpec
 
@@ -178,6 +180,39 @@ class TestMontecarloChaos:
         with faults.inject(one_fault("montecarlo.chunk", 1)):
             report = run_population(spec, workers=2)
         assert report.render() == baseline
+
+
+#: An error fault per pooled study CLI: (main, fault site, CLI arguments).
+POOLED_CLI_RUNS = [
+    (sweep_main, "sweep.point", ["--axis", "fir_taps=63,125,255"]),
+    (montecarlo_main, "montecarlo.chunk",
+     ["--samples", "512", "--chunk-samples", "128"]),
+]
+
+
+class TestPooledCLIFaults:
+    @pytest.mark.parametrize(
+        "on_error, status", [("raise", 2), ("skip", 3), ("retry", 0)]
+    )
+    @pytest.mark.parametrize(
+        "main, site, args", POOLED_CLI_RUNS, ids=["sweep", "montecarlo"]
+    )
+    def test_pooled_run_ends_like_the_serial_run(
+        self, capsys, main, site, args, on_error, status
+    ):
+        """A task error on the thread pool ends the run exactly as it
+        ends a serial one: same exit status, stdout and stderr."""
+        runs = []
+        for workers in ("1", "2"):
+            with faults.inject(one_fault(site, 1)):
+                code = main([*args, "--workers", workers,
+                             "--on-error", on_error])
+            runs.append((code, *capsys.readouterr()))
+        assert runs[1] == runs[0]
+        code, out, err = runs[0]
+        assert code == status
+        assert "Traceback" not in err
+        assert (out == "") == (on_error == "raise")
 
 
 class TestExploreChaos:

@@ -611,6 +611,8 @@ VARIANTS = {
     "chunk1000": ({"chunk_samples": 1000}, {}),
     "chunk65536": ({"chunk_samples": 65536}, {}),
     "thread2": ({}, {"workers": 2}),
+    # many in-flight windows of one chunk per pool thread
+    "thread2chunk1000": ({"chunk_samples": 1000}, {"workers": 2}),
 }
 
 

@@ -9,7 +9,9 @@ import time
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.montecarlo.__main__ import main as montecarlo_main
 from repro.parallel import parallel_map
+from repro.sweep.__main__ import main as sweep_main
 
 
 def _square_mod(x):
@@ -131,8 +133,35 @@ class TestPersistentPools:
             parallel_map(_boom_on_two_logged, items, workers=2)
         assert parallel_map(_square_mod, [0, 1], workers=2) == [0, 1]
 
+    def test_distinct_thread_counts_get_distinct_pools(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        two = {t for _, t in parallel_map(_thread_of, range(12), workers=2)}
+        three = {t for _, t in parallel_map(_thread_of, range(12), workers=3)}
+        assert len(two) <= 2 and len(three) <= 3
+        assert not two & three
+
+    def test_counts_over_cpu_count_share_the_capped_pool(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        three = {t for _, t in parallel_map(_thread_of, range(12), workers=3)}
+        huge = {t for _, t in parallel_map(_thread_of, range(12),
+                                           workers=10**6)}
+        assert huge <= three
+
     def test_reused_pool_results_stay_serial_identical(self):
         items = list(range(41))
         serial = [_square_mod(x) for x in items]
         for _ in range(3):
             assert parallel_map(_square_mod, items, workers=3) == serial
+
+
+class TestWorkersFlag:
+    @pytest.mark.parametrize(
+        "main", [sweep_main, montecarlo_main], ids=["sweep", "montecarlo"]
+    )
+    def test_negative_workers_is_a_clean_error(self, main, capsys):
+        """--workers -1 is a usage error: exit 2, one line, no report."""
+        assert main(["--workers", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: workers must be >= 0")
+        assert "Traceback" not in captured.err

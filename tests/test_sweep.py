@@ -177,6 +177,10 @@ class TestRunSweepParallel:
         assert run_sweep(TWO_POINT, workers=2).to_json() == serial
         assert run_sweep(TWO_POINT, workers=10**6).to_json() == serial
 
+    def test_negative_workers_rejected(self):
+        with pytest.raises(ConfigurationError, match="workers"):
+            run_sweep(TWO_POINT, workers=-1)
+
     def test_points_come_back_in_point_order(self):
         report = run_sweep(TWO_POINT, workers=2)
         assert [p.index for p in report.points] == [0, 1]

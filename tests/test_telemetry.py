@@ -173,6 +173,16 @@ class TestInstrumentation:
         assert "cache.miss" in names or "cache.hit" in names
         assert "evaluator.batch_size" in names
 
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_one_task_span_per_item_serial_or_pooled(self, tmp_path, workers):
+        records = _traced(
+            tmp_path, lambda: parallel.parallel_map(_double, range(5), workers)
+        )
+        names = [r["name"] for r in records]
+        assert names.count("parallel.task") == 5
+        pooled = min(workers or 1, os.cpu_count() or 1) > 1
+        assert names.count("parallel.map") == int(pooled)
+
     def test_store_spans_and_counters(self, tmp_path):
         from repro.workloads import get as get_workload
 
