@@ -12,11 +12,12 @@ Two evaluation paths exist per model and are **bit-identical**:
 - the batched path (:meth:`ArchitectureModel.implement_batch`) — a whole
   sequence of configurations in one call, returning a struct-of-arrays
   :class:`BatchImplementationReport`.  The base-class implementation is
-  a scalar loop (:meth:`ArchitectureModel.implement_batch_scalar`);
-  every concrete model overrides it with a vectorised version whose
-  reports — including error behaviour on unmappable configurations —
-  match the scalar path bit for bit (pinned by the Hypothesis suite in
-  ``tests/test_evaluator_batch.py``).
+  a scalar loop (:meth:`ArchitectureModel.implement_batch_scalar`).  A
+  model overrides it only where a batch beats that loop (the ARM9 and
+  the Montium; the GC4016, low-power and Cyclone models re-declare it as
+  that loop so each batch is timed under its own name); an override's reports — including error behaviour on
+  unmappable configurations — match the scalar path bit for bit
+  (pinned by the Hypothesis suite in ``tests/test_evaluator_batch.py``).
 """
 
 from __future__ import annotations
@@ -190,9 +191,10 @@ class ArchitectureModel(ABC):
         """Realise a whole batch of configurations in one call.
 
         The default is the scalar loop
-        (:meth:`implement_batch_scalar`); concrete models override it
-        with a vectorised path that is bit-identical, including the
-        mapping errors recorded for unmappable configurations.
+        (:meth:`implement_batch_scalar`).  A model overrides it only with
+        a path that is faster than that loop and bit-identical to it,
+        including the mapping errors recorded for unmappable
+        configurations.
         """
         return self.implement_batch_scalar(configs)
 

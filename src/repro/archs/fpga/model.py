@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from ...config import DDCConfig, REFERENCE_DDC
-from ...errors import ConfigurationError, MappingError
 from ..base import (
     ArchitectureModel,
     BatchImplementationReport,
@@ -20,12 +19,7 @@ from ..base import (
 )
 from .devices import CYCLONE_II_EP2C5, FPGADevice
 from .power import FPGAPowerModel
-from .resources import (
-    ResourceUsage,
-    estimate_ddc_resources,
-    estimate_ddc_resources_batch,
-    require_fit,
-)
+from .resources import estimate_ddc_resources, require_fit
 
 
 class CycloneModel(ArchitectureModel):
@@ -45,16 +39,18 @@ class CycloneModel(ArchitectureModel):
         self.power_model = FPGAPowerModel(device)
         self.name = f"Altera {device.family}"
 
-    def _report(
-        self, config: DDCConfig, usage: ResourceUsage, total_w: float
-    ) -> ImplementationReport:
-        """Assemble the Table 7 row (shared by scalar and batched paths)."""
+    def implement(self, config: DDCConfig = REFERENCE_DDC) -> ImplementationReport:
+        usage = estimate_ddc_resources(self.device, config)
+        require_fit(usage, self.device)
         clock_hz = config.input_rate_hz
+        power = self.power_model.estimate(
+            usage, clock_hz, self.internal_toggle, self.input_toggle
+        )
         return ImplementationReport(
             architecture=self.name,
             technology=self.device.technology,
             clock_hz=clock_hz,
-            power_w=total_w,
+            power_w=power.total_w,
             area_mm2=None,
             flexibility=self.flexibility,
             feasible=clock_hz <= self.device.fmax_ddc_hz,
@@ -66,57 +62,12 @@ class CycloneModel(ArchitectureModel):
             ),
         )
 
-    def implement(self, config: DDCConfig = REFERENCE_DDC) -> ImplementationReport:
-        usage = estimate_ddc_resources(self.device, config)
-        require_fit(usage, self.device)
-        power = self.power_model.estimate(
-            usage, config.input_rate_hz, self.internal_toggle,
-            self.input_toggle,
-        )
-        return self._report(config, usage, power.total_w)
-
     def implement_batch(
         self, configs: Sequence[DDCConfig]
     ) -> BatchImplementationReport:
-        """Batched :meth:`implement` over a configuration axis.
-
-        Resource estimation is one
-        :func:`~repro.archs.fpga.resources.estimate_ddc_resources_batch`
-        numpy pass (bit-identical integer bookkeeping); designs that do
-        not fit re-run the scalar :func:`require_fit` to record the
-        scalar-identical :class:`~repro.errors.MappingError`, and the
-        power arithmetic for every mappable configuration is one
-        :meth:`FPGAPowerModel.estimate_batch` numpy pass, bit-identical
-        to the scalar estimates.
-        """
-        estimated, errors = estimate_ddc_resources_batch(
-            self.device, configs
-        )
-        usages: list[ResourceUsage | None] = []
-        for i, usage in enumerate(estimated):
-            if usage is not None and not usage.fits(self.device):
-                try:
-                    require_fit(usage, self.device)
-                except (ConfigurationError, MappingError) as exc:
-                    errors[i] = exc
-                    usage = None
-            usages.append(usage)
-        mappable = [i for i, u in enumerate(usages) if u is not None]
-        reports: list[ImplementationReport | None] = [None] * len(configs)
-        if mappable:
-            breakdowns = self.power_model.estimate_batch(
-                [usages[i] for i in mappable],
-                self.internal_toggle,
-                [configs[i].input_rate_hz for i in mappable],
-                self.input_toggle,
-            )
-            for i, power in zip(mappable, breakdowns):
-                usage = usages[i]
-                assert usage is not None
-                reports[i] = self._report(configs[i], usage, power.total_w)
-        return BatchImplementationReport.from_reports(
-            self.name, reports, errors
-        )
+        # The scalar loop is as fast as numpy here; the method stays so
+        # perfbench times the batch under this device's own layer name.
+        return self.implement_batch_scalar(configs)
 
     def dynamic_power_w(self, config: DDCConfig = REFERENCE_DDC) -> float:
         """Dynamic-only power (the component the paper scales for the

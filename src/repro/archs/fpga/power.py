@@ -97,84 +97,14 @@ class FPGAPowerModel:
             logic_w=logic_w,
         )
 
-    def estimate_batch(
-        self,
-        usage,
-        toggle_rates,
-        frequency_hz=64_512_000.0,
-        input_toggle: float = 0.50,
-    ) -> list[PowerBreakdown]:
-        """Batched :meth:`estimate` over a whole grid of operating points.
-
-        One numpy pass instead of a Python loop; each breakdown is
-        bit-identical to the scalar estimate at the same point (same
-        operation order in float64).
-
-        Any of ``usage`` (a :class:`ResourceUsage` or a sequence of
-        them), ``toggle_rates`` and ``frequency_hz`` may be a grid; they
-        broadcast against each other, so both the Table 5 toggle sweep
-        (one usage, many toggles) and the batched architecture model
-        (many usages/frequencies, one toggle) ride this entry point.
-        """
-        import numpy as np
-
-        toggles = np.asarray(toggle_rates, dtype=np.float64)
-        if isinstance(usage, ResourceUsage):
-            les = np.asarray(float(usage.logic_elements))
-        else:
-            les = np.array(
-                [u.logic_elements for u in usage], dtype=np.float64
-            )
-        freqs = np.asarray(frequency_hz, dtype=np.float64)
-        if toggles.ndim > 1 or les.ndim > 1 or freqs.ndim > 1:
-            raise ConfigurationError(
-                "batch axes must be scalars or one-dimensional grids"
-            )
-        try:
-            shape = np.broadcast_shapes(
-                toggles.shape, les.shape, freqs.shape
-            )
-        except ValueError:
-            raise ConfigurationError(
-                "usage, toggle_rates and frequency_hz grids must broadcast"
-            ) from None
-        if int(np.prod(shape, dtype=np.int64)) == 0 or shape == ():
-            raise ConfigurationError(
-                "toggle_rates must be a non-empty one-dimensional grid"
-            )
-        if float(toggles.min()) < 0.0 or float(toggles.max()) > 1.0:
-            raise ConfigurationError("internal_toggle must be in [0, 1]")
-        if float(freqs.min()) <= 0:
-            raise ConfigurationError("frequency must be positive")
-        if not 0.0 <= input_toggle <= 1.0:
-            raise ConfigurationError("input_toggle must be in [0, 1]")
-        dev = self.device
-        f_ratio = freqs / dev.calibration_frequency_hz
-        clock_w = np.broadcast_to(
-            0.5 * dev.clock_io_power_w * f_ratio
-            + 0.5 * dev.clock_io_power_w * f_ratio * (input_toggle / 0.5),
-            shape,
-        )
-        logic_w = np.broadcast_to(
-            dev.logic_power_w_per_le_hz_toggle * les * freqs * toggles,
-            shape,
-        )
-        return [
-            PowerBreakdown(
-                static_w=dev.static_power_w,
-                clock_io_w=float(cw),
-                logic_w=float(lw),
-            )
-            for cw, lw in zip(clock_w, logic_w)
-        ]
-
     def table5_sweep(
         self,
         usage: ResourceUsage,
         toggle_rates: tuple[float, ...] = (0.05, 0.10, 0.50, 0.875),
         frequency_hz: float = 64_512_000.0,
     ) -> list[tuple[float, PowerBreakdown]]:
-        """The Table 5 sweep: (toggle, breakdown) pairs, one
-        :meth:`estimate_batch` numpy pass."""
-        breakdowns = self.estimate_batch(usage, toggle_rates, frequency_hz)
-        return list(zip(toggle_rates, breakdowns))
+        """The Table 5 sweep: (toggle, breakdown) pairs."""
+        return [
+            (toggle, self.estimate(usage, frequency_hz, toggle))
+            for toggle in toggle_rates
+        ]

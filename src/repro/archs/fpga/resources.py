@@ -21,15 +21,11 @@ and decimations — is what the ablation benches exercise.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
 
 from ...config import DDCConfig, REFERENCE_DDC
-from ...errors import ConfigurationError, MappingError
+from ...errors import MappingError
 from ...fixedpoint import cic_bit_growth, fir_accumulator_bits
 from .devices import FPGADevice
 
@@ -170,134 +166,6 @@ def estimate_ddc_resources(
         pins=pins,
     )
     return usage
-
-
-@functools.lru_cache(maxsize=None)
-def _cic_growth_cached(order: int, decimation: int) -> int:
-    """Memoised :func:`~repro.fixedpoint.cic_bit_growth` — the integer
-    bookkeeping the batch estimator shares, value for value, with the
-    scalar path (same helper, so bit-growth can never diverge)."""
-    return cic_bit_growth(order, decimation)
-
-
-@functools.lru_cache(maxsize=None)
-def _fir_acc_cached(width: int, taps_impl: int) -> int:
-    """Memoised :func:`~repro.fixedpoint.fir_accumulator_bits`."""
-    return fir_accumulator_bits(width, width, taps_impl)
-
-
-def estimate_ddc_resources_batch(
-    device: FPGADevice,
-    configs: Sequence[DDCConfig],
-    lut_bits: int = 6,
-) -> tuple[list[ResourceUsage | None], list[Exception | None]]:
-    """Vectorised :func:`estimate_ddc_resources` over a configuration axis.
-
-    One numpy pass over the LE/memory/multiplier/pin arithmetic: every
-    per-config quantity accumulates elementwise in the same operation
-    order as the scalar estimator (integer adds and the same
-    ``math.ceil``-equivalent roundings), and the word-length bookkeeping
-    rides the identical :func:`~repro.fixedpoint.cic_bit_growth` /
-    :func:`~repro.fixedpoint.fir_accumulator_bits` helpers (memoised per
-    distinct operand pair), so each returned :class:`ResourceUsage` is
-    bit-identical to ``estimate_ddc_resources(device, config)``.
-
-    Returns ``(usages, errors)`` in the struct-of-arrays batch idiom: a
-    configuration whose word-length analysis is degenerate (e.g. a
-    single-tap FIR, whose implemented tap count is zero) gets ``None``
-    and the scalar-identical :class:`~repro.errors.ConfigurationError`
-    instead of aborting the batch.
-    """
-    n = len(configs)
-    if n == 0:
-        return [], []
-    errors: list[Exception | None] = [None] * n
-    w = np.array([c.data_width for c in configs], dtype=np.int64)
-    taps_impl = np.array(
-        [c.fir_taps - 1 for c in configs], dtype=np.int64
-    )
-
-    use_embedded = device.multipliers_9bit > 0
-    les = np.full(n, _CTRL_TOP, dtype=np.int64)
-    mults = np.zeros(n, dtype=np.int64)
-
-    # ---------------------------------------------------------- NCO + mixer
-    les += 32 + _CTRL_NCO
-    # one 18x18 block (reported as 2 9-bit units) per <=18-bit product
-    embedded_units = 2 * (-(-w // 18)) * (-(-w // 18))
-    soft_les = np.ceil(_ALPHA_MULT * w * w).astype(np.int64)
-    for _ in range(2):  # two mixer products (I and Q)
-        if use_embedded:
-            mults += embedded_units
-            les += 2 * w
-        else:
-            les += soft_les + w
-
-    # ----------------------------------------------------------- CIC stages
-    for orders, decims in (
-        (
-            np.array([c.cic2_order for c in configs], dtype=np.int64),
-            np.array([c.cic2_decimation for c in configs], dtype=np.int64),
-        ),
-        (
-            np.array([c.cic5_order for c in configs], dtype=np.int64),
-            np.array([c.cic5_decimation for c in configs], dtype=np.int64),
-        ),
-    ):
-        present = (orders != 0) & (decims != 1)
-        growth = np.array(
-            [
-                _cic_growth_cached(int(o), int(d)) if p else 0
-                for o, d, p in zip(orders, decims, present)
-            ],
-            dtype=np.int64,
-        )
-        internal = w + growth
-        per_rail = 2 * orders * internal
-        les += np.where(present, 2 * per_rail + 2 * _CTRL_CIC, 0)
-
-    # ------------------------------------------------------------------ FIR
-    acc_list = []
-    for i, (wi, t) in enumerate(zip(w, taps_impl)):
-        try:
-            acc_list.append(_fir_acc_cached(int(wi), int(t)))
-        except (ConfigurationError, MappingError) as exc:
-            errors[i] = exc
-            acc_list.append(0)
-    acc_w = np.array(acc_list, dtype=np.int64)
-    for _ in range(2):  # two rails
-        if use_embedded:
-            mults += embedded_units
-            les += acc_w + _CTRL_FIR
-        else:
-            les += soft_les + acc_w + _CTRL_FIR
-
-    # --------------------------------------------------------------- memory
-    fir_ram_bits = 2 * taps_impl * w
-    fir_rom_bits = 2 * (taps_impl + 1) * w
-    nco_rom_bits = (1 << lut_bits) * w
-    memory_bits = fir_ram_bits + fir_rom_bits + nco_rom_bits
-    if device.family == "Cyclone II":
-        memory_bits = np.ceil(memory_bits * 1.13).astype(np.int64)
-
-    # ----------------------------------------------------------------- pins
-    pins = w + 2 * w + 5
-
-    if device.family == "Cyclone II":
-        les = np.ceil(les * _CYCLONE_II_PACKING).astype(np.int64)
-
-    usages = [
-        None
-        if errors[i] is not None
-        else ResourceUsage(
-            logic_elements=int(les[i]),
-            memory_bits=int(memory_bits[i]),
-            multipliers_9bit=int(mults[i]),
-            pins=int(pins[i]),
-        )
-        for i in range(n)
-    ]
-    return usages, errors
 
 
 def require_fit(usage: ResourceUsage, device: FPGADevice) -> None:

@@ -21,7 +21,6 @@ from ..base import (
 )
 from .ddc_mapping import build_ddc_schedule
 from .program import estimate_config_bytes
-from .schedule import analyze_schedule
 
 
 def _schedule_key(config: DDCConfig) -> tuple:
@@ -29,7 +28,8 @@ def _schedule_key(config: DDCConfig) -> tuple:
 
     Configurations that agree on these fields produce identical schedules
     (and identical mapping errors), so a batch builds each distinct
-    schedule once.  Pinned by the batch==scalar Hypothesis suite in
+    schedule once and reads its period and configuration size.  Pinned
+    by the batch==scalar Hypothesis suite in
     ``tests/test_evaluator_batch.py`` — extend the key if the mapping
     grows a new configuration dependence.
     """
@@ -92,9 +92,8 @@ class MontiumModel(ArchitectureModel):
 
     def implement(self, config: DDCConfig = REFERENCE_DDC) -> ImplementationReport:
         program = build_ddc_schedule(config)
-        occupancy = analyze_schedule(program)
         return self._report(
-            config, occupancy.period, estimate_config_bytes(program)
+            config, program.period, estimate_config_bytes(program)
         )
 
     def implement_batch(
@@ -104,11 +103,12 @@ class MontiumModel(ArchitectureModel):
 
         Schedule construction is deduplicated on the configuration fields
         the mapping actually reads (:func:`_schedule_key`): each distinct
-        schedule — or each distinct mapping error — is built once and
-        shared by every configuration with the same key, and the
-        power/notes arithmetic per configuration is the same as the
-        scalar path, so reports and errors are bit-identical to the
-        scalar loop.
+        schedule — or each distinct mapping error — is built once, its
+        period and configuration size are shared by every configuration
+        with the same key, and the power/notes arithmetic per
+        configuration is the scalar path's, so reports and errors are
+        bit-identical to the scalar loop.  Building the schedule is most
+        of a scalar :meth:`implement`, so this beats the plain loop.
         """
         built: dict[tuple, tuple[int, int] | Exception] = {}
         reports: list[ImplementationReport | None] = []
@@ -119,10 +119,7 @@ class MontiumModel(ArchitectureModel):
             if outcome is None:
                 try:
                     program = build_ddc_schedule(config)
-                    outcome = (
-                        analyze_schedule(program).period,
-                        estimate_config_bytes(program),
-                    )
+                    outcome = (program.period, estimate_config_bytes(program))
                 except (ConfigurationError, MappingError) as exc:
                     outcome = exc
                 built[key] = outcome

@@ -13,8 +13,6 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 
-import numpy as np
-
 from ...errors import ConfigurationError
 from .program import TileProgram
 from .tile import MontiumTile
@@ -63,58 +61,7 @@ class OccupancyReport:
 
 
 def analyze_schedule(program: TileProgram) -> OccupancyReport:
-    """Static occupancy over one schedule period (vectorised fast path).
-
-    One flattening pass extracts ``(cycle, alu, label)`` triples; the
-    distinct-cycle and distinct-ALU counts per label are then numpy
-    ``unique``/``bincount`` passes instead of per-op dict/set updates.
-    Bit-identical to :func:`analyze_schedule_scalar` (same sorted label
-    order, same ``100.0 * cycles / period`` float arithmetic) — the
-    remaining per-schedule python in the Montium's ``implement_batch``,
-    which the design-space explorer hits once per distinct input rate.
-    """
-    if program.period == 0:
-        raise ConfigurationError("empty program")
-    labels: list[str] = []
-    cycles: list[int] = []
-    alus: list[int] = []
-    for i, ops in enumerate(program.cycles):
-        for alu, op in ops.items():
-            cycles.append(i)
-            alus.append(alu)
-            labels.append(op.label)
-    uniq = sorted(set(labels))
-    if not uniq:
-        return OccupancyReport((), program.period)
-    code = {label: k for k, label in enumerate(uniq)}
-    lab = np.array([code[label] for label in labels], dtype=np.int64)
-    cyc = np.array(cycles, dtype=np.int64)
-    alu_arr = np.array(alus, dtype=np.int64)
-    n_labels = len(uniq)
-    # Distinct (label, cycle) pairs per label = cycles the label is active.
-    cycle_keys = np.unique(lab * program.period + cyc)
-    cycles_per_label = np.bincount(
-        cycle_keys // program.period, minlength=n_labels
-    )
-    # Distinct (label, alu) pairs per label = ALUs that ever run it.
-    alu_keys = np.unique(lab * MontiumTile.N_ALUS + alu_arr)
-    alus_per_label = np.bincount(
-        alu_keys // MontiumTile.N_ALUS, minlength=n_labels
-    )
-    rows = tuple(
-        OccupancyRow(
-            label,
-            int(alus_per_label[k]),
-            100.0 * int(cycles_per_label[k]) / program.period,
-        )
-        for k, label in enumerate(uniq)
-    )
-    return OccupancyReport(rows, program.period)
-
-
-def analyze_schedule_scalar(program: TileProgram) -> OccupancyReport:
-    """The seed per-op dict/set loop — the oracle :func:`analyze_schedule`
-    is pinned against (``tests/test_montium.py``)."""
+    """Static occupancy over one schedule period."""
     if program.period == 0:
         raise ConfigurationError("empty program")
     cycles_per_label: dict[str, int] = defaultdict(int)

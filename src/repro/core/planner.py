@@ -71,18 +71,15 @@ def enumerate_plans(
 ) -> list[DecimationPlan]:
     """All valid plans for ``spec``, best (lowest cost) first.
 
-    The valid candidate splits are costed in one
-    ``LowPowerDDCModel.estimate_power_batch`` pass — struct-of-arrays end
-    to end: the planner only reads the power column, so no
-    :class:`~repro.archs.base.ImplementationReport` is materialised just
-    to be thrown away (the batch powers are bit-identical to the
-    reports' ``power_w``, pinned by ``tests/test_core.py``), and splits
-    the model cannot map are dropped exactly like the seed's per-split
-    scalar loop.  Candidates are generated in deterministic order and
-    the final sort is stable.
+    Each valid candidate split is costed with
+    ``LowPowerDDCModel.estimate_power_w``; splits outside the model's
+    supported decimation range are dropped, as the seed's per-split
+    loop did.  Candidates are generated in deterministic order and the
+    final sort is stable.
     """
     total = spec.total_decimation
-    prepared: list[tuple[tuple[int, int, int], DDCConfig, float]] = []
+    model = _planner_cost_model()
+    plans: list[DecimationPlan] = []
     for fir in _divisors(total):
         if not fir_range[0] <= fir <= fir_range[1]:
             continue
@@ -98,21 +95,10 @@ def enumerate_plans(
             except ConfigurationError:
                 continue
             rejection = _chain_rejection(config, spec.bandwidth_hz)
-            if rejection < min_rejection_db:
+            if rejection < min_rejection_db or not model.supports(config):
                 continue
-            prepared.append(((cic2, cic5, fir), config, rejection))
-    if not prepared:
-        return []
-    powers, errors = _planner_cost_model().estimate_power_batch(
-        [config for _, config, _ in prepared]
-    )
-    plans = [
-        DecimationPlan(*split, float(power), rejection)
-        for (split, _, rejection), power, error in zip(
-            prepared, powers, errors
-        )
-        if error is None  # else out of the supported decimation range
-    ]
+            cost = model.estimate_power_w(config)
+            plans.append(DecimationPlan(cic2, cic5, fir, cost, rejection))
     plans.sort(key=lambda p: p.cost)
     return plans
 

@@ -29,7 +29,6 @@ from .scenarios import (
     ScenarioGrid,
     ScenarioResult,
     duty_cycle_crossover,
-    duty_cycle_crossover_batch,
     duty_grid,
 )
 
@@ -48,6 +47,5 @@ __all__ = [
     "ScenarioGrid",
     "ScenarioResult",
     "duty_cycle_crossover",
-    "duty_cycle_crossover_batch",
     "duty_grid",
 ]

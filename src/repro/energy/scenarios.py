@@ -272,26 +272,3 @@ def duty_cycle_crossover(
     if not 0.0 <= d <= 1.0:
         return None
     return d
-
-
-def duty_cycle_crossover_batch(
-    candidates: Sequence[ScenarioCandidate],
-) -> np.ndarray:
-    """All pairwise crossovers in one pass.
-
-    Returns an ``(n, n)`` matrix whose ``[i, j]`` entry equals
-    ``duty_cycle_crossover(candidates[i], candidates[j])`` bit for bit,
-    with ``nan`` standing in for the scalar path's ``None`` (parallel
-    cost lines, or a crossing outside ``[0, 1]``).
-    """
-    if not candidates:
-        raise ConfigurationError("need at least one candidate")
-    active = np.array([c.active_power_w for c in candidates])
-    idle = np.array([c.idle_power_w for c in candidates])
-    slope = active - idle
-    denom = slope[:, None] - slope[None, :]
-    num = idle[None, :] - idle[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d = num / denom
-    d[(denom == 0.0) | (d < 0.0) | (d > 1.0)] = np.nan
-    return d

@@ -42,11 +42,11 @@ import fcntl
 import hashlib
 import json
 import os
-import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, Sequence
 
+from .._atomic import write_atomic
 from ..archs.base import (
     ArchitectureModel,
     Flexibility,
@@ -248,34 +248,7 @@ class ReportStore:
                     sort_keys=True,
                 )
             )
-        # Atomic replace: a concurrent reader (or a crash mid-write)
-        # sees either the old complete file or the new one, never a
-        # torn mix.  The temp file is fsynced before the replace so the
-        # rename cannot outlive its contents across a power cut, and the
-        # directory entry is fsynced best-effort afterwards.
-        fd, tmp_name = tempfile.mkstemp(
-            dir=self.path.parent, prefix=self.path.name, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write("\n".join(lines) + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp_name, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        try:
-            dir_fd = os.open(self.path.parent, os.O_RDONLY)
-            try:
-                os.fsync(dir_fd)
-            finally:
-                os.close(dir_fd)
-        except OSError:
-            pass
+        write_atomic(self.path, (line + "\n" for line in lines))
         # Chaos site: a "torn" spec truncates the just-published file
         # and raises, simulating a crash that corrupted the store tail —
         # what the salvage path above must survive.

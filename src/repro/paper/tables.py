@@ -159,11 +159,8 @@ def table4() -> TableResult:
 
 
 def table5() -> TableResult:
-    """Table 5: Cyclone I power vs internal toggle rate.
-
-    The sweep rides :meth:`FPGAPowerModel.estimate_batch` — one numpy
-    pass over the toggle grid.
-    """
+    """Table 5: Cyclone I power vs internal toggle rate
+    (:meth:`FPGAPowerModel.table5_sweep`)."""
     from ..archs.fpga.devices import CYCLONE_I_EP1C3
     from ..archs.fpga.power import FPGAPowerModel
     from ..archs.fpga.resources import estimate_ddc_resources

@@ -2,13 +2,13 @@
 
 :func:`evaluate_point` turns one :class:`~repro.sweep.spec.SweepPoint`
 into a :class:`PointResult`: it binds the point to a configuration, runs
-the architecture models through the **batched model layer**
-(the shared evaluator's cached reports, i.e. each model's
-``implement_batch`` — no scalar ``implement`` call sits on the grid hot
-path), and evaluates the whole duty-cycle x candidate
-grid through the batched scenario APIs
-(:meth:`~repro.energy.scenarios.ScenarioAnalysis.evaluate_batch`,
-:func:`~repro.energy.scenarios.duty_cycle_crossover_batch`).
+the architecture models through the shared evaluator's cached reports
+(each model's ``implement_batch``), evaluates the whole duty-cycle x
+candidate grid in one
+:meth:`~repro.energy.scenarios.ScenarioAnalysis.evaluate_batch` pass,
+and finds the crossovers with one pairwise
+:func:`~repro.energy.scenarios.duty_cycle_crossover` loop, which both
+engines share.
 :func:`run_sweep` goes one level further: the *entire configuration axis*
 is served by one pass of the evaluator's candidate builder before any
 grid math runs, and the workload's per-process
@@ -18,7 +18,7 @@ amortises repeated configurations across sweeps.
 ``engine="scalar"`` evaluates the same grid through the seed scalar path
 (per-point scalar ``implement`` model runs, one
 :meth:`~repro.energy.scenarios.ScenarioAnalysis.evaluate` call per duty
-cycle, one pairwise crossover at a time).  Both engines emit bit-identical
+cycle).  Both engines emit bit-identical
 :class:`PointResult` s — the scalar engine is the oracle the
 ``python -m repro.sweep --verify`` mode and the ``scenario_sweep`` /
 ``evaluator_batch`` bench baselines run against.
@@ -30,7 +30,6 @@ cycle, one pairwise crossover at a time).  Both engines emit bit-identical
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -42,7 +41,6 @@ from ..energy.scenarios import (
     ScenarioGrid,
     ScenarioResult,
     duty_cycle_crossover,
-    duty_cycle_crossover_batch,
     duty_grid,
 )
 from .. import telemetry
@@ -306,25 +304,17 @@ def _point_grid(
         powers = tuple(map(tuple, grid.powers_w.tolist()))
         winners = tuple(grid.winners())
         regions = tuple(grid.winning_regions())
-        matrix = duty_cycle_crossover_batch(candidates)
-        crossovers = tuple(
-            (names[i], names[j], float(matrix[i, j]))
-            for i in range(len(names))
-            for j in range(i + 1, len(names))
-            if not math.isnan(matrix[i, j])
-        )
     else:
         results, winners, regions = scalar_duty_cycle_grid(analysis, steps)
         powers = tuple(
             tuple(r.powers_w[name] for name in names) for r in results
         )
-        scalar_pairs = []
-        for i in range(len(candidates)):
-            for j in range(i + 1, len(candidates)):
-                d = duty_cycle_crossover(candidates[i], candidates[j])
-                if d is not None:
-                    scalar_pairs.append((names[i], names[j], d))
-        crossovers = tuple(scalar_pairs)
+    crossovers = []
+    for i in range(len(candidates)):
+        for j in range(i + 1, len(candidates)):
+            d = duty_cycle_crossover(candidates[i], candidates[j])
+            if d is not None:
+                crossovers.append((names[i], names[j], d))
 
     return PointResult(
         index=point.index,
@@ -336,7 +326,7 @@ def _point_grid(
         powers_w=powers,
         winners=winners,
         winning_regions=regions,
-        crossovers=crossovers,
+        crossovers=tuple(crossovers),
     )
 
 

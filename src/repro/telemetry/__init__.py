@@ -28,7 +28,8 @@ use) arms tracing for a block; records from every thread buffer in
 memory, stamped ``(pid, tid, seq)``, and on exit the trace is written to
 ``PATH`` once: a ``repro-trace/v1`` header line, then one record per
 line in emission order.  The write is atomic (temp file +
-``os.replace``), mirroring :class:`repro.explore.store.ReportStore`.
+``os.replace``), through the same helper as
+:class:`repro.explore.store.ReportStore`.
 :func:`load_trace` reads such a file back.
 
 **Telemetry never perturbs results.**  Timestamps and durations live
@@ -40,12 +41,13 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import threading
 import time
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterator
+
+from .._atomic import write_atomic
 
 #: Schema tag written into trace headers.
 SCHEMA = "repro-trace/v1"
@@ -197,21 +199,14 @@ def tracing(trace_path: str | os.PathLike | None) -> Iterator[None]:
 def _write_trace(records: list[dict], out: Path) -> None:
     """Write the header and ``records`` to ``out`` atomically."""
     out.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(
-        dir=str(out.parent), prefix=out.name, suffix=".tmp"
+    header = {"schema": SCHEMA, "records": len(records)}
+    write_atomic(
+        out,
+        (
+            json.dumps(rec, sort_keys=True, default=repr) + "\n"
+            for rec in (header, *records)
+        ),
     )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            header = {"schema": SCHEMA, "records": len(records)}
-            fh.write(json.dumps(header, sort_keys=True) + "\n")
-            for rec in records:
-                fh.write(json.dumps(rec, sort_keys=True, default=repr) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, out)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
 
 
 def load_trace(path: str | os.PathLike) -> list[dict]:

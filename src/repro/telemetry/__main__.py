@@ -6,13 +6,16 @@ totals, report-cache hit rates, worker utilisation and the top-N
 slowest spans.  ``--json`` emits the summary
 document instead, for machine consumers (CI artifacts).
 
-Exit codes: 0 summary rendered; 2 unreadable or empty trace.
+Exit codes: 0 summary rendered; 1 stdout closed before the whole
+summary was written (a reader such as ``| head`` stopped early; no
+traceback is printed); 2 unreadable or empty trace.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import load_trace
@@ -54,9 +57,17 @@ def main(argv: list[str] | None = None) -> int:
 
     doc = summarize(records)
     if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        text = json.dumps(doc, indent=2, sort_keys=True)
     else:
-        print(render(doc, top=args.top))
+        text = render(doc, top=args.top)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at devnull so the flush at interpreter exit does
+        # not hit the closed pipe again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

@@ -146,7 +146,7 @@ class TestEvaluator:
 
 
 class TestPlannerCostOnlyPath:
-    """The cost pass is struct-of-arrays: no reports, identical costs."""
+    """The cost pass builds no reports and its costs are the reports'."""
 
     def test_costs_equal_the_report_power(self):
         from repro.archs.asic.lowpower import LowPowerDDCModel
@@ -170,6 +170,6 @@ class TestPlannerCostOnlyPath:
         monkeypatch.setattr(
             lowpower.LowPowerDDCModel, "implement_batch", boom
         )
-        monkeypatch.setattr(lowpower.LowPowerDDCModel, "_report", boom)
+        monkeypatch.setattr(lowpower.LowPowerDDCModel, "implement", boom)
         plans = enumerate_plans(DDCSpec())
         assert (16, 21, 8) in [p.as_tuple() for p in plans]

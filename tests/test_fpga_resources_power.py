@@ -120,23 +120,26 @@ class TestTable5:
         with pytest.raises(ConfigurationError):
             model.estimate(usage, frequency_hz=-1.0)
 
-    def test_estimate_batch_bit_identical_to_scalar(self):
-        """The numpy batch path reproduces each scalar estimate exactly."""
+    def test_sweep_is_the_estimate_at_each_toggle(self):
+        """Each sweep point is the scalar estimate at that toggle, in
+        the order given, endpoints included."""
         usage = estimate_ddc_resources(CYCLONE_I_EP1C3)
         model = FPGAPowerModel(CYCLONE_I_EP1C3)
-        toggles = [0.0, 0.05, 0.10, 0.50, 0.875, 1.0]
-        batch = model.estimate_batch(usage, toggles)
-        for t, b in zip(toggles, batch):
-            scalar = model.estimate(usage, internal_toggle=t)
-            assert b == scalar  # dataclass equality: every field bitwise
+        toggles = (1.0, 0.0, 0.05, 0.875, 0.10)
+        sweep = model.table5_sweep(usage, toggles, frequency_hz=40e6)
+        assert [t for t, _ in sweep] == list(toggles)
+        for toggle, breakdown in sweep:
+            # dataclass equality: every field bitwise
+            assert breakdown == model.estimate(usage, 40e6, toggle)
+        assert model.table5_sweep(usage, ()) == []
 
-    def test_estimate_batch_validation(self):
+    def test_sweep_rejects_an_out_of_range_toggle(self):
         usage = estimate_ddc_resources(CYCLONE_I_EP1C3)
         model = FPGAPowerModel(CYCLONE_I_EP1C3)
         with pytest.raises(ConfigurationError):
-            model.estimate_batch(usage, [])
+            model.table5_sweep(usage, (0.1, 1.2))
         with pytest.raises(ConfigurationError):
-            model.estimate_batch(usage, [0.1, 1.2])
+            model.table5_sweep(usage, (-0.1,))
 
 
 class TestCycloneModel:
@@ -161,31 +164,50 @@ class TestCycloneModel:
         dyn = model.dynamic_power_w(REFERENCE_DDC)
         assert dyn == pytest.approx(0.03111, rel=0.03)
 
-
-class TestBatchedResourceEstimator:
-    """estimate_ddc_resources_batch is bit-identical to the scalar
-    estimator, degenerate word-length errors included."""
+    @pytest.mark.parametrize("device", [CYCLONE_I_EP1C3, CYCLONE_II_EP2C5])
+    def test_single_tap_fir_is_unmappable(self, device):
+        """A one-tap FIR implements zero taps: ``implement`` raises and
+        ``implement_batch`` records the same error instead of aborting."""
+        model = CycloneModel(device)
+        config = DDCConfig(fir_taps=1)
+        with pytest.raises(ConfigurationError) as raised:
+            model.implement(config)
+        batch = model.implement_batch([config, REFERENCE_DDC])
+        assert not batch.mappable[0] and batch.mappable[1]
+        error = batch.errors[0]
+        assert type(error) is ConfigurationError
+        assert str(error) == str(raised.value)
 
     @pytest.mark.parametrize("device", [CYCLONE_I_EP1C3, CYCLONE_II_EP2C5])
-    def test_matches_scalar_over_a_grid(self, device):
-        from repro.archs.fpga.resources import estimate_ddc_resources_batch
-
+    def test_batch_over_a_grid_reports_the_power_model(self, device):
+        """Over a word-width x taps grid, each batch entry is the power
+        model's estimate of the estimated resources, or the estimator's
+        own error where the design cannot be mapped."""
+        model = CycloneModel(device)
         configs = [
             DDCConfig(data_width=w, fir_taps=taps)
             for w in (8, 12, 16, 20)
             for taps in (1, 63, 125)
         ]
-        usages, errors = estimate_ddc_resources_batch(device, configs)
-        for config, usage, error in zip(configs, usages, errors):
+        batch = model.implement_batch(configs)
+        assert len(batch) == len(configs)
+        for i, config in enumerate(configs):
             try:
-                want = estimate_ddc_resources(device, config)
-            except ConfigurationError as exc:
-                assert usage is None
-                assert type(error) is type(exc) and str(error) == str(exc)
-            else:
-                assert error is None and usage == want
-
-    def test_empty_batch(self):
-        from repro.archs.fpga.resources import estimate_ddc_resources_batch
-
-        assert estimate_ddc_resources_batch(CYCLONE_I_EP1C3, []) == ([], [])
+                usage = estimate_ddc_resources(device, config)
+                require_fit(usage, device)
+            except (ConfigurationError, MappingError) as exc:
+                assert not batch.mappable[i]
+                with pytest.raises(type(exc)) as raised:
+                    batch.report_at(i)
+                assert str(raised.value) == str(exc)
+                continue
+            want = model.power_model.estimate(
+                usage, config.input_rate_hz,
+                model.internal_toggle, model.input_toggle,
+            )
+            assert batch.mappable[i]
+            assert batch.power_w[i] == want.total_w
+            assert batch.report_at(i).power_w == want.total_w
+            assert bool(batch.feasible[i]) == (
+                config.input_rate_hz <= device.fmax_ddc_hz
+            )

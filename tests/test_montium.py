@@ -308,18 +308,24 @@ class TestMontiumModel:
             model.implement(DDCConfig(cic2_decimation=8))
 
 
-class TestVectorisedScheduleAnalysis:
-    """analyze_schedule (numpy) == analyze_schedule_scalar (seed loop)."""
+class TestScheduleAnalysis:
+    """analyze_schedule's exact rows on the DDC and synthetic schedules."""
 
-    def test_ddc_schedule_matches_oracle(self):
-        from repro.archs.montium.schedule import analyze_schedule_scalar
+    def test_ddc_schedule_rows(self):
+        """Active cycles per 336-cycle period: 21 CIC2 combs, 3 CIC5
+        combs, 84 CIC5 integrations, one FIR output, NCO every cycle."""
+        report = analyze_schedule(build_ddc_schedule())
+        assert report.period == 336
+        assert [(r.label, r.n_alus, r.percent_of_time) for r in report.rows] == [
+            ("cic2_comb", 2, 100.0 * 21 / 336),
+            ("cic5_comb", 2, 100.0 * 3 / 336),
+            ("cic5_int", 2, 100.0 * 84 / 336),
+            ("fir125", 2, 100.0 * 1 / 336),
+            ("nco_cic2_int", 3, 100.0 * 336 / 336),
+        ]
 
-        program = build_ddc_schedule()
-        assert analyze_schedule(program) == analyze_schedule_scalar(program)
-
-    def test_sparse_synthetic_schedule_matches_oracle(self):
+    def test_sparse_synthetic_schedule(self):
         from repro.archs.montium.program import TileProgram
-        from repro.archs.montium.schedule import analyze_schedule_scalar
 
         op_a = ALUOp(label="a")
         op_b = ALUOp(label="b")
@@ -332,18 +338,18 @@ class TestVectorisedScheduleAnalysis:
             ]
         )
         got = analyze_schedule(program)
-        want = analyze_schedule_scalar(program)
-        assert got == want
+        assert got.period == 4
+        assert [r.label for r in got.rows] == ["a", "b"]
         assert got.by_label("a").n_alus == 2
+        assert got.by_label("a").percent_of_time == 50.0
+        assert got.by_label("b").n_alus == 3
         assert got.by_label("b").percent_of_time == 75.0
 
     def test_empty_program_raises(self):
         from repro.archs.montium.program import TileProgram
-        from repro.archs.montium.schedule import analyze_schedule_scalar
 
-        for fn in (analyze_schedule, analyze_schedule_scalar):
-            with pytest.raises(ConfigurationError, match="empty"):
-                fn(TileProgram(cycles=[]))
+        with pytest.raises(ConfigurationError, match="empty"):
+            analyze_schedule(TileProgram(cycles=[]))
 
 
 @pytest.mark.parametrize("fn, width", [(wrap16, 16), (wrap17, 17), (wrap32, 32)])

@@ -40,9 +40,6 @@ KEEP = {
         "observation hook: the GPP engine-equivalence tests compare "
         "memories through it"
     ),
-    "archs.montium.schedule.analyze_schedule_scalar": (
-        "oracle: the seed loop analyze_schedule is tested against"
-    ),
     "archs.montium.tile.MontiumTile.alu_utilisation": (
         "observation hook: the Montium block/step equivalence tests and "
         "the Table 6 test read it"

@@ -18,9 +18,12 @@ from __future__ import annotations
 
 import json
 import os
+import stat
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -89,6 +92,43 @@ class TestCoreAPI:
         header = json.loads(lines[0])
         assert header == {"schema": telemetry.SCHEMA, "records": 1}
         assert load_trace(out)[0]["name"] == "c"
+
+    def test_trace_and_store_get_the_mode_of_a_plain_open(self, tmp_path):
+        """Under umask 022 a new trace and a new store are 0644, as an
+        ``open(path, "w")`` file would be; a rewrite keeps the mode."""
+        trace = tmp_path / "trace.jsonl"
+        store = ReportStore(tmp_path / "store.jsonl")
+        old_umask = os.umask(0o022)
+        try:
+            with telemetry.tracing(trace):
+                telemetry.counter("c")
+            store.save(ReportCache())
+            assert stat.S_IMODE(trace.stat().st_mode) == 0o644
+            assert stat.S_IMODE(store.path.stat().st_mode) == 0o644
+            store.path.chmod(0o600)
+            store.save(ReportCache())
+            assert stat.S_IMODE(store.path.stat().st_mode) == 0o600
+        finally:
+            os.umask(old_umask)
+        assert sorted(os.listdir(tmp_path)) == ["store.jsonl", "trace.jsonl"]
+
+    def test_failed_write_keeps_the_old_trace_and_no_temp(
+        self, tmp_path, monkeypatch
+    ):
+        out = tmp_path / "trace.jsonl"
+        with telemetry.tracing(out):
+            telemetry.counter("old")
+        before = out.read_bytes()
+
+        def fail(fd):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "fsync", fail)
+        with pytest.raises(OSError, match="disk full"):
+            with telemetry.tracing(out):
+                telemetry.counter("new")
+        assert os.listdir(tmp_path) == ["trace.jsonl"]
+        assert out.read_bytes() == before
 
     def test_concurrent_emits_lose_no_record(self, tmp_path):
         """More threads than cores emitting under a short switch interval:
@@ -341,3 +381,26 @@ class TestTelemetryCLI:
         trace.write_text('{"kind": "counter", "name": "c"}\n{"kind": ')
         assert telemetry_main([str(trace)]) == 2
         assert "error: cannot read trace" in capsys.readouterr().err
+
+    def test_reader_closing_the_pipe_is_a_quiet_exit_1(self, tmp_path):
+        """``python -m repro.telemetry TRACE | head -1``: once the reader
+        is gone the CLI stops with exit 1 and no traceback."""
+        trace = tmp_path / "t.jsonl"
+        n = 5000  # --top n renders several pipe buffers of text
+        with telemetry.tracing(trace):
+            for i in range(n):
+                with telemetry.span(f"span{i}"):
+                    pass
+        repo_src = str(Path(__file__).resolve().parent.parent / "src")
+        with subprocess.Popen(
+            [sys.executable, "-m", "repro.telemetry", str(trace),
+             "--top", str(n)],
+            env={**os.environ, "PYTHONPATH": repo_src},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        ) as proc:
+            assert proc.stdout.readline().startswith("trace:")
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in err
+        assert "BrokenPipeError" not in err
