@@ -8,8 +8,10 @@ each declared and documented once; ``--trace``; the stderr-only
 ``--metrics`` epilogue, which only reads counters; ``--verify`` (warm
 both engines on a tiny spec, time the production engine and the scalar
 oracle, require byte-identical reports); and the exit codes: 0 success,
-1 ``--verify`` divergence, 2 error (any :class:`~repro.errors.ReproError`),
-3 partial report (failures recorded under ``--on-error skip|retry``).
+1 ``--verify`` divergence, 2 error (any :class:`~repro.errors.ReproError`,
+or an :class:`OSError` on a path the user named, such as an unwritable
+``--output``/``--trace`` file), 3 partial report (failures recorded under
+``--on-error skip|retry``).
 """
 
 from __future__ import annotations
@@ -107,7 +109,7 @@ def main(command: Command, argv: list[str] | None = None) -> int:
             before = cache_counts(spec.workload)
             run = _verify if args.verify else _report
             return run(command, args, spec, before)
-    except ReproError as exc:
+    except (ReproError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

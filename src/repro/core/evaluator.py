@@ -71,7 +71,7 @@ def config_cache_key(config: Any) -> tuple:
     extends the key.  Works for any workload's frozen configuration
     dataclass (for :class:`~repro.config.DDCConfig` the tuple is
     unchanged from when this helper was DDC-specific, so cache keys and
-    checkpoint digests carry over).
+    the explore store's records carry over).
     """
     return tuple(getattr(config, f.name) for f in fields(type(config)))
 

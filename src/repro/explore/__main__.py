@@ -4,7 +4,8 @@ With no arguments it explores the reference space — the paper's DDC over
 an input-rate axis spanning both Cyclone f_max thresholds — adaptively
 and prints the JSON frontier report.  ``--store PATH`` warm-starts the
 report cache from (and spills it back to) an on-disk store so repeated
-explorations across processes skip re-running the models; ``--verify``
+explorations across processes skip re-running the models (a damaged
+store is refused with exit 2; delete it to start cold); ``--verify``
 runs the adaptive engine *and* the dense scalar oracle, requires their
 reports byte-identical, and reports the measured speedup and how few
 cells the adaptive engine actually evaluated (the shared flags:
@@ -121,16 +122,7 @@ def _run(args: argparse.Namespace, spec: ExploreSpec, engine: str, pooled):
     store = ReportStore(args.store)
     loaded = store.load(evaluator.cache, evaluator.models)
     _note(f"warm-started {loaded} report(s) from {args.store}")
-    if store.last_salvaged:
-        _note(f"salvaged a damaged store file — {store.last_salvaged} bad "
-              f"line(s) quarantined to {store.quarantine_path}")
-    checkpoint = store.load_checkpoint(spec, evaluator.models)
-    if checkpoint is not None:
-        done = sum(len(cells) for cells in checkpoint["evaluated"])
-        _note(f"resuming from checkpoint — round {checkpoint['round']}, "
-              f"{done} cell(s) already evaluated, "
-              f"{len(checkpoint['pending'])} pending")
-    report = run_explore(spec, engine, evaluator, store)
+    report = run_explore(spec, engine, evaluator)
     total = store.save(evaluator.cache)
     store.save_frontier(spec, evaluator.models, report.to_json_doc())
     _note(f"spilled cache ({total} report(s)) and frontier to {args.store}")

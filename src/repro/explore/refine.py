@@ -207,32 +207,6 @@ class PointExploration:
 _CellData = tuple[CellOutcome, CellSnapshot]
 
 
-# -------------------------------------------------- checkpoint round-trips
-# Unlike ``CellOutcome.to_json`` (a *report* view that drops the winners
-# tuple for compactness), the checkpoint keeps every field of the outcome
-# and snapshot dataclasses; floats survive json's shortest-repr encoding,
-# so a resumed run is byte-identical to an uninterrupted one.
-def _cell_to_doc(cell: _CellData) -> list:
-    return [dataclasses.asdict(part) for part in cell]
-
-
-def _tuples(value: Any) -> Any:
-    """json arrays back to the tuples the dataclasses hold."""
-    if isinstance(value, list):
-        return tuple(_tuples(v) for v in value)
-    return value
-
-
-def _cell_from_doc(doc: list) -> _CellData:
-    out_doc, snap_doc = doc
-    outcome = CellOutcome(**{k: _tuples(v) for k, v in out_doc.items()})
-    archs = tuple(
-        ArchSnapshot(**{k: _tuples(v) for k, v in a.items()})
-        for a in snap_doc["architectures"]
-    )
-    return outcome, CellSnapshot(snap_doc["index"], snap_doc["value"], archs)
-
-
 def _check_engine(engine: str) -> None:
     if engine not in ENGINES:
         raise ConfigurationError(
@@ -364,7 +338,6 @@ def run_explore(
     spec: ExploreSpec,
     engine: str = "adaptive",
     evaluator: DDCEvaluator | None = None,
-    store=None,
 ):
     """Explore the space; returns a :class:`~repro.explore.report.ExploreReport`.
 
@@ -375,23 +348,14 @@ def run_explore(
     uncached :meth:`~repro.workloads.base.Workload.evaluator` running the
     scalar oracle end to end.
 
-    ``store`` (a :class:`~repro.explore.store.ReportStore`, adaptive
-    engine only) arms **checkpoint/resume**: after every refinement
-    round the evaluated cells, pending set and counters are written to
-    the store in one atomic record (together with the report cache), and
-    a fresh call for the same space picks up exactly where a killed run
-    stopped.  Because the checkpoint round-trips cell state bit for bit
-    and refinement is a pure function of that state, a resumed run's
-    report is byte-identical to an uninterrupted one.  The checkpoint is
-    dropped when the exploration completes.
+    Persistence is the caller's: ``python -m repro.explore --store``
+    warm-starts the evaluator's cache from a
+    :class:`~repro.explore.store.ReportStore` before the run and spills
+    it back after.  A run that dies is simply run again.
     """
     from .report import ExploreReport
 
     _check_engine(engine)
-    if store is not None and engine != "adaptive":
-        raise ConfigurationError(
-            "checkpoint/resume (store=) needs the adaptive engine"
-        )
     points = spec.points()
     from ..workloads import get as get_workload
 
@@ -428,36 +392,17 @@ def run_explore(
         return ExploreReport(spec, results, len(points) * spec.target_steps)
 
     ev = evaluator if evaluator is not None else workload.shared_evaluator()
-    checkpoint = (
-        store.load_checkpoint(spec, ev.models) if store is not None else None
-    )
-    if checkpoint is not None:
-        evaluated = [
-            {int(k): _cell_from_doc(v) for k, v in point_doc.items()}
-            for point_doc in checkpoint["evaluated"]
-        ]
-        counts = list(checkpoint["counts"])
-        pending = [(p, index) for p, index in checkpoint["pending"]]
-        evaluations = checkpoint["evaluations"]
-        round_no = checkpoint["round"]
-    else:
-        evaluated: list[dict[int, _CellData]] = [{} for _ in points]
-        counts = [0] * len(points)
-        initial = sorted(
-            set(spec.coarse_indices()) | set(spec.probe_indices())
-        )
-        pending = [
-            (p, index) for p in range(len(points)) for index in initial
-        ]
-        evaluations = 0
-        round_no = 0
+    evaluated: list[dict[int, _CellData]] = [{} for _ in points]
+    counts = [0] * len(points)
+    initial = sorted(set(spec.coarse_indices()) | set(spec.probe_indices()))
+    pending = [(p, index) for p in range(len(points)) for index in initial]
+    evaluations = 0
+    round_no = 0
     while pending:
-        # One adaptive refinement round — span name matches the
-        # "explore.round" fault site below.
+        # One adaptive refinement round: one batched model pass.
         with telemetry.span(
             "explore.round", round=round_no, cells=len(pending)
         ):
-            fault_point("explore.round", key=round_no)
             configs = [
                 spec.config_at(points[p], index) for p, index in pending
             ]
@@ -493,25 +438,6 @@ def run_explore(
                     pending.append((p, (a + b) // 2))
                     queued += 1
             round_no += 1
-            if store is not None:
-                store.save_checkpoint(
-                    spec,
-                    ev.models,
-                    {
-                        "round": round_no,
-                        "evaluations": evaluations,
-                        "counts": list(counts),
-                        "evaluated": [
-                            {
-                                str(index): _cell_to_doc(cell)
-                                for index, cell in sorted(point_cells.items())
-                            }
-                            for point_cells in evaluated
-                        ],
-                        "pending": [[p, index] for p, index in pending],
-                    },
-                    cache=getattr(ev, "cache", None),
-                )
 
     coarse = spec.coarse_indices()
     results = []
@@ -541,8 +467,6 @@ def run_explore(
             )
         )
     _check_not_all_failed(spec, results)
-    if store is not None:
-        store.clear_checkpoint(spec, ev.models)
     return ExploreReport(spec, results, evaluations)
 
 

@@ -9,15 +9,16 @@ records —
   the cached :class:`~repro.errors.ConfigurationError` /
   :class:`~repro.errors.MappingError` (type + message);
 - ``frontier`` records: one exploration's rendered report document,
-  keyed by the digest of its search space;
-- ``checkpoint`` records: one in-flight exploration's resume state
-  (evaluated cells, pending set, round counters), keyed the same way —
-  written after every adaptive round, dropped on completion.
+  keyed by the digest of its search space.
 
 Readers ignore record kinds they do not know, so the schema stays
-``v1``: files from before a model's ``name`` was the ``architecture`` of
-its reports still hold ``label`` records, which load as nothing and drop
-out on the next save.
+``v1``: older files may still hold ``label`` records (from before a
+model's ``name`` was the ``architecture`` of its reports) or
+``checkpoint`` records (from when explore saved its state every
+refinement round); both load as nothing and drop out on the next save.
+
+The store is a cache, not a journal: every record can be recomputed
+from the models, so a damaged file is refused, never repaired.
 
 **Content-hashed invalidation**: models are identified by the SHA-256
 digest of ``repr(model.cache_key())`` and configurations by their
@@ -66,6 +67,9 @@ _ERROR_TYPES = {
     "ConfigurationError": ConfigurationError,
     "MappingError": MappingError,
 }
+
+#: The fields each record kind's readers need; other kinds are skipped.
+_FIELDS = {"report": ("model", "config"), "frontier": ("space", "doc")}
 
 
 def _digest(text: str) -> str:
@@ -130,13 +134,12 @@ class ReportStore:
     documents ride alongside keyed by :func:`space_digest`.
 
     Writes are **atomic** (temp file + fsync + ``os.replace``), so a
-    reader — or a crash — never sees a torn file through the normal
-    write path.  Should a torn or garbled file reach the store anyway
-    (a crashed non-atomic copy, disk corruption), reading **salvages**
-    it: every record line that still parses is kept, the bad lines are
-    quarantined to a ``<name>.quarantine`` sidecar for inspection, and
-    the next save rewrites a clean file.  A file whose *header* declares
-    a different schema is a real error and still raises.
+    reader — or a crash — never sees a torn file.  A file damaged from
+    outside the program (a line that does not parse, a record missing a
+    field its reader needs, a foreign schema) is **refused**: reading it
+    raises one :class:`~repro.errors.ConfigurationError` naming the path
+    and line, and leaves the file as it is.  Deleting it starts a cold
+    cache.
 
     Concurrent writers are **serialised**: every read-merge-write holds
     an exclusive :func:`fcntl.flock` on the store's directory (no
@@ -146,83 +149,67 @@ class ReportStore:
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        #: Bad lines quarantined by the most recent read (diagnostics).
-        self.last_salvaged = 0
 
     # ------------------------------------------------------------ raw file
-    @property
-    def quarantine_path(self) -> Path:
-        """Sidecar file collecting unparseable record lines."""
-        return self.path.with_name(self.path.name + ".quarantine")
+    def _damaged(self, line: int, what: str) -> ConfigurationError:
+        return ConfigurationError(
+            f"{self.path}:{line}: damaged report store, {what}; delete the "
+            "file to start a cold cache"
+        )
 
-    def _quarantine(self, bad_lines: "list[str]") -> None:
-        """Append unparseable lines to the sidecar (best effort)."""
-        self.last_salvaged = len(bad_lines)
-        if not bad_lines:
-            return
-        telemetry.counter("store.salvaged", len(bad_lines))
-        try:
-            with self.quarantine_path.open("a") as fh:
-                for line in bad_lines:
-                    fh.write(line.rstrip("\n") + "\n")
-        except OSError:
-            pass
+    def _records(self) -> Iterator[tuple[int, dict]]:
+        """``(1-based line, record)`` for every record after the header.
 
-    def _read_records(self) -> tuple[dict, dict, dict]:
-        """(reports, frontiers, checkpoints) keyed for dedup.
-
-        Tolerates a missing file; salvages a torn/garbled one (valid
-        lines kept, bad lines quarantined — see the class docstring);
-        a parseable header naming a foreign schema still raises.
+        A missing or empty file holds none; a damaged one is refused
+        (see the class docstring).
         """
-        reports: dict[tuple[str, str], dict] = {}
-        frontiers: dict[str, dict] = {}
-        checkpoints: dict[str, dict] = {}
-        self.last_salvaged = 0
-        if not self.path.exists():
-            return reports, frontiers, checkpoints
-        with self.path.open() as fh:
-            lines = fh.readlines()
-        if not lines or not lines[0].strip():
-            return reports, frontiers, checkpoints
         try:
-            head = json.loads(lines[0])
-            if not isinstance(head, dict):
-                raise TypeError("header is not an object")
-        except (json.JSONDecodeError, TypeError):
-            # A garbled header means nothing after it can be trusted to
-            # be this store's data: quarantine the whole file.
-            self._quarantine(lines)
-            return reports, frontiers, checkpoints
-        if head.get("schema") != SCHEMA:
-            raise ConfigurationError(
-                f"{self.path}: unknown store schema {head.get('schema')!r}"
-            )
-        bad: list[str] = []
-        for line in lines[1:]:
-            if not line.strip():
+            data = self.path.read_bytes()
+        except FileNotFoundError:
+            return
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data[: exc.start].count(b"\n") + 1
+            raise self._damaged(line, "not UTF-8 text") from None
+        if not text:
+            return
+        for number, line in enumerate(text.split("\n"), 1):
+            if number > 1 and not line.strip():
                 continue
             try:
                 record = json.loads(line)
-                kind = record.get("kind")
-                if kind == "report":
-                    key = (record["model"], json.dumps(record["config"]))
-                    reports[key] = record
-                elif kind == "frontier":
-                    frontiers[record["space"]] = record["doc"]
-                elif kind == "checkpoint":
-                    checkpoints[record["space"]] = record["doc"]
-            except (
-                json.JSONDecodeError, AttributeError, KeyError, TypeError
-            ):
-                # Torn tail or foreign garbage: salvage what parsed.
-                bad.append(line)
-        self._quarantine(bad)
-        return reports, frontiers, checkpoints
+            except ValueError:
+                raise self._damaged(number, "not a JSON line") from None
+            if not isinstance(record, dict):
+                raise self._damaged(number, "not a JSON object")
+            if number == 1:
+                if record.get("schema") != SCHEMA:
+                    raise self._damaged(
+                        number,
+                        f"unknown store schema {record.get('schema')!r}",
+                    )
+                continue
+            kind = record.get("kind")
+            for field in _FIELDS.get(kind, ()):
+                if field not in record:
+                    raise self._damaged(number, f"{kind} lacks {field!r}")
+            yield number, record
 
-    def _write_records(
-        self, reports: dict, frontiers: dict, checkpoints: dict
-    ) -> None:
+    def _read_records(self) -> tuple[dict, dict]:
+        """(reports, frontiers) keyed for dedup; refuses a damaged file."""
+        reports: dict[tuple[str, str], dict] = {}
+        frontiers: dict[str, dict] = {}
+        for _, record in self._records():
+            kind = record.get("kind")
+            if kind == "report":
+                key = (record["model"], json.dumps(record["config"]))
+                reports[key] = record
+            elif kind == "frontier":
+                frontiers[record["space"]] = record["doc"]
+        return reports, frontiers
+
+    def _write_records(self, reports: dict, frontiers: dict) -> None:
         lines = [json.dumps({"schema": SCHEMA})]
         for key in sorted(reports):
             lines.append(json.dumps(reports[key], sort_keys=True))
@@ -237,27 +224,13 @@ class ReportStore:
                     sort_keys=True,
                 )
             )
-        for digest in sorted(checkpoints):
-            lines.append(
-                json.dumps(
-                    {
-                        "kind": "checkpoint",
-                        "space": digest,
-                        "doc": checkpoints[digest],
-                    },
-                    sort_keys=True,
-                )
-            )
+        # Chaos site: an "error" spec fails the save before it publishes,
+        # so the file on disk stays the previous whole store.
+        fault_point("store.write", key=self.path.name)
         write_atomic(self.path, (line + "\n" for line in lines))
-        # Chaos site: a "torn" spec truncates the just-published file
-        # and raises, simulating a crash that corrupted the store tail —
-        # what the salvage path above must survive.
-        fault_point(
-            "store.write", key=self.path.name, path=str(self.path)
-        )
 
     @contextmanager
-    def _update(self) -> Iterator[tuple[dict, dict, dict]]:
+    def _update(self) -> Iterator[tuple[dict, dict]]:
         """Lock the store for one read-modify-write: yields the records
         of :meth:`_read_records` for the caller to merge and write back
         (:meth:`_write_records`) inside the block."""
@@ -285,29 +258,30 @@ class ReportStore:
         simply not loaded.
         """
         with telemetry.span("store.load", path=str(self.path)):
-            reports, _, _ = self._read_records()
             by_digest = {
                 model_digest(m.cache_key()): m.cache_key() for m in models
             }
             loaded = 0
-            for record in reports.values():
-                key = by_digest.get(record["model"])
-                if key is None:
+            for number, record in self._records():
+                if record.get("kind") != "report":
                     continue
-                config_key = tuple(record["config"])
-                if "report" in record:
-                    cache.insert(
-                        key, config_key,
-                        _report_from_json(record["report"]), None,
-                    )
-                else:
-                    error_type = _ERROR_TYPES.get(record["error"]["type"])
-                    if error_type is None:
+                try:
+                    key = by_digest.get(record["model"])
+                    if key is None:
                         continue
-                    cache.insert(
-                        key, config_key, None,
-                        error_type(record["error"]["message"]),
-                    )
+                    config_key = tuple(record["config"])
+                    if "report" in record:
+                        entry = (_report_from_json(record["report"]), None)
+                    else:
+                        error_type = _ERROR_TYPES.get(record["error"]["type"])
+                        if error_type is None:
+                            continue
+                        entry = (None, error_type(record["error"]["message"]))
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise self._damaged(
+                        number, f"bad report record: {exc!r}"
+                    ) from None
+                cache.insert(key, config_key, *entry)
                 loaded += 1
             telemetry.counter("store.loaded", loaded)
             return loaded
@@ -321,7 +295,7 @@ class ReportStore:
         """
         with telemetry.span("store.save", path=str(self.path)):
             with self._update() as records:
-                reports, _, _ = records
+                reports, _ = records
                 self._merge_cache(reports, cache)
                 self._write_records(*records)
             telemetry.counter("store.saved", len(reports))
@@ -360,49 +334,7 @@ class ReportStore:
         """Record one exploration's report document; returns its digest."""
         digest = space_digest(spec, models)
         with self._update() as records:
-            _, frontiers, _ = records
+            _, frontiers = records
             frontiers[digest] = doc
             self._write_records(*records)
         return digest
-
-    # --------------------------------------------------------- checkpoints
-    def save_checkpoint(
-        self,
-        spec: ExploreSpec,
-        models: Sequence[ArchitectureModel],
-        doc: dict,
-        cache: ReportCache | None = None,
-    ) -> str:
-        """Record one exploration round's resume state; returns its digest.
-
-        ``doc`` is the engine's checkpoint document (evaluated cells,
-        pending set, round counters — see
-        :func:`repro.explore.refine.run_explore`), keyed by
-        :func:`space_digest` so a model or spec change orphans it
-        harmlessly.  Passing ``cache`` folds the report cache into the
-        same atomic write, so a resumed run warm-starts both.
-        """
-        digest = space_digest(spec, models)
-        with self._update() as records:
-            reports, _, checkpoints = records
-            if cache is not None:
-                self._merge_cache(reports, cache)
-            checkpoints[digest] = doc
-            self._write_records(*records)
-        return digest
-
-    def load_checkpoint(
-        self, spec: ExploreSpec, models: Sequence[ArchitectureModel]
-    ) -> dict | None:
-        """The stored resume state for this exact space, if any."""
-        _, _, checkpoints = self._read_records()
-        return checkpoints.get(space_digest(spec, models))
-
-    def clear_checkpoint(
-        self, spec: ExploreSpec, models: Sequence[ArchitectureModel]
-    ) -> None:
-        """Drop this space's resume state (the run completed)."""
-        with self._update() as records:
-            _, _, checkpoints = records
-            if checkpoints.pop(space_digest(spec, models), None) is not None:
-                self._write_records(*records)

@@ -1,8 +1,9 @@
 """Deterministic fault injection for the execution layer.
 
 The chaos suite (``pytest -m faults``) has to prove that the recovery
-paths of :mod:`repro.sweep`, :mod:`repro.explore`, :mod:`repro.montecarlo`
-and the explore store reproduce fault-free output *byte for byte*.  That
+paths of :mod:`repro.sweep`, :mod:`repro.explore` and :mod:`repro.montecarlo`
+reproduce fault-free output *byte for byte*, and that the explore store
+keeps every record under concurrent and failing writes.  That
 needs faults which strike at declared places, a declared number of
 times, regardless of scheduling — not random monkey-patching.
 
@@ -18,13 +19,8 @@ production code.  An active plan fires every spec whose ``site`` (and
 
 - ``kind="error"`` — raise :class:`InjectedFault` (a transient task
   failure; retries see the next invocation succeed);
-- ``kind="kill"``  — ``os._exit(kill_code)``: a dirty shutdown of a
-  CLI run (the checkpoint/resume story);
 - ``kind="sleep"`` — block ``delay_s`` seconds (e.g. hold a store
-  writer inside its read-modify-write while a second writer arrives);
-- ``kind="torn"``  — truncate the file at the site's ``path`` by
-  ``tear_bytes`` bytes and then raise :class:`InjectedFault`: a torn
-  store write, the crash-after-partial-flush case.
+  writer inside its read-modify-write while a second writer arrives).
 
 **Determinism.**  Firing counts, not invocation counts, are tracked: a
 spec with ``times=1`` injects exactly one fault no matter how often the
@@ -35,8 +31,8 @@ store writers) two mechanisms compose:
 - the plan travels in the :data:`ENV_VAR` environment variable
   (:func:`activate` sets it, children parse it lazily), and
 - when ``scratch`` names a directory, firings are claimed through
-  atomically created marker files there, so "exactly one kill" holds
-  even though the killed process takes its memory with it.
+  atomically created marker files there, so a firing in a child
+  process is counted plan-wide and is visible to its parent.
 
 Keys make injection scheduling-independent: a spec keyed on cell index
 3 fires wherever cell 3 runs, in whichever thread, in whichever order.
@@ -58,11 +54,11 @@ from .errors import ConfigurationError, ReproError
 ENV_VAR = "REPRO_FAULTS"
 
 #: Fault kinds a spec may inject.
-KINDS = ("error", "kill", "sleep", "torn")
+KINDS = ("error", "sleep")
 
 
 class InjectedFault(ReproError):
-    """The failure raised by ``kind="error"`` / ``kind="torn"`` faults."""
+    """The failure raised by ``kind="error"`` faults."""
 
 
 @dataclass(frozen=True)
@@ -80,8 +76,6 @@ class FaultSpec:
     keys: tuple[Any, ...] = ()
     times: int = 1
     delay_s: float = 0.0
-    tear_bytes: int = 64
-    kill_code: int = 23
 
     def __post_init__(self) -> None:
         if not self.site:
@@ -97,10 +91,6 @@ class FaultSpec:
         if self.delay_s < 0.0:
             raise ConfigurationError(
                 f"delay_s must be >= 0, got {self.delay_s}"
-            )
-        if self.tear_bytes < 1:
-            raise ConfigurationError(
-                f"tear_bytes must be >= 1, got {self.tear_bytes}"
             )
 
     def matches(self, site: str, key: Any) -> bool:
@@ -118,8 +108,6 @@ class FaultSpec:
             "keys": list(self.keys),
             "times": self.times,
             "delay_s": self.delay_s,
-            "tear_bytes": self.tear_bytes,
-            "kill_code": self.kill_code,
         }
 
     @classmethod
@@ -132,8 +120,6 @@ class FaultSpec:
             ),
             times=doc["times"],
             delay_s=doc["delay_s"],
-            tear_bytes=doc["tear_bytes"],
-            kill_code=doc["kill_code"],
         )
 
 
@@ -141,10 +127,11 @@ class FaultSpec:
 class FaultPlan:
     """A set of fault specs plus the cross-process bookkeeping knobs.
 
-    ``scratch`` (optional) is a directory for firing-claim marker files
-    — required whenever a ``kill`` fault must fire a bounded number of
-    times across processes (the killed process cannot remember having
-    fired).  In-memory counters serve the single-process case.
+    ``scratch`` (optional) is a directory for firing-claim marker files,
+    so a spec fires a bounded number of times across processes.  A
+    marker appears as its fault fires, which also tells a test that a
+    child process has reached the site.  In-memory counters serve the
+    single-process case.
     """
 
     specs: tuple[FaultSpec, ...]
@@ -257,12 +244,12 @@ def _claim(plan: FaultPlan, spec_index: int, spec: FaultSpec, key: Any) -> bool:
         return True
 
 
-def fault_point(site: str, key: Any = None, path: str | None = None) -> None:
+def fault_point(site: str, key: Any = None) -> None:
     """A declared fault site; a no-op unless an armed spec matches.
 
     ``key`` is the content identity of this visit (cell index, file
-    name); ``path`` is the file a ``torn`` spec may truncate.  Sites sit
-    at cell/point/write granularity — never inside per-sample loops.
+    name).  Sites sit at cell/point/write granularity — never inside
+    per-sample loops.
     """
     plan = active_plan()
     if plan is None:
@@ -275,20 +262,5 @@ def fault_point(site: str, key: Any = None, path: str | None = None) -> None:
         if spec.kind == "sleep":
             time.sleep(spec.delay_s)
             continue
-        if spec.kind == "kill":
-            os._exit(spec.kill_code)
-        if spec.kind == "torn":
-            if path is not None:
-                _tear(path, spec.tear_bytes)
-            raise InjectedFault(
-                f"injected torn write at {site}[{key!r}]"
-            )
         raise InjectedFault(f"injected fault at {site}[{key!r}]")
-
-
-def _tear(path: str, tear_bytes: int) -> None:
-    """Truncate ``path`` by ``tear_bytes`` (to >= 0), tearing its tail."""
-    size = os.path.getsize(path)
-    with open(path, "rb+") as fh:
-        fh.truncate(max(0, size - tear_bytes))
 

@@ -10,9 +10,9 @@ Two primitives:
 
 - :func:`span` — a context manager timing one phase.  Span names reuse
   the :mod:`repro.faults` site vocabulary (``sweep.point``,
-  ``explore.cell``, ``explore.round``, ``montecarlo.chunk``) so chaos
-  tests and traces describe the same places, plus seam-level names
-  (``parallel.task``, ``store.load``, ``bench.run``).
+  ``explore.cell``, ``montecarlo.chunk``) so chaos tests and traces
+  describe the same places, plus phase- and seam-level names
+  (``explore.round``, ``parallel.task``, ``store.load``, ``bench.run``).
 - :func:`counter` / :func:`histogram` — point metrics (cache hits,
   batch sizes, kernel dispatches).
 

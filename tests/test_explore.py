@@ -65,7 +65,7 @@ SMALL_SPACE = ExploreSpec(
 
 def stored_frontier(store, spec, models):
     """The report document ``save_frontier`` stored for this space, if any."""
-    _, frontiers, _ = store._read_records()
+    _, frontiers = store._read_records()
     return frontiers.get(space_digest(spec, models))
 
 
@@ -376,58 +376,48 @@ class TestReportStore:
         with pytest.raises(ConfigurationError, match="schema"):
             ReportStore(path).load(ReportCache(), default_models())
 
-    def test_corrupt_store_is_salvaged(self, tmp_path):
-        """A torn/truncated tail no longer poisons the store: the valid
-        prefix loads, the bad line is quarantined to the sidecar."""
-        path = tmp_path / "store.jsonl"
-        path.write_text(
-            json.dumps({"schema": "repro-explore-store/v1"})
-            + "\n{\"kind\": \"report\", \"model\""
-        )
-        store = ReportStore(path)
-        assert store.load(ReportCache(), default_models()) == 0
-        assert store.last_salvaged == 1
-        assert store.quarantine_path.exists()
-        assert store.quarantine_path.read_text().startswith(
-            "{\"kind\": \"report\""
-        )
-
-    def test_garbled_header_is_quarantined(self, tmp_path):
-        """A file whose header is not even JSON reads as empty; its
-        whole contents are quarantined for inspection."""
-        path = tmp_path / "store.jsonl"
-        path.write_text("definitely not json\n{\"kind\": \"label\"}\n")
-        store = ReportStore(path)
-        assert store.load(ReportCache(), default_models()) == 0
-        assert store.last_salvaged == 2
-
-    def test_old_label_records_load_and_drop_out(self, tmp_path):
-        """Store files written before a model's name was its reports'
-        architecture hold ``label`` records: they load as nothing, the
-        report records beside them still load, and the next save drops
-        them."""
+    @pytest.mark.parametrize("old_kind", ["label", "checkpoint"])
+    def test_old_label_records_load_and_drop_out(self, tmp_path, old_kind):
+        """Older store files hold record kinds no reader keeps: ``label``
+        records (from before a model's name was its reports'
+        architecture) and ``checkpoint`` records (the round state of an
+        exploration killed when explore still saved one).  They load as
+        nothing, the report records beside them still load, and the next
+        save drops them."""
         model = LowPowerDDCModel()
         cache = ReportCache()
         report = cached_implement(cache, model, REFERENCE_DDC)
         store = ReportStore(tmp_path / "store.jsonl")
         store.save(cache)
         head, *records = store.path.read_text().splitlines()
-        label = json.dumps(
+        old = json.dumps(
             {
-                "architecture": model.name,
-                "kind": "label",
-                "model": model_digest(model.cache_key()),
-            },
+                "label": {
+                    "architecture": model.name,
+                    "kind": "label",
+                    "model": model_digest(model.cache_key()),
+                },
+                "checkpoint": {
+                    "kind": "checkpoint",
+                    "space": space_digest(SMALL_SPACE, [model]),
+                    "doc": {
+                        "round": 1,
+                        "evaluations": 3,
+                        "counts": [3],
+                        "evaluated": [{}],
+                        "pending": [[0, 1]],
+                    },
+                },
+            }[old_kind],
             sort_keys=True,
         )
-        store.path.write_text("\n".join([head, label, *records]) + "\n")
+        store.path.write_text("\n".join([head, old, *records]) + "\n")
         warm = ReportCache()
         assert store.load(warm, [model]) == 1
-        assert store.last_salvaged == 0
         assert cached_implement(warm, model, REFERENCE_DDC) == report
         assert warm.misses == 0
         store.save(warm)
-        assert '"kind": "label"' not in store.path.read_text()
+        assert f'"kind": "{old_kind}"' not in store.path.read_text()
 
     def test_save_leaves_no_temp_droppings(self, tmp_path):
         cache = ReportCache()
@@ -556,6 +546,94 @@ class TestExploreCLI:
         for extra in (["--engine", "dense"], ["--verify"]):
             assert explore_main(["--store", path, *extra]) == 2
             assert "adaptive engine" in capsys.readouterr().err
+
+
+def _store_header() -> str:
+    return json.dumps({"schema": "repro-explore-store/v1"}) + "\n"
+
+
+def _non_utf8_store(tmp_path):
+    path = tmp_path / "store.jsonl"
+    path.write_bytes(_store_header().encode() + b"\xff\xfe\x80 garbage\n")
+    return path
+
+
+def _directory_store(tmp_path):
+    path = tmp_path / "store"
+    path.mkdir()
+    return path
+
+
+def _store_under_a_file(tmp_path):
+    (tmp_path / "file").write_text("not a directory\n")
+    return tmp_path / "file" / "store.jsonl"
+
+
+def _report_without_technology(tmp_path):
+    """A record of a model the CLI runs, whose report lost a field."""
+    model = get_workload("ddc").shared_evaluator().models[0]
+    cache = ReportCache()
+    cached_implement(cache, model, REFERENCE_DDC)
+    store = ReportStore(tmp_path / "store.jsonl")
+    store.save(cache)
+    head, line = store.path.read_text().splitlines()
+    record = json.loads(line)
+    del record["report"]["technology"]
+    store.path.write_text(f"{head}\n{json.dumps(record)}\n")
+    return store.path
+
+
+def _torn_tail(tmp_path):
+    path = tmp_path / "store.jsonl"
+    path.write_text(_store_header() + '{"kind": "report", "model"')
+    return path
+
+
+def _garbled_header(tmp_path):
+    path = tmp_path / "store.jsonl"
+    path.write_text('definitely not json\n{"kind": "label"}\n')
+    return path
+
+
+def _snapshot(tmp_path) -> dict:
+    return {
+        p.relative_to(tmp_path): p.read_bytes() if p.is_file() else None
+        for p in tmp_path.rglob("*")
+    }
+
+
+class TestUnreadableStore:
+    """A store the CLI cannot read is refused: exit 2 with one
+    ``error:`` line naming the path, and nothing on disk changes."""
+
+    @pytest.mark.parametrize(
+        "make, names",
+        [
+            (_non_utf8_store, ":2: damaged report store, not UTF-8"),
+            (_directory_store, "Is a directory"),
+            (_store_under_a_file, "Not a directory"),
+            (_report_without_technology, ":2: damaged report store, bad"),
+            (_torn_tail, ":2: damaged report store, not a JSON line"),
+            (_garbled_header, ":1: damaged report store, not a JSON line"),
+        ],
+        ids=[
+            "non-utf8", "directory", "under-a-file",
+            "report-without-technology", "torn-tail", "garbled-header",
+        ],
+    )
+    def test_exits_2_and_leaves_the_file(self, tmp_path, capsys, make, names):
+        path = make(tmp_path)
+        before = _snapshot(tmp_path)
+        argv = ["--coarse", "3", "--target", "5", "--steps", "5"]
+        assert explore_main([*argv, "--store", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        error = [line for line in lines if line.startswith("error:")]
+        assert len(error) == 1, captured.err
+        assert str(path) in error[0] and names in error[0], error[0]
+        assert "Traceback" not in captured.err
+        assert _snapshot(tmp_path) == before
 
 
 def test_figure_pareto_renders():

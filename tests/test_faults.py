@@ -4,8 +4,9 @@ Marked ``faults`` (``pytest -m faults`` runs just this file — the CI
 chaos leg).  Every test follows the same shape: arm a seeded
 :class:`~repro.faults.FaultPlan`, run a sweep/exploration through a
 recovery path, and require the output *byte-identical* to the fault-free
-run (for ``retry``/resume) or an explicitly partial report with the
-failure recorded (for ``skip``).
+run (for ``retry``) or an explicitly partial report with the failure
+recorded (for ``skip``).  The store tests hold a writer inside its
+read-modify-write or fail its write, and require every record kept.
 """
 
 from __future__ import annotations
@@ -57,11 +58,14 @@ def one_fault(site: str, key, **kwargs) -> FaultPlan:
 class TestFaultHarness:
     """The injection machinery itself must be deterministic."""
 
-    def test_spec_validation(self):
+    @pytest.mark.parametrize("kind", ["meteor", "kill", "torn"])
+    def test_spec_validation(self, kind):
         with pytest.raises(ConfigurationError):
             FaultSpec("")
-        with pytest.raises(ConfigurationError):
-            FaultSpec("x", kind="meteor")
+        with pytest.raises(
+            ConfigurationError, match=r"expected one of \('error', 'sleep'\)"
+        ):
+            FaultSpec("x", kind=kind)
         with pytest.raises(ConfigurationError):
             FaultSpec("x", times=0)
         with pytest.raises(ConfigurationError):
@@ -70,7 +74,7 @@ class TestFaultHarness:
     def test_plan_round_trips_through_json(self):
         plan = FaultPlan(
             (
-                FaultSpec("a.b", kind="kill", keys=((0, 4), 7), times=2),
+                FaultSpec("a.b", kind="error", keys=((0, 4), 7), times=2),
                 FaultSpec("c", kind="sleep", delay_s=1.5),
             ),
             scratch="/tmp/x",
@@ -244,109 +248,6 @@ class TestExploreChaos:
                 run_explore(explore_spec(on_error="skip"), "adaptive")
 
 
-class TestCheckpointResume:
-    def test_interrupted_round_resumes_byte_identical(self, tmp_path):
-        baseline = run_explore(
-            explore_spec(), "adaptive", DDCEvaluator(cache=ReportCache())
-        ).render()
-        store = ReportStore(tmp_path / "store.jsonl")
-        with faults.inject(one_fault("explore.round", 1)):
-            with pytest.raises(InjectedFault):
-                run_explore(
-                    explore_spec(), "adaptive",
-                    DDCEvaluator(cache=ReportCache()), store=store,
-                )
-        checkpoint = store.load_checkpoint(
-            explore_spec(), DDCEvaluator().models
-        )
-        assert checkpoint is not None and checkpoint["round"] == 1
-        resumed = run_explore(
-            explore_spec(), "adaptive",
-            DDCEvaluator(cache=ReportCache()), store=store,
-        )
-        assert resumed.render() == baseline
-        # Completion drops the checkpoint.
-        assert store.load_checkpoint(
-            explore_spec(), DDCEvaluator().models
-        ) is None
-
-    def test_error_cell_round_trips_byte_identical(self, tmp_path):
-        """The checkpoint codec keeps an error cell and ``None`` snapshot
-        objectives: a skip run interrupted at round 1 resumes to exactly
-        the report of an uninterrupted skip run."""
-        spec = explore_spec(on_error="skip")
-        cell_fault = FaultSpec("explore.cell", keys=((0, 4),))
-        with faults.inject(FaultPlan((cell_fault,))):
-            baseline = run_explore(
-                spec, "adaptive", DDCEvaluator(cache=ReportCache())
-            ).render()
-        store = ReportStore(tmp_path / "store.jsonl")
-        plan = FaultPlan((cell_fault, FaultSpec("explore.round", keys=(1,))))
-        with faults.inject(plan):
-            with pytest.raises(InjectedFault):
-                run_explore(
-                    spec, "adaptive",
-                    DDCEvaluator(cache=ReportCache()), store=store,
-                )
-        checkpoint = store.load_checkpoint(spec, DDCEvaluator().models)
-        cells = [c for point in checkpoint["evaluated"] for c in point.values()]
-        assert [o["index"] for o, _ in cells if o["error"]] == [4]
-        assert any(
-            None in arch["objectives"]
-            for _, snapshot in cells
-            for arch in snapshot["architectures"]
-        )
-        resumed = run_explore(
-            spec, "adaptive", DDCEvaluator(cache=ReportCache()), store=store
-        )
-        assert resumed.partial
-        assert resumed.render() == baseline
-
-    def test_store_needs_adaptive_engine(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="adaptive"):
-            run_explore(
-                explore_spec(), "dense",
-                store=ReportStore(tmp_path / "s.jsonl"),
-            )
-
-    def test_cli_sigkill_resume_byte_identical(self, tmp_path):
-        """The full crash story: a CLI exploration is killed dead
-        mid-refinement (os._exit in round 1), rerun with the same store,
-        and must print byte-identical output to an uninterrupted run."""
-        repo_src = str(Path(__file__).resolve().parent.parent / "src")
-        args = [
-            sys.executable, "-m", "repro.explore",
-            "--coarse", "3", "--target", "9", "--steps", "5",
-        ]
-        env = {**os.environ, "PYTHONPATH": repo_src}
-        env.pop(faults.ENV_VAR, None)
-
-        baseline = subprocess.run(
-            args, env=env, capture_output=True, text=True, timeout=120
-        )
-        assert baseline.returncode == 0, baseline.stderr
-
-        store = str(tmp_path / "store.jsonl")
-        plan = FaultPlan(
-            (FaultSpec("explore.round", kind="kill", keys=(1,)),),
-            scratch=str(tmp_path),
-        )
-        killed = subprocess.run(
-            args + ["--store", store],
-            env={**env, faults.ENV_VAR: plan.to_json()},
-            capture_output=True, text=True, timeout=120,
-        )
-        assert killed.returncode == 23  # the fault's kill_code
-
-        resumed = subprocess.run(
-            args + ["--store", store],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert resumed.returncode == 0, resumed.stderr
-        assert "resuming from checkpoint" in resumed.stderr
-        assert resumed.stdout == baseline.stdout
-
-
 #: Writer A as its own process: saves LowPowerDDC reports for the
 #: comma-separated ``fir_taps`` in argv[2] to the store at argv[1].
 STORE_WRITER = """
@@ -413,34 +314,31 @@ class TestStoreConcurrency:
         assert [p.name for p in path.parent.iterdir()] == ["store.jsonl"]
 
 
-class TestTornWrites:
-    def test_torn_store_write_is_salvaged(self, tmp_path):
-        """A write that tears the published file (crash after partial
-        flush) loses at most the tail: the next read salvages the valid
-        prefix and quarantines the torn line."""
-        store = ReportStore(tmp_path / "store.jsonl")
-        cache = ReportCache()
+class TestFailedStoreWrite:
+    def test_failed_save_leaves_the_previous_store(self, tmp_path):
+        """A save that fails at its write leaves the previous store whole
+        and loadable; the next save writes exactly what a fault-free save
+        of the same cache writes."""
         config = explore_spec().config_at(explore_spec().points()[0], 0)
-        for model in DDCEvaluator().models:
-            cache.implement_batch(model, [config])
-        store.save(cache)
-        intact = store.path.read_text()
-        plan = FaultPlan(
-            (
-                FaultSpec(
-                    "store.write", kind="torn",
-                    keys=("store.jsonl",), tear_bytes=10,
-                ),
-            )
-        )
+        models = DDCEvaluator().models
+        first, second = ReportCache(), ReportCache()
+        first.implement_batch(models[0], [config])
+        for model in models:
+            second.implement_batch(model, [config])
+        store = ReportStore(tmp_path / "store.jsonl")
+        store.save(first)
+        intact = store.path.read_bytes()
+        plan = one_fault("store.write", "store.jsonl")
         with faults.inject(plan):
             with pytest.raises(InjectedFault):
-                store.save(cache)
-        assert store.path.read_text() != intact  # really torn
-        store._read_records()
-        assert store.last_salvaged == 1
-        assert store.quarantine_path.exists()
-        # Salvage + rewrite: the next save restores a clean store whose
-        # surviving records match what the cache still holds.
-        store.save(cache)
-        assert store.path.read_text() == intact
+                store.save(second)
+        assert store.path.read_bytes() == intact
+        assert store.load(ReportCache(), models) == 1
+        store.save(second)
+        reference = ReportStore(tmp_path / "reference" / "store.jsonl")
+        reference.save(first)
+        reference.save(second)
+        assert store.path.read_bytes() == reference.path.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "reference", "store.jsonl"
+        ]

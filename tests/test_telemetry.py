@@ -352,6 +352,34 @@ class TestVerifyRefusesReportFlags:
         assert list(tmp_path.iterdir()) == []
 
 
+#: A small run per study CLI, for the path-error tests.
+SMALL_RUNS = {
+    "sweep": (sweep_main, ["--steps", "5"]),
+    "explore": (explore_main, ["--coarse", "3", "--target", "5", "--steps", "5"]),
+    "montecarlo": (montecarlo_main, ["--samples", "500"]),
+}
+
+
+class TestUnwritablePathExits2:
+    """An ``--output`` or ``--trace`` path that cannot be written (here
+    a directory) ends the run with exit 2 and one ``error:`` line naming
+    the path, not a traceback."""
+
+    @pytest.mark.parametrize("flag", ["--output", "--trace"])
+    @pytest.mark.parametrize("cli", sorted(SMALL_RUNS))
+    def test_directory_path(self, cli, flag, tmp_path, capsys):
+        main, argv = SMALL_RUNS[cli]
+        target = tmp_path / "out"
+        target.mkdir()
+        assert main([*argv, flag, str(target)]) == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and str(target) in errors[0], err
+        assert "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+        assert list(target.iterdir()) == []
+
+
 class TestTelemetryCLI:
     def test_summarises_pooled_montecarlo_run(self, tmp_path, capsys):
         trace = tmp_path / "mc.jsonl"
