@@ -13,7 +13,8 @@ The paper's chain of reasoning:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Sequence
 
 from ...config import DDCConfig, REFERENCE_DDC
@@ -25,7 +26,16 @@ from ..base import (
 )
 from ...energy.technology import TECH_130NM, TechnologyNode
 from ...errors import ConfigurationError, MappingError
-from .profiler import RegionProfile, profile_ddc, profile_ddc_analytic
+from .profiler import RegionProfile, check_stimulus_width, profile_ddc
+from .profiler import profile_ddc_analytic
+
+#: The fields :func:`profile_ddc_analytic` reads bar ``input_rate_hz``,
+#: which each configuration applies itself (pinned by
+#: ``tests/test_memo_keys.py``).
+_analytic_key = attrgetter(
+    "cic2_order", "cic5_order", "cic2_decimation", "cic5_decimation",
+    "fir_decimation", "fir_taps",
+)
 
 
 @dataclass(frozen=True)
@@ -116,19 +126,25 @@ class ARM9Model(ArchitectureModel):
         path.  Configurations the analytic profile cannot serve
         (non-reference CIC orders, budget-exceeding runs) fall back to
         the scalar :meth:`implement`, so every report — and every mapping
-        error — is bit-identical to the scalar loop.
+        error — is bit-identical to the scalar loop.  One call memoises
+        the analytic profiles on :data:`_analytic_key`.
         """
+        analytic: dict[tuple, RegionProfile | None] = {}
         reports: list[ImplementationReport | None] = []
         errors: list[Exception | None] = []
         for config in configs:
-            prof = profile_ddc_analytic(
-                config, n_samples=self.n_samples,
-                spill_slots=self.spill_slots,
-            )
+            key = _analytic_key(config)
+            if key not in analytic:
+                analytic[key] = profile_ddc_analytic(
+                    config, n_samples=self.n_samples,
+                    spill_slots=self.spill_slots,
+                )
+            prof = analytic[key]
             try:
+                check_stimulus_width(config)
                 report = (
-                    self._report(prof) if prof is not None
-                    else self.implement(config)
+                    self._report(replace(prof, input_rate_hz=config.input_rate_hz))
+                    if prof is not None else self.implement(config)
                 )
                 reports.append(report)
                 errors.append(None)

@@ -67,6 +67,20 @@ class RegionProfile:
                 for r in DDC_REGIONS]
 
 
+#: The widest ``data_width`` whose stimulus :func:`profile_ddc` can draw
+#: (its samples are int64).
+MAX_STIMULUS_WIDTH = 64
+
+
+def check_stimulus_width(config: DDCConfig) -> None:
+    """Refuse a ``data_width`` the profiler's int64 stimulus cannot hold."""
+    if config.data_width > MAX_STIMULUS_WIDTH:
+        raise ConfigurationError(
+            f"data_width {config.data_width} exceeds the "
+            f"{MAX_STIMULUS_WIDTH}-bit stimulus the GPP profiler can draw"
+        )
+
+
 #: Instruction budget :func:`profile_ddc` grants a run of ``n`` samples.
 def _instruction_budget(n_samples: int) -> int:
     return 400 * n_samples + 10_000
@@ -178,11 +192,17 @@ def profile_ddc(
     (``engine="interp"``) with bit-identical statistics and outputs.
     """
     check_engine(engine)
+    check_stimulus_width(config)
     if n_samples is None:
         n_samples = (
             config.total_decimation if input_samples is None
             else len(input_samples)
         )
+    # The code generator validates the configuration before any stimulus
+    # is drawn.
+    program, layout = generate_ddc_program(
+        config, n_samples, lut_bits, spill_slots
+    )
     if input_samples is None:
         rng = np.random.default_rng(0xA2)
         input_samples = rng.integers(
@@ -194,9 +214,6 @@ def profile_ddc(
     if len(input_samples) != n_samples:
         raise ConfigurationError("input_samples length must equal n_samples")
 
-    program, layout = generate_ddc_program(
-        config, n_samples, lut_bits, spill_slots
-    )
     cpu = CPU(program)
     for base, words in build_memory_image(layout, input_samples).items():
         cpu.load_memory(base, words)

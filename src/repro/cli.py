@@ -104,6 +104,7 @@ def main(command: Command, argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_verify_flags(args)
+        _check_paths(args)
         with tracing(args.trace):
             spec = command.build_spec(args)
             before = cache_counts(spec.workload)
@@ -124,6 +125,21 @@ def _check_verify_flags(args: argparse.Namespace) -> None:
         if given:
             raise ConfigurationError(
                 f"--verify prints only its verdict; drop {flag}"
+            )
+
+
+def _check_paths(args: argparse.Namespace) -> None:
+    """Refuse an ``--output``/``--trace`` path that cannot be a file
+    before any work starts, not after the run."""
+    for flag, path in (("--output", args.output), ("--trace", args.trace)):
+        if path in (None, "-"):
+            continue
+        target = Path(path)
+        if target.is_dir():
+            raise ConfigurationError(f"{flag} {path}: is a directory")
+        if not target.parent.is_dir():
+            raise ConfigurationError(
+                f"{flag} {path}: {target.parent} is not a directory"
             )
 
 

@@ -28,6 +28,8 @@ per-process cached instance they share.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import lru_cache
+from operator import attrgetter
 from typing import Any, NamedTuple, Sequence
 
 from .. import telemetry
@@ -73,7 +75,14 @@ def config_cache_key(config: Any) -> tuple:
     unchanged from when this helper was DDC-specific, so cache keys and
     the explore store's records carry over).
     """
-    return tuple(getattr(config, f.name) for f in fields(type(config)))
+    return _field_values(type(config))(config)
+
+
+@lru_cache(maxsize=None)
+def _field_values(cls: type) -> attrgetter:
+    """One ``attrgetter`` per configuration type, built on first use (every
+    configuration has several fields, so it returns a tuple)."""
+    return attrgetter(*(f.name for f in fields(cls)))
 
 
 class ReportCache:

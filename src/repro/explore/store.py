@@ -157,8 +157,9 @@ class ReportStore:
             "file to start a cold cache"
         )
 
-    def _records(self) -> Iterator[tuple[int, dict]]:
-        """``(1-based line, record)`` for every record after the header.
+    def _records(self) -> Iterator[tuple[int, str, dict]]:
+        """``(1-based line, its text, record)`` for every record after the
+        header.
 
         A missing or empty file holds none; a damaged one is refused
         (see the class docstring).
@@ -194,25 +195,27 @@ class ReportStore:
             for field in _FIELDS.get(kind, ()):
                 if field not in record:
                     raise self._damaged(number, f"{kind} lacks {field!r}")
-            yield number, record
+            yield number, line, record
 
     def _read_records(self) -> tuple[dict, dict]:
-        """(reports, frontiers) keyed for dedup; refuses a damaged file."""
-        reports: dict[tuple[str, str], dict] = {}
+        """(reports, frontiers) keyed for dedup; refuses a damaged file.
+
+        Each report is kept as its line, to be written back as read.
+        """
+        reports: dict[tuple[str, str], str] = {}
         frontiers: dict[str, dict] = {}
-        for _, record in self._records():
+        for _, line, record in self._records():
             kind = record.get("kind")
             if kind == "report":
                 key = (record["model"], json.dumps(record["config"]))
-                reports[key] = record
+                reports[key] = line
             elif kind == "frontier":
                 frontiers[record["space"]] = record["doc"]
         return reports, frontiers
 
     def _write_records(self, reports: dict, frontiers: dict) -> None:
         lines = [json.dumps({"schema": SCHEMA})]
-        for key in sorted(reports):
-            lines.append(json.dumps(reports[key], sort_keys=True))
+        lines.extend(reports[key] for key in sorted(reports))
         for digest in sorted(frontiers):
             lines.append(
                 json.dumps(
@@ -262,7 +265,7 @@ class ReportStore:
                 model_digest(m.cache_key()): m.cache_key() for m in models
             }
             loaded = 0
-            for number, record in self._records():
+            for number, _, record in self._records():
                 if record.get("kind") != "report":
                     continue
                 try:
@@ -322,7 +325,9 @@ class ReportStore:
                     "type": type_name,
                     "message": str(error),
                 }
-            reports[(digest, json.dumps(config_list))] = record
+            reports[(digest, json.dumps(config_list))] = json.dumps(
+                record, sort_keys=True
+            )
 
     # ----------------------------------------------------------- frontiers
     def save_frontier(

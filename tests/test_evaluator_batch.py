@@ -138,6 +138,23 @@ class TestImplementBatchEqualsScalar:
             batch = model.implement_batch([])
             assert len(batch) == 0
 
+    @pytest.mark.parametrize("cic5_order", [5, 4], ids=["analytic", "fallback"])
+    @pytest.mark.parametrize("width", [63, 64, 70])
+    def test_arm9_agrees_at_wide_data_paths(self, width, cic5_order):
+        """The profiler's stimulus is int64: both ARM9 paths serve widths
+        up to 64 bits and refuse wider ones with one named error."""
+        from repro.archs.gpp.arm9 import ARM9Model
+
+        config = dataclasses.replace(
+            REFERENCE_DDC, data_width=width, cic5_order=cic5_order
+        )
+        assert_batch_equals_scalar(ARM9Model(), [config, REFERENCE_DDC])
+        if width > 64:
+            with pytest.raises(
+                ConfigurationError, match=f"data_width {width} exceeds.* 64-bit"
+            ):
+                ARM9Model().implement(config)
+
 
 class TestAnalyticGPPProfile:
     """The closed-form profile carries executed-run statistics."""

@@ -459,6 +459,25 @@ class TestReportStore:
             json.dumps(cold.to_json_doc())
         )
 
+    def test_save_frontier_writes_report_lines_back_as_read(self, tmp_path):
+        """``save_frontier`` encodes only the frontier records: every
+        report line comes back byte for byte, here one spelled without
+        spaces."""
+        off = dataclasses.replace(REFERENCE_DDC, cic5_decimation=42)
+        cache = ReportCache()
+        for m in (LowPowerDDCModel(), MontiumModel()):
+            cache.implement_batch(m, [REFERENCE_DDC, off])
+        store = ReportStore(tmp_path / "store.jsonl")
+        store.save(cache)
+        head, first, *rest = store.path.read_text().splitlines()
+        tight = json.dumps(json.loads(first), separators=(",", ":"))
+        assert tight != first
+        store.path.write_text("\n".join([head, tight, *rest]) + "\n")
+        store.save_frontier(SMALL_SPACE, default_models(), {"cells": 9})
+        *reports, frontier = store.path.read_text().splitlines()
+        assert reports == [head, tight, *rest]
+        assert json.loads(frontier)["doc"] == {"cells": 9}
+
     def test_frontier_snapshot_keyed_on_space(self, tmp_path):
         store = ReportStore(tmp_path / "store.jsonl")
         models = default_models()

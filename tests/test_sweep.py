@@ -251,6 +251,23 @@ class TestCLI:
         text = capsys.readouterr().out
         assert "2 configuration point(s)" in text
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--axis", "cic5_order=4"], ["--verify"]],
+        ids=["fallback", "verify"],
+    )
+    def test_data_path_wider_than_the_gpp_stimulus(self, argv, capsys):
+        """A 70-bit data path is past what the ARM9 profiler can draw: the
+        ARM922T is unmappable there and the run still succeeds."""
+        assert sweep_main(["--steps", "5", "--axis", "data_width=70", *argv]) == 0
+        out = capsys.readouterr().out
+        if "--verify" in argv:
+            assert out.startswith("verify OK")
+        else:
+            point = json.loads(out)["points"][0]
+            assert point["label"] == "data_width=70,cic5_order=4"
+            assert "ARM922T" not in point["names"]
+
     def test_bad_axis_is_a_clean_error(self, capsys):
         assert sweep_main(["--axis", "nonsense"]) == 2
         assert "error:" in capsys.readouterr().err

@@ -361,9 +361,19 @@ SMALL_RUNS = {
 
 
 class TestUnwritablePathExits2:
-    """An ``--output`` or ``--trace`` path that cannot be written (here
-    a directory) ends the run with exit 2 and one ``error:`` line naming
-    the path, not a traceback."""
+    """An ``--output`` or ``--trace`` path that cannot be written (a
+    directory, or a path whose parent is missing or a file) ends the run
+    with exit 2 and one ``error:`` line naming the path, not a traceback,
+    and is refused before any work: stdout stays empty."""
+
+    @staticmethod
+    def assert_refused(capsys, target) -> None:
+        captured = capsys.readouterr()
+        err = captured.err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and str(target) in errors[0], err
+        assert "Traceback" not in err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("flag", ["--output", "--trace"])
     @pytest.mark.parametrize("cli", sorted(SMALL_RUNS))
@@ -372,12 +382,23 @@ class TestUnwritablePathExits2:
         target = tmp_path / "out"
         target.mkdir()
         assert main([*argv, flag, str(target)]) == 2
-        err = capsys.readouterr().err
-        errors = [line for line in err.splitlines() if line.startswith("error:")]
-        assert len(errors) == 1 and str(target) in errors[0], err
-        assert "Traceback" not in err
+        self.assert_refused(capsys, target)
         assert [p.name for p in tmp_path.iterdir()] == ["out"]
         assert list(target.iterdir()) == []
+
+    @pytest.mark.parametrize("parent", ["missing", "file"])
+    @pytest.mark.parametrize("flag", ["--output", "--trace"])
+    @pytest.mark.parametrize("cli", sorted(SMALL_RUNS))
+    def test_parent_not_a_directory(self, cli, flag, parent, tmp_path, capsys):
+        main, argv = SMALL_RUNS[cli]
+        if parent == "file":
+            (tmp_path / "file").write_text("keep")
+        target = tmp_path / parent / "out.json"
+        assert main([*argv, flag, str(target)]) == 2
+        self.assert_refused(capsys, target)
+        assert [p.name for p in tmp_path.iterdir()] == (
+            ["file"] if parent == "file" else []
+        )
 
 
 class TestTelemetryCLI:
