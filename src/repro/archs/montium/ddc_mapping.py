@@ -40,15 +40,6 @@ from .alu import ALUOp, Level1Fn, Level2Fn
 from .program import TileProgram
 from .tile import MontiumTile
 
-#: Schedule labels in Table 6 order.
-TABLE6_LABELS = (
-    "nco_cic2_int",
-    "cic2_comb",
-    "cic5_int",
-    "cic5_comb",
-    "fir125",
-)
-
 #: LUT length: one macro period's worth of distinct phases fits a 512-word
 #: local memory ("the values for the sine and cosine are stored in the
 #: local memories").

@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from .._json import dumps_report
 from ..errors import ConfigurationError
 from .runner import GUARDED_BENCHES, BenchResult
 
@@ -43,7 +44,7 @@ def write_report(
         "n_samples": max((r.n_samples for r in results.values()), default=0),
         "benches": {name: r.to_json() for name, r in results.items()},
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(dumps_report(doc))
     return doc
 
 

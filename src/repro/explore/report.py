@@ -5,16 +5,17 @@ the spec and the per-cell outcomes — it carries no engine, timing,
 cache-state or evaluation-count metadata — so the adaptive engine and
 the dense scalar oracle serialise to *byte-identical* output whenever
 their outcomes agree.  ``python -m repro.explore --verify`` leans on
-exactly that property, the same convention as the sweep reports.
+exactly that property, the same convention (and the same writer,
+:func:`repro._json.dumps_report`) as the sweep reports.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass, field
 
+from .._json import dumps_report
 from ..errors import ConfigurationError
 from .refine import PointExploration
 from .spec import ExploreSpec
@@ -76,7 +77,7 @@ class ExploreReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_doc(), indent=2, sort_keys=True) + "\n"
+        return dumps_report(self.to_json_doc())
 
     def to_csv(self) -> str:
         """Long-form frontier map: one row per (point, axis value)."""

@@ -200,33 +200,23 @@ class ReportStore:
     def _read_records(self) -> tuple[dict, dict]:
         """(reports, frontiers) keyed for dedup; refuses a damaged file.
 
-        Each report is kept as its line, to be written back as read.
+        Each record is kept as its line, to be written back as read.
         """
         reports: dict[tuple[str, str], str] = {}
-        frontiers: dict[str, dict] = {}
+        frontiers: dict[str, str] = {}
         for _, line, record in self._records():
             kind = record.get("kind")
             if kind == "report":
                 key = (record["model"], json.dumps(record["config"]))
                 reports[key] = line
             elif kind == "frontier":
-                frontiers[record["space"]] = record["doc"]
+                frontiers[record["space"]] = line
         return reports, frontiers
 
     def _write_records(self, reports: dict, frontiers: dict) -> None:
         lines = [json.dumps({"schema": SCHEMA})]
         lines.extend(reports[key] for key in sorted(reports))
-        for digest in sorted(frontiers):
-            lines.append(
-                json.dumps(
-                    {
-                        "kind": "frontier",
-                        "space": digest,
-                        "doc": frontiers[digest],
-                    },
-                    sort_keys=True,
-                )
-            )
+        lines.extend(frontiers[digest] for digest in sorted(frontiers))
         # Chaos site: an "error" spec fails the save before it publishes,
         # so the file on disk stays the previous whole store.
         fault_point("store.write", key=self.path.name)
@@ -340,6 +330,9 @@ class ReportStore:
         digest = space_digest(spec, models)
         with self._update() as records:
             _, frontiers = records
-            frontiers[digest] = doc
+            frontiers[digest] = json.dumps(
+                {"kind": "frontier", "space": digest, "doc": doc},
+                sort_keys=True,
+            )
             self._write_records(*records)
         return digest

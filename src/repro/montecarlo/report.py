@@ -23,13 +23,13 @@ reusable fabric at duty 0) yields ``null``, not infinity.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
 import numpy as np
 
+from .._json import dumps_report
 from .engine import CandidateTable, ChunkFailure, ConfigFailure
 from .spec import PopulationSpec
 
@@ -154,7 +154,7 @@ class PopulationReport:
         }
 
     def render(self) -> str:
-        return json.dumps(self.to_doc(), indent=2, sort_keys=True) + "\n"
+        return dumps_report(self.to_doc())
 
     def summary(self) -> str:
         """A terminal-friendly digest (not part of the byte contract)."""

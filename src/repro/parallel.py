@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import functools
 import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, TypeVar
 
 from . import telemetry
@@ -46,8 +45,9 @@ R = TypeVar("R")
 
 
 @functools.lru_cache(maxsize=None)
-def _pool(threads: int) -> ThreadPoolExecutor:
+def _pool(threads: int):
     """The shared pool of ``threads`` threads, created on first use."""
+    from concurrent.futures import ThreadPoolExecutor  # not on serial runs
     return ThreadPoolExecutor(max_workers=threads)
 
 

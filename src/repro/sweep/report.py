@@ -4,16 +4,17 @@ The JSON document (schema ``repro-sweep/v1``) is a pure function of the
 spec and the grid values — it carries no engine, timing or host metadata —
 so the batched and scalar engines, serial or pooled, all serialise to
 *byte-identical* output.  ``python -m repro.sweep
---verify`` leans on exactly that property.
+--verify`` leans on exactly that property; the writer both share,
+:func:`repro._json.dumps_report`, has its own stdlib oracle tests.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 
+from .._json import dumps_report
 from ..errors import ConfigurationError
 from .engine import PointFailure, PointResult
 from .spec import SweepSpec
@@ -56,7 +57,7 @@ class SweepReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_doc(), indent=2, sort_keys=True) + "\n"
+        return dumps_report(self.to_json_doc())
 
     def to_csv(self) -> str:
         """Long-form grid: one row per (point, duty cycle, candidate) cell."""

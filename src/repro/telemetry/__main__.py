@@ -14,10 +14,10 @@ traceback is printed); 2 unreadable or empty trace.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
+from .._json import dumps_report
 from . import load_trace
 from .summary import render, summarize
 
@@ -57,7 +57,7 @@ def main(argv: list[str] | None = None) -> int:
 
     doc = summarize(records)
     if args.json:
-        text = json.dumps(doc, indent=2, sort_keys=True)
+        text = dumps_report(doc)[:-1]  # print adds the newline
     else:
         text = render(doc, top=args.top)
     try:

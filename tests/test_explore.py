@@ -66,7 +66,8 @@ SMALL_SPACE = ExploreSpec(
 def stored_frontier(store, spec, models):
     """The report document ``save_frontier`` stored for this space, if any."""
     _, frontiers = store._read_records()
-    return frontiers.get(space_digest(spec, models))
+    line = frontiers.get(space_digest(spec, models))
+    return None if line is None else json.loads(line)["doc"]
 
 
 # --------------------------------------------------------------- the engine
@@ -477,6 +478,25 @@ class TestReportStore:
         *reports, frontier = store.path.read_text().splitlines()
         assert reports == [head, tight, *rest]
         assert json.loads(frontier)["doc"] == {"cells": 9}
+
+    def test_save_frontier_writes_frontier_lines_back_as_read(self, tmp_path):
+        """Saving a second space's frontier leaves the first frontier's
+        line byte for byte, here one spelled without spaces."""
+        store = ReportStore(tmp_path / "store.jsonl")
+        models = default_models()
+        store.save_frontier(SMALL_SPACE, models, {"cells": [1.5, "x"]})
+        head, first = store.path.read_text().splitlines()
+        tight = json.dumps(json.loads(first), separators=(",", ":"))
+        assert tight != first
+        store.path.write_text(f"{head}\n{tight}\n")
+        other = dataclasses.replace(SMALL_SPACE, target_steps=5)
+        store.save_frontier(other, models, {"cells": 9})
+        lines = store.path.read_text().splitlines()
+        assert tight in lines and len(lines) == 3
+        assert stored_frontier(store, other, models) == {"cells": 9}
+        assert stored_frontier(store, SMALL_SPACE, models) == {
+            "cells": [1.5, "x"]
+        }
 
     def test_frontier_snapshot_keyed_on_space(self, tmp_path):
         store = ReportStore(tmp_path / "store.jsonl")

@@ -1,12 +1,12 @@
 """``import repro`` and the four default CLIs must not load scipy, and
-``import repro`` and the three study CLIs no process-pool machinery.
+``import repro`` and the three study CLIs no pool machinery.
 
 scipy.signal alone costs over a second of import time, several times the
 rest of a cold CLI run.  Only a few non-default paths call it (the
 direct-form ``FIRFilter`` and the Kaiser design), and they import it
 themselves.  A run is one process: ``repro.parallel`` is a thread pool,
-so ``multiprocessing`` and ``concurrent.futures.process`` are import
-cost with no use.  Wall-clock guards are too noisy on shared runners to
+so ``multiprocessing`` is import cost with no use, and a serial run
+(the default) needs no ``concurrent.futures`` either.  Wall-clock guards are too noisy on shared runners to
 hold this line, so these tests check ``sys.modules`` in a fresh
 interpreter instead.
 """
@@ -23,7 +23,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 #: Runs ``import repro`` (no arguments) or one CLI module through runpy,
-#: then prints the scipy and process-pool modules it left behind as the
+#: then prints the scipy and pool modules it left behind as the
 #: last stdout line.
 PROBE = """
 import runpy, sys
@@ -42,16 +42,18 @@ print(",".join(sorted(m for m in sys.modules if m.startswith(FORBIDDEN))))
 
 
 SCIPY = ("scipy",)
-PROCESS_POOL = ("multiprocessing", "concurrent.futures.process")
+#: ``concurrent.futures`` pulls in ``logging`` and ``queue``; only a
+#: pooled run (``--workers N``) needs it.
+POOLS = ("multiprocessing", "concurrent.futures")
 
 
 @pytest.mark.parametrize(
     "argv, forbidden",
     [
-        ([], SCIPY + PROCESS_POOL),
-        (["repro.sweep"], SCIPY + PROCESS_POOL),
-        (["repro.explore"], SCIPY + PROCESS_POOL),
-        (["repro.montecarlo", "--seed", "0"], SCIPY + PROCESS_POOL),
+        ([], SCIPY + POOLS),
+        (["repro.sweep"], SCIPY + POOLS),
+        (["repro.explore"], SCIPY + POOLS),
+        (["repro.montecarlo", "--seed", "0"], SCIPY + POOLS),
         (["repro.paper", "--check", "tests/goldens"], SCIPY),
     ],
     ids=["import", "sweep", "explore", "montecarlo", "paper"],
