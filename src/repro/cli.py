@@ -17,6 +17,7 @@ or an :class:`OSError` on a path the user named, such as an unwritable
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -151,7 +152,7 @@ def _report(command: Command, args, spec, before) -> int:
         print(report.summary())
         print(_cache_line(before, spec.workload), *extra, sep="\n")
     elif args.output == "-":
-        sys.stdout.write(_render(report, args))
+        _write_stdout(_render(report, args))
     else:
         Path(args.output).write_text(_render(report, args))
         print(f"wrote {args.output}")
@@ -187,6 +188,33 @@ def _verify(command: Command, args, spec, before) -> int:
     if args.metrics:
         _print_metrics(before, spec.workload, [])
     return 0
+
+
+def _write_stdout(text: str) -> None:
+    """All of ``text`` on stdout, or an :class:`OSError`.
+
+    An unbuffered stdout (``PYTHONUNBUFFERED``) hands one write straight
+    to the raw file, which takes only part of it once a pipe's reader
+    has left; the text layer would drop the rest unreported.  Looping
+    on the byte layer turns that into the same ``BrokenPipeError`` a
+    buffered stdout raises, and stdout then points at devnull so the
+    flush at interpreter exit does not hit the closed pipe again.
+    """
+    out = getattr(sys.stdout, "buffer", None)
+    if out is None:  # an in-memory text stream takes every write whole
+        sys.stdout.write(text)
+        return
+    sys.stdout.flush()
+    data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+    try:
+        while data:
+            data = data[out.write(data):]
+        out.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise
 
 
 def _timed(fn: Callable[..., Any], *args) -> tuple[Any, float]:

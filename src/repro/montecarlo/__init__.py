@@ -35,11 +35,9 @@ from .report import (
 from .spec import (
     Choice,
     Distribution,
-    LogNormal,
     Mixture,
     Normal,
     PopulationSpec,
-    Trace,
     Uniform,
     parse_distribution,
 )
@@ -53,12 +51,10 @@ __all__ = [
     "ChunkFailure",
     "ConfigFailure",
     "Distribution",
-    "LogNormal",
     "Mixture",
     "Normal",
     "PopulationReport",
     "PopulationSpec",
-    "Trace",
     "Uniform",
     "battery_life_percentile",
     "build_candidate_table",

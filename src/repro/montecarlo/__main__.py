@@ -49,7 +49,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     add("--axis", action="append", default=[], metavar="FIELD=DIST",
         help="configuration-axis distribution (repeatable), e.g. "
         "fir_taps='choice(63,125,255)' or 'choice(1:0.6,2:0.4)' or "
-        "'trace(63,125,63)'; must be discrete (choice/trace/point); "
+        "'point(125)'; must be discrete (choice/point); "
         "default: the workload's declared population axes")
     add("--battery-wh", type=float, default=3.7,
         help="battery capacity for life distributions "

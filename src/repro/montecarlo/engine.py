@@ -72,13 +72,9 @@ from ..errors import ConfigurationError
 from ..faults import fault_point
 from ..parallel import parallel_map
 from ..resilience import check_not_all_failed, run_guarded
-from .spec import PopulationSpec
+from .spec import MAX_SCALAR_SAMPLES, MAX_VECTOR_SAMPLES, PopulationSpec
 
 ENGINES = ("vector", "scalar")
-#: Largest population per engine.  Vector memory stays flat, but at ~5e6
-#: users/s (2-CPU box) 10^10 users take half an hour; the scalar oracle is
-#: a per-sample python loop (~10^4 users/s) over an ``(n, n_arch)`` matrix.
-MAX_VECTOR_SAMPLES, MAX_SCALAR_SAMPLES = 10**10, 10**6
 
 #: Mixed-radix codes must fit int64 with headroom.
 _MAX_DISTINCT = 2**62
@@ -196,10 +192,10 @@ def sample_population(
     and one index array per axis."""
     duty_c = None
     if duty:
-        drawn = spec.duty_cycle.sample(streams[0], stop - start, start)
+        drawn = spec.duty_cycle.sample(streams[0], stop - start)
         duty_c = check_duty_cycles(np.asarray(drawn, dtype=np.float64), start)
     return duty_c, [
-        dist.sample_indices(stream, stop - start, start)
+        dist.sample_indices(stream, stop - start)
         for (_, dist), stream in zip(spec.axes, streams[1:])
     ]
 
@@ -215,7 +211,7 @@ def _chunks(
         duty_c, axis_indices = sample_population(spec, streams, start, stop, duty)
         codes = np.zeros(stop - start, dtype=np.int64)
         for idx, (_, dist) in zip(axis_indices, spec.axes):
-            codes = codes * len(dist.support) + idx
+            codes = codes * len(dist.values) + idx
         yield k, start, duty_c, axis_indices, codes
 
 
@@ -231,7 +227,7 @@ def dedup_axis_indices(
     if total > _MAX_DISTINCT:
         raise ConfigurationError(
             "population axes span more than 2^62 distinct configurations; "
-            "thin the axis supports"
+            "thin the axis value sets"
         )
     # Small code spaces (a few discrete axes) take the O(n) bincount route.
     small = total <= (1 << 22)
@@ -250,7 +246,7 @@ def dedup_axis_indices(
         counts = counts[uniq]
     else:
         rows_of = functools.partial(np.searchsorted, uniq)
-    radices = [len(dist.support) for _, dist in spec.axes]
+    radices = [len(dist.values) for _, dist in spec.axes]
     if not radices:  # every user has the base configuration
         return rows_of, counts, [()]
     keys = list(zip(*(i.tolist() for i in np.unravel_index(uniq, radices))))
@@ -262,7 +258,7 @@ def _overrides(
 ) -> tuple[tuple[str, Any], ...]:
     """Row key -> config overrides, preserving python value types."""
     return tuple(
-        (name, dist.support[i])
+        (name, dist.values[i])
         for (name, dist), i in zip(spec.axes, key)
     )
 
@@ -580,7 +576,7 @@ def _run_vector(
 
     feasible = ~np.isnan(table.active_w + table.idle_w)
     brackets = [
-        _Brackets(int(m), rank_indices(int(m), spec.percentiles), spec.chunk_samples)
+        _Brackets(int(m), rank_indices(int(m)), spec.chunk_samples)
         for m in row_samples @ feasible
     ]
     counts = np.zeros((spec.duty_bins, len(table.names)), dtype=np.int64)
@@ -600,7 +596,7 @@ def _run_vector(
                 column.add(values[: np.searchsorted(values, np.nan)])
     columns, misses = [], []
     for j, column in enumerate(brackets):
-        wanted = rank_indices(column.seen, spec.percentiles)
+        wanted = rank_indices(column.seen)
         columns.append(OrderStatistics(column.seen, column.select(wanted)))
         misses += [(j, i) for i in sorted(wanted - columns[j].keys())]
     if misses:
@@ -648,12 +644,12 @@ def _run_scalar(
     powers = np.full((n, n_arch), np.nan)
     counts = np.zeros((spec.duty_bins, n_arch), dtype=np.int64)
     axis_columns = [np.asarray(ax) for ax in axis_indices]
-    supports = [dist.support for _, dist in spec.axes]
+    axis_values = [dist.values for _, dist in spec.axes]
     fields = [name for name, _ in spec.axes]
     bins = spec.duty_bins
     for i in range(n):
         overrides = {
-            field: supports[k][int(axis_columns[k][i])]
+            field: axis_values[k][int(axis_columns[k][i])]
             for k, field in enumerate(fields)
         }
         try:

@@ -25,15 +25,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
 from .._json import dumps_report
 from .engine import CandidateTable, ChunkFailure, ConfigFailure
-from .spec import PopulationSpec
+from .spec import PERCENTILES, PopulationSpec
 
 SCHEMA = "repro-montecarlo/v1"
+#: The report's key for each of :data:`~.spec.PERCENTILES`.
+LABELS = tuple(f"p{q:g}" for q in PERCENTILES)
 
 
 def _rank(m: int, q: float) -> int:
@@ -41,9 +43,9 @@ def _rank(m: int, q: float) -> int:
     return min(max(1, math.ceil(q * m / 100.0)), m)
 
 
-def rank_indices(m: int, percentiles: Iterable[float]) -> set[int]:
+def rank_indices(m: int) -> set[int]:
     """The sorted positions (0-based) the report reads of ``m`` values."""
-    ranks = [_rank(m, q) for q in percentiles] if m else []
+    ranks = [_rank(m, q) for q in PERCENTILES] if m else []
     return {r - 1 for r in ranks} | {m - r for r in ranks}
 
 
@@ -81,10 +83,6 @@ def battery_life_percentile(
     if power <= 0.0:
         return None
     return battery_wh / power
-
-
-def percentile_label(q: float) -> str:
-    return f"p{q:g}"
 
 
 @dataclass(frozen=True)
@@ -166,24 +164,23 @@ class PopulationReport:
             f"valid={self.n_valid_samples}"
             + (" [PARTIAL]" if self.partial else "")
         ]
-        labels = [percentile_label(q) for q in spec.percentiles]
         header = (
             f"  {'architecture':<28} {'win%':>6} "
-            + " ".join(f"{lbl + ' W':>10}" for lbl in labels)
+            + " ".join(f"{lbl + ' W':>10}" for lbl in LABELS)
             + " "
-            + " ".join(f"{lbl + ' h':>9}" for lbl in labels)
+            + " ".join(f"{lbl + ' h':>9}" for lbl in LABELS)
         )
         lines.append(header)
         for arch in self.architectures:
             power = " ".join(
                 f"{arch.power_w[lbl]:>10.4f}"
                 if arch.power_w[lbl] is not None else f"{'-':>10}"
-                for lbl in labels
+                for lbl in LABELS
             )
             life = " ".join(
                 f"{arch.battery_life_h[lbl]:>9.1f}"
                 if arch.battery_life_h[lbl] is not None else f"{'-':>9}"
-                for lbl in labels
+                for lbl in LABELS
             )
             lines.append(
                 f"  {arch.name:<28} {100 * arch.win_probability:>5.1f}% "
@@ -219,13 +216,12 @@ def build_report(
     n_valid = int(counts.sum())
     bin_samples = counts.sum(axis=1)
     total_wins = counts.sum(axis=0)
-    labels = [percentile_label(q) for q in spec.percentiles]
 
     stats = []
     for j, column in enumerate(columns):
         power_p: dict[str, float | None] = {}
         life_p: dict[str, float | None] = {}
-        for q, label in zip(spec.percentiles, labels):
+        for q, label in zip(PERCENTILES, LABELS):
             power_p[label] = nearest_rank(column, q)
             life_p[label] = battery_life_percentile(
                 column, q, spec.battery_wh

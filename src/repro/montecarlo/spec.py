@@ -11,13 +11,13 @@ sample count, a continuous **duty-cycle distribution**, and discrete
 Two structural rules keep a 10^6-sample run cheap and exactly
 reproducible:
 
-- **Config axes are discrete.**  Every config-axis distribution exposes
-  a finite ``support`` and samples *indices* into it, so the engine can
+- **Config axes are discrete.**  Every config axis is a :class:`Choice`,
+  which samples *indices* into its ``values``, so the engine can
   deduplicate samples down to distinct configurations (mixed-radix
   codes + ``np.unique``) and pay one batched model evaluation per
   distinct config — not per sample.  Python value types (``int``
   fir_taps vs ``float`` rates) survive the round trip because configs
-  are rebuilt from the support values themselves.
+  are rebuilt from the declared values themselves.
 - **The duty cycle is the streamed continuous axis.**  Its distribution
   must be provably bounded within [0, 1] (:meth:`Distribution.bounds`),
   so every sampled value passes
@@ -38,7 +38,7 @@ from __future__ import annotations
 import dataclasses
 import re
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -46,10 +46,20 @@ import numpy as np
 from ..config import check_finite
 from ..errors import ConfigurationError
 
-#: Execution knobs excluded from ``PopulationSpec.describe()``: they pick
-#: how the estimator is *run*, not what it estimates, and the seeded
-#: determinism contract promises byte-identical reports across them.
-EXECUTION_FIELDS = ("chunk_samples",)
+#: The nearest-rank percentiles every population report carries.
+PERCENTILES = (50.0, 95.0, 99.0)
+
+#: Largest population per engine.  Vector memory stays flat, but at ~5e6
+#: users/s (2-CPU box) 10^10 users take half an hour; the scalar oracle is
+#: a per-sample python loop (~10^4 users/s) over an ``(n, n_arch)`` matrix.
+MAX_VECTOR_SAMPLES, MAX_SCALAR_SAMPLES = 10**10, 10**6
+#: What one streamed chunk, or the report, may hold at once.  A chunk
+#: costs about 270 B per user and the report about 350 B per duty bin
+#: (the ddc workload's six architectures, peak RSS on a 2-CPU box); the
+#: limits price them at 512 B and 1 KiB for headroom.  Each in-flight
+#: chunk (at most one per pool thread) has its own budget.
+MEMORY_BUDGET = 1 << 30
+MAX_CHUNK_SAMPLES, MAX_DUTY_BINS = MEMORY_BUDGET // 512, MEMORY_BUDGET // 1024
 
 
 # --------------------------------------------------------------------------
@@ -58,32 +68,29 @@ EXECUTION_FIELDS = ("chunk_samples",)
 class Distribution(ABC):
     """A named, seeded, vectorised sampling rule.
 
-    ``discrete`` distributions additionally expose a finite
-    :attr:`support` and :meth:`sample_indices`; only they may drive
+    :class:`Choice`, the one discrete distribution, additionally samples
+    indices into its ``values`` (``sample_indices``); only it may drive
     config axes (the dedup contract).  Every subclass draws a fixed,
     size-dependent number of variates from the generator it is handed —
     never a data-dependent number — so multi-axis sampling stays
     reproducible in declaration order.  The streaming engine relies on
     this: each draw is one generator call taking ``size=n`` by keyword,
     which it replays from a snapshot one chunk at a time (a distribution
-    that cannot promise this cannot stream).  ``offset`` is the
-    population index of the first variate (``Trace(replay="cycle")``).
+    that cannot promise this cannot stream).
     """
 
     #: Registry name used by :func:`parse_distribution` and ``describe``.
     kind: str = "abstract"
-    #: Finite-support distributions (Choice/Trace) sample indices.
-    discrete: bool = False
 
     @abstractmethod
-    def sample(self, rng: np.random.Generator, n: int, offset: int = 0) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """``n`` float64 variates."""
 
     def bounds(self) -> tuple[float, float] | None:
         """Provable ``(lo, hi)`` value bounds, or ``None`` if unbounded.
 
-        The duty-cycle axis requires bounds within [0, 1]; wrap unbounded
-        distributions (``normal``/``lognormal``) with clip bounds.
+        The duty-cycle axis requires bounds within [0, 1]; wrap an
+        unbounded ``normal`` with clip bounds.
         """
         return None
 
@@ -91,34 +98,8 @@ class Distribution(ABC):
         """JSON-ready declaration (goes into the report verbatim)."""
         doc: dict[str, Any] = {"kind": self.kind}
         for f in dataclasses.fields(self):  # type: ignore[arg-type]
-            if not f.name.startswith("_"):
-                doc[f.name] = getattr(self, f.name)
+            doc[f.name] = getattr(self, f.name)
         return doc
-
-
-class DiscreteDistribution(Distribution):
-    """A distribution over a finite support, sampled as indices."""
-
-    discrete = True
-
-    @property
-    @abstractmethod
-    def support(self) -> tuple[Any, ...]:
-        """The distinct values, in a deterministic declared order."""
-
-    @abstractmethod
-    def sample_indices(self, rng: np.random.Generator, n: int, offset=0) -> np.ndarray:
-        """``n`` int64 indices into :attr:`support`."""
-
-    def sample(self, rng: np.random.Generator, n: int, offset: int = 0) -> np.ndarray:
-        values = np.asarray(self.support, dtype=np.float64)
-        return values[self.sample_indices(rng, n, offset)]
-
-    def bounds(self) -> tuple[float, float] | None:
-        try:
-            return (float(min(self.support)), float(max(self.support)))
-        except (TypeError, ValueError):
-            return None
 
 
 def _check_clip(low: float | None, high: float | None) -> None:
@@ -174,7 +155,7 @@ class Uniform(Distribution):
                 f"high={self.high!r}"
             )
 
-    def sample(self, rng: np.random.Generator, n: int, offset: int = 0) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.uniform(self.low, self.high, size=n)
 
     def bounds(self) -> tuple[float, float]:
@@ -202,43 +183,13 @@ class Normal(Distribution):
             raise ConfigurationError(f"std must be >= 0, got {self.std!r}")
         _check_clip(self.low, self.high)
 
-    def sample(self, rng: np.random.Generator, n: int, offset: int = 0) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return _clip(rng.normal(self.mean, self.std, size=n), self.low, self.high)
 
     def bounds(self) -> tuple[float, float] | None:
         if self.low is None or self.high is None:
             return None
         return (float(self.low), float(self.high))
-
-
-@dataclass(frozen=True)
-class LogNormal(Distribution):
-    """Log-normal (``exp(N(mu, sigma))``), optionally clipped."""
-
-    mu: float = 0.0
-    sigma: float = 1.0
-    low: float | None = None
-    high: float | None = None
-    kind = "lognormal"
-
-    def __post_init__(self) -> None:
-        check_finite(self)
-        if self.sigma < 0:
-            raise ConfigurationError(
-                f"sigma must be >= 0, got {self.sigma!r}"
-            )
-        _check_clip(self.low, self.high)
-
-    def sample(self, rng: np.random.Generator, n: int, offset: int = 0) -> np.ndarray:
-        return _clip(
-            rng.lognormal(self.mu, self.sigma, size=n), self.low, self.high
-        )
-
-    def bounds(self) -> tuple[float, float] | None:
-        if self.high is None:
-            return None
-        return (float(self.low) if self.low is not None else 0.0,
-                float(self.high))
 
 
 @dataclass(frozen=True)
@@ -265,21 +216,21 @@ class Mixture(Distribution):
                 raise ConfigurationError(
                     f"mixture component {dist!r} is not a Distribution"
                 )
-            if dist.discrete:
+            if isinstance(dist, Choice):
                 raise ConfigurationError(
                     "mixture components must be continuous; fold discrete "
                     "components into a single weighted Choice instead"
                 )
         _cumulative(tuple(w for w, _ in self.components), "mixture weights")
 
-    def sample(self, rng: np.random.Generator, n: int, offset: int = 0) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         cum = _cumulative(
             tuple(w for w, _ in self.components), "mixture weights"
         )
         which = _weighted_indices(cum, rng, n)
         out = np.empty(n, dtype=np.float64)
         for k, (_, dist) in enumerate(self.components):
-            draws = dist.sample(rng, n, offset)
+            draws = dist.sample(rng, n)
             mask = which == k
             out[mask] = draws[mask]
         return out
@@ -304,8 +255,9 @@ class Mixture(Distribution):
 
 
 @dataclass(frozen=True)
-class Choice(DiscreteDistribution):
-    """A weighted categorical over explicit values (unweighted default)."""
+class Choice(Distribution):
+    """A weighted categorical over explicit values (unweighted default),
+    sampled as indices into its ``values``."""
 
     values: tuple[Any, ...] = ()
     weights: tuple[float, ...] | None = None
@@ -326,74 +278,23 @@ class Choice(DiscreteDistribution):
                 )
             _cumulative(self.weights, "choice weights")
 
-    @property
-    def support(self) -> tuple[Any, ...]:
-        return self.values
-
-    def sample_indices(self, rng: np.random.Generator, n: int, offset=0) -> np.ndarray:
+    def sample_indices(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """``n`` int64 indices into :attr:`values`."""
         if self.weights is None:
             return rng.integers(0, len(self.values), size=n, dtype=np.int64)
         return _weighted_indices(
             _cumulative(self.weights, "choice weights"), rng, n
         )
 
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        values = np.asarray(self.values, dtype=np.float64)
+        return values[self.sample_indices(rng, n)]
 
-@dataclass(frozen=True)
-class Trace(DiscreteDistribution):
-    """Empirical replay of a recorded trace.
-
-    ``replay="bootstrap"`` resamples trace positions uniformly with
-    replacement (the empirical distribution); ``replay="cycle"`` replays
-    the trace in order, wrapping — sample ``i`` (the population index,
-    ``offset`` included) takes trace position ``i mod len(trace)``,
-    independent of the RNG (it still participates
-    in the seeded pass for draw-order stability of *other* axes by
-    consuming zero draws).  The support is the distinct trace values in
-    first-appearance order, so dedup cost scales with distinct values,
-    not trace length.
-    """
-
-    trace: tuple[Any, ...] = ()
-    replay: str = "bootstrap"
-    kind = "trace"
-    _support: tuple[Any, ...] = field(
-        init=False, repr=False, compare=False, default=()
-    )
-    _position_index: tuple[int, ...] = field(
-        init=False, repr=False, compare=False, default=()
-    )
-
-    def __post_init__(self) -> None:
-        if len(self.trace) == 0:
-            raise ConfigurationError("trace must not be empty")
-        if self.replay not in ("bootstrap", "cycle"):
-            raise ConfigurationError(
-                f"unknown trace replay {self.replay!r}; "
-                "choose one of: bootstrap, cycle"
-            )
-        seen: dict[str, int] = {}
-        support: list[Any] = []
-        positions: list[int] = []
-        for value in self.trace:
-            key = repr(value)
-            if key not in seen:
-                seen[key] = len(support)
-                support.append(value)
-            positions.append(seen[key])
-        object.__setattr__(self, "_support", tuple(support))
-        object.__setattr__(self, "_position_index", tuple(positions))
-
-    @property
-    def support(self) -> tuple[Any, ...]:
-        return self._support
-
-    def sample_indices(self, rng: np.random.Generator, n: int, offset=0) -> np.ndarray:
-        pos_to_support = np.asarray(self._position_index, dtype=np.int64)
-        if self.replay == "cycle":
-            pos = np.arange(offset, offset + n, dtype=np.int64) % len(self.trace)
-        else:
-            pos = rng.integers(0, len(self.trace), size=n, dtype=np.int64)
-        return pos_to_support[pos]
+    def bounds(self) -> tuple[float, float] | None:
+        try:
+            return (float(min(self.values)), float(max(self.values)))
+        except (TypeError, ValueError):
+            return None
 
 
 # --------------------------------------------------------------------------
@@ -425,8 +326,7 @@ def parse_distribution(text: str) -> Distribution:
     """Parse the CLI distribution grammar.
 
     ``uniform(lo,hi)`` · ``normal(mean,std[,lo,hi])`` ·
-    ``lognormal(mu,sigma[,lo,hi])`` · ``choice(v1,v2,...)`` /
-    ``choice(v1:w1,v2:w2,...)`` · ``trace(v1,v2,...)`` (cycle replay) ·
+    ``choice(v1,v2,...)`` / ``choice(v1:w1,v2:w2,...)`` ·
     ``point(v)`` (a one-value choice).  Mixtures are API-only.
     """
     m = _DIST_RE.match(text)
@@ -434,7 +334,7 @@ def parse_distribution(text: str) -> Distribution:
         raise ConfigurationError(
             f"cannot parse distribution {text!r}; expected e.g. "
             "'uniform(0,1)', 'normal(0.3,0.1,0,1)', 'choice(63,125,255)', "
-            "'trace(0.1,0.4,0.1)', 'point(125)'"
+            "'point(125)'"
         )
     kind, body = m.group(1), m.group(2)
     args = _split_args(body)
@@ -443,16 +343,14 @@ def parse_distribution(text: str) -> Distribution:
             raise ConfigurationError("uniform takes exactly (low, high)")
         return Uniform(low=float(_coerce(args[0])),
                        high=float(_coerce(args[1])))
-    if kind in ("normal", "lognormal"):
+    if kind == "normal":
         if len(args) not in (2, 4):
             raise ConfigurationError(
-                f"{kind} takes (a, b) or (a, b, low, high)"
+                "normal takes (mean, std) or (mean, std, low, high)"
             )
         nums = [float(_coerce(a)) for a in args]
         lo, hi = (nums[2], nums[3]) if len(nums) == 4 else (None, None)
-        if kind == "normal":
-            return Normal(mean=nums[0], std=nums[1], low=lo, high=hi)
-        return LogNormal(mu=nums[0], sigma=nums[1], low=lo, high=hi)
+        return Normal(mean=nums[0], std=nums[1], low=lo, high=hi)
     if kind == "choice":
         if not args:
             raise ConfigurationError("choice needs at least one value")
@@ -468,17 +366,13 @@ def parse_distribution(text: str) -> Distribution:
             return Choice(values=tuple(v for v, _ in pairs),
                           weights=tuple(w for _, w in pairs))
         return Choice(values=tuple(_coerce(a) for a in args))
-    if kind == "trace":
-        if not args:
-            raise ConfigurationError("trace needs at least one value")
-        return Trace(trace=tuple(_coerce(a) for a in args), replay="cycle")
     if kind == "point":
         if len(args) != 1:
             raise ConfigurationError("point takes exactly one value")
         return Choice(values=(_coerce(args[0]),))
     raise ConfigurationError(
         f"unknown distribution kind {kind!r}; choose one of: "
-        "uniform, normal, lognormal, choice, trace, point"
+        "uniform, normal, choice, point"
     )
 
 
@@ -493,8 +387,8 @@ class PopulationSpec:
     declared defaults (:meth:`~repro.workloads.base.Workload.
     duty_cycle_distribution` / ``population_axes``); pass ``axes=()``
     explicitly for a reference-config-only population.  ``chunk_samples``
-    is an execution knob, not part of the population — reports are
-    byte-identical across its values (see :data:`EXECUTION_FIELDS`).
+    is an execution knob, not part of the population: :meth:`describe`
+    leaves it out, and reports are byte-identical across its values.
     """
 
     workload: str = "ddc"
@@ -506,7 +400,6 @@ class PopulationSpec:
     standby_fraction: float = 0.05
     battery_wh: float = 3.7
     duty_bins: int = 10
-    percentiles: tuple[float, ...] = (50.0, 95.0, 99.0)
     chunk_samples: int = 65_536
     on_error: str = "raise"
 
@@ -518,26 +411,18 @@ class PopulationSpec:
             raise ConfigurationError(
                 f"n_samples must be >= 1, got {self.n_samples!r}"
             )
-        if self.chunk_samples < 1:
-            raise ConfigurationError(
-                f"chunk_samples must be >= 1, got {self.chunk_samples!r}"
-            )
-        if self.duty_bins < 1:
-            raise ConfigurationError(
-                f"duty_bins must be >= 1, got {self.duty_bins!r}"
-            )
+        for name, limit in (("chunk_samples", MAX_CHUNK_SAMPLES),
+                            ("duty_bins", MAX_DUTY_BINS)):
+            if not 1 <= getattr(self, name) <= limit:
+                raise ConfigurationError(
+                    f"{name} must be in [1, {limit}], "
+                    f"got {getattr(self, name)!r}"
+                )
         check_finite(self)
         if self.battery_wh <= 0:
             raise ConfigurationError(
                 f"battery_wh must be > 0, got {self.battery_wh!r}"
             )
-        if len(self.percentiles) == 0:
-            raise ConfigurationError("need at least one percentile")
-        for q in self.percentiles:
-            if not 0.0 < q <= 100.0:
-                raise ConfigurationError(
-                    f"percentile {q!r} is outside (0, 100]"
-                )
 
         duty = self.duty_cycle
         if duty is None:
@@ -551,7 +436,7 @@ class PopulationSpec:
             raise ConfigurationError(
                 f"duty-cycle distribution {duty.describe()!r} must be "
                 "provably bounded within [0, 1]; clip unbounded "
-                "distributions (normal/lognormal take low/high bounds)"
+                "distributions (normal takes low/high bounds)"
             )
         object.__setattr__(self, "duty_cycle", duty)
 
@@ -561,22 +446,21 @@ class PopulationSpec:
         axes = tuple((name, dist) for name, dist in axes)
         wl.check_axes(axes, kind="population")
         for name, dist in axes:
-            if not isinstance(dist, Distribution) or not dist.discrete:
+            if not isinstance(dist, Choice):
                 raise ConfigurationError(
                     f"population axis {name!r} needs a *discrete* "
-                    "distribution (choice/trace) so unique-point "
+                    "distribution (choice/point) so unique-point "
                     f"deduplication applies; got {dist!r}"
                 )
         object.__setattr__(self, "axes", axes)
-        object.__setattr__(self, "percentiles",
-                           tuple(float(q) for q in self.percentiles))
 
     # ------------------------------------------------------------- helpers
     def n_distinct_bound(self) -> int:
-        """Upper bound on distinct configurations (product of supports)."""
+        """Upper bound on distinct configurations (product of the axes'
+        value counts)."""
         total = 1
         for _, dist in self.axes:
-            total *= len(dist.support)
+            total *= len(dist.values)
         return total
 
     def describe(self) -> dict[str, Any]:
@@ -594,6 +478,6 @@ class PopulationSpec:
             "standby_fraction": self.standby_fraction,
             "battery_wh": self.battery_wh,
             "duty_bins": self.duty_bins,
-            "percentiles": list(self.percentiles),
+            "percentiles": list(PERCENTILES),
             "on_error": self.on_error,
         }

@@ -123,15 +123,14 @@ class Workload(ABC):
     def population_axes(self) -> Mapping[str, Any]:
         """Default Monte-Carlo distributions over the discrete axes.
 
-        Field name -> :class:`~repro.montecarlo.spec.Distribution` drawn
-        per sampled user.  The default is an unweighted
-        :class:`~repro.montecarlo.spec.Choice` over each
+        Field name -> :class:`~repro.montecarlo.spec.Choice` drawn per
+        sampled user.  The default is an unweighted ``Choice`` over each
         :meth:`scenario_axes` value set; workloads with an opinion about
         their user population (how many channels a typical receiver
-        decodes, say) override this with weighted or trace-replay
-        distributions.  Config axes must stay *discrete* so the engine's
-        unique-point deduplication keeps model evaluations proportional
-        to distinct configurations, not samples.
+        decodes, say) override this with weighted choices.  Config axes
+        must stay *discrete* so the engine's unique-point deduplication
+        keeps model evaluations proportional to distinct configurations,
+        not samples.
         """
         from ..montecarlo.spec import Choice
 

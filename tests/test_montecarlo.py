@@ -9,6 +9,7 @@ recovery under ``on_error="retry"`` must not perturb a byte either.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -31,11 +32,9 @@ from repro.errors import ConfigurationError
 from repro.faults import FaultPlan, FaultSpec
 from repro.montecarlo import (
     Choice,
-    LogNormal,
     Mixture,
     Normal,
     PopulationSpec,
-    Trace,
     Uniform,
     battery_life_percentile,
     nearest_rank,
@@ -44,6 +43,8 @@ from repro.montecarlo import (
 )
 from repro.montecarlo import engine
 from repro.montecarlo.__main__ import main as mc_main
+from repro.montecarlo.report import rank_indices
+from repro.montecarlo.spec import MAX_CHUNK_SAMPLES, MAX_DUTY_BINS
 
 
 def rng(seed: int = 0) -> np.random.Generator:
@@ -76,7 +77,7 @@ class TestDistributions:
         with pytest.raises(ConfigurationError):
             Normal(mean=0.0, std=1.0, low=1.0, high=0.0)
         with pytest.raises(ConfigurationError):
-            LogNormal(mu=0.0, sigma=-1.0)
+            Normal(mean=0.0, std=-1.0)
 
     def test_mixture_samples_within_component_bounds(self):
         d = Mixture(
@@ -111,24 +112,6 @@ class TestDistributions:
         assert set(np.unique(idx)) <= {0, 1}
         assert (idx == 0).mean() > 0.8
 
-    def test_trace_cycle_replays_in_order(self):
-        d = Trace(trace=(5, 7, 5), replay="cycle")
-        assert d.support == (5, 7)
-        idx = d.sample_indices(rng(), 7)
-        # positions 0..6 mod 3 -> values 5,7,5,5,7,5,5 -> support rows.
-        assert idx.tolist() == [0, 1, 0, 0, 1, 0, 0]
-
-    def test_trace_bootstrap_follows_empirical_weights(self):
-        d = Trace(trace=(1, 1, 1, 2), replay="bootstrap")
-        idx = d.sample_indices(rng(), 4000)
-        assert 0.6 < (idx == 0).mean() < 0.9
-
-    def test_trace_validation(self):
-        with pytest.raises(ConfigurationError):
-            Trace(trace=())
-        with pytest.raises(ConfigurationError):
-            Trace(trace=(1,), replay="backwards")
-
     @pytest.mark.parametrize("make, message", [
         (lambda: Uniform(low=float("nan"), high=1.0),
          "Uniform.low must be finite"),
@@ -137,8 +120,8 @@ class TestDistributions:
         (lambda: Normal(mean=0.3, std=float("inf"), low=0.0, high=1.0),
          "Normal.std must be finite"),
         (lambda: Normal(mean=float("nan"), std=0.1), "Normal.mean must be"),
-        (lambda: LogNormal(mu=0.0, sigma=1.0, high=float("-inf")),
-         "LogNormal.high must be finite"),
+        (lambda: Normal(mean=0.0, std=1.0, high=float("-inf")),
+         "Normal.high must be finite"),
         (lambda: Mixture(components=((float("nan"), Uniform()),)),
          "mixture weights must be non-negative, finite"),
     ])
@@ -146,28 +129,59 @@ class TestDistributions:
         with pytest.raises(ConfigurationError, match=message):
             make()
 
-    def test_describe_hides_internal_fields(self):
-        doc = Trace(trace=(1, 2), replay="cycle").describe()
-        assert doc["kind"] == "trace"
-        assert not any(k.startswith("_") for k in doc)
+
+#: Grammar numbers: ``repr`` text that parses back to the same value and
+#: type (ints must stay ints).
+NUMBERS = st.integers(-10**9, 10**9) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+
+
+@st.composite
+def grammar_cases(draw):
+    """``(text, distribution)`` for every kind the grammar accepts, the
+    distribution built directly from the numbers the text was made of."""
+    kind = draw(st.sampled_from(
+        ["uniform", "normal", "clipped", "choice", "weighted", "point"]
+    ))
+    sep = draw(st.sampled_from([",", ", "]))
+    text = lambda name, *args: f"{name}({sep.join(map(str, args))})"
+    pair = st.tuples(NUMBERS, NUMBERS).map(sorted)
+    if kind == "uniform":
+        lo, hi = draw(pair)
+        return text("uniform", repr(lo), repr(hi)), Uniform(float(lo), float(hi))
+    if kind in ("normal", "clipped"):
+        mean = draw(NUMBERS)
+        std = draw(st.integers(0, 10**6) | st.floats(0, 1e6))
+        clip = draw(pair) if kind == "clipped" else ()
+        return (text("normal", *map(repr, (mean, std, *clip))),
+                Normal(*map(float, (mean, std, *clip))))
+    values = draw(st.lists(NUMBERS, min_size=1, max_size=6, unique_by=repr))
+    if kind == "point":
+        return text("point", repr(values[0])), Choice(values=(values[0],))
+    if kind == "choice":
+        return text("choice", *map(repr, values)), Choice(values=tuple(values))
+    weights = draw(st.lists(st.floats(0.01, 100), min_size=len(values),
+                            max_size=len(values)))
+    return (text("choice", *(f"{v!r}:{w!r}" for v, w in zip(values, weights))),
+            Choice(values=tuple(values), weights=tuple(weights)))
 
 
 class TestParseDistribution:
-    def test_grammar_round_trip(self):
-        assert parse_distribution("uniform(0,1)") == Uniform(0.0, 1.0)
-        assert parse_distribution("normal(0.3,0.1)") == Normal(0.3, 0.1)
-        assert parse_distribution("normal(0.3,0.1,0,1)") == Normal(
-            0.3, 0.1, 0.0, 1.0
-        )
-        assert parse_distribution("lognormal(0,0.5)") == LogNormal(0.0, 0.5)
-        assert parse_distribution("choice(63,125)") == Choice(values=(63, 125))
-        assert parse_distribution("choice(1:0.6,2:0.4)") == Choice(
-            values=(1, 2), weights=(0.6, 0.4)
-        )
-        assert parse_distribution("trace(63,125,63)") == Trace(
-            trace=(63, 125, 63), replay="cycle"
-        )
-        assert parse_distribution("point(125)") == Choice(values=(125,))
+    @settings(max_examples=200, deadline=None)
+    @given(case=grammar_cases())
+    def test_grammar_round_trip(self, case):
+        text, want = case
+        got = parse_distribution(text)
+        assert got == want
+        assert repr(got) == repr(want)  # 63 stays 63, never 63.0
+
+    @pytest.mark.parametrize("text", ["lognormal(0,1,0,1)", "trace(63,125,63)"])
+    def test_deleted_kinds_list_the_remaining_ones(self, text):
+        with pytest.raises(
+            ConfigurationError, match="choose one of: uniform, normal, choice, point$"
+        ):
+            parse_distribution(text)
 
     def test_integer_values_stay_integers(self):
         values = parse_distribution("choice(63,125)").values
@@ -186,7 +200,7 @@ class TestPopulationSpec:
     def test_defaults_resolve_from_workload(self):
         spec = PopulationSpec(workload="ddc", n_samples=10)
         assert spec.duty_cycle == Uniform(0.0, 1.0)
-        assert dict(spec.axes)["fir_taps"].support == (63, 125, 255)
+        assert dict(spec.axes)["fir_taps"].values == (63, 125, 255)
         assert spec.base_config is REFERENCE_DDC
         assert spec.n_distinct_bound() == 3
 
@@ -218,11 +232,11 @@ class TestPopulationSpec:
         for kwargs in (
             dict(n_samples=0),
             dict(n_samples=10, chunk_samples=0),
+            dict(n_samples=10, chunk_samples=MAX_CHUNK_SAMPLES + 1),
             dict(n_samples=10, duty_bins=0),
+            dict(n_samples=10, duty_bins=MAX_DUTY_BINS + 1),
             dict(n_samples=10, standby_fraction=1.5),
             dict(n_samples=10, battery_wh=0.0),
-            dict(n_samples=10, percentiles=()),
-            dict(n_samples=10, percentiles=(0.0,)),
             dict(n_samples=10, on_error="explode"),
         ):
             with pytest.raises(ConfigurationError):
@@ -258,16 +272,20 @@ class TestDutyCycleValidation:
 
     def test_streamed_chunks_name_the_global_index(self):
         @dataclasses.dataclass(frozen=True)
-        class Liar(Uniform):  # claims [0, 1] but breaks it at user 1234
-            def sample(self, rng, n, offset=0):
-                x = super().sample(rng, n, offset)
-                x[np.arange(offset, offset + n) == 1234] = 1.5
+        class Liar(Uniform):  # claims [0, 1] but breaks it on its top draws
+            def sample(self, rng, n):
+                x = super().sample(rng, n)
+                x[x > 0.9995] = 1.5
                 return x
 
         spec = PopulationSpec(
-            n_samples=2000, chunk_samples=1000, duty_cycle=Liar()
+            n_samples=2000, chunk_samples=1000, seed=1, duty_cycle=Liar()
         )
-        with pytest.raises(ConfigurationError, match="1.5 at index 1234"):
+        # The duty cycle is the first draw of the seeded generator.
+        full = Uniform().sample(np.random.default_rng(spec.seed), spec.n_samples)
+        first = int(np.argmax(full > 0.9995))
+        assert spec.chunk_samples <= first, "the lie must be past chunk 0"
+        with pytest.raises(ConfigurationError, match=rf"1\.5 at index {first}\b"):
             run_population(spec)
 
     def test_scalar_effective_power_names_value(self):
@@ -403,7 +421,6 @@ class TestStreaming:
         st.builds(Uniform, low=st.floats(-2, 0), high=st.floats(0, 2)),
         st.builds(Normal, mean=st.floats(-1, 1), std=st.floats(0, 2),
                   low=st.just(-1.0), high=st.just(1.0)),
-        st.builds(LogNormal, mu=st.floats(-1, 1), sigma=st.floats(0, 1)),
     )
     DISTRIBUTIONS = st.one_of(
         CONTINUOUS,
@@ -415,11 +432,6 @@ class TestStreaming:
         st.builds(
             lambda w: Choice(values=(1, 2, 3), weights=w),
             st.none() | st.tuples(*[st.floats(0.1, 1.0)] * 3),
-        ),
-        st.builds(
-            lambda t, replay: Trace(trace=tuple(t), replay=replay),
-            st.lists(st.integers(0, 4), min_size=1, max_size=9),
-            st.sampled_from(["bootstrap", "cycle"]),
         ),
     )
 
@@ -434,68 +446,86 @@ class TestStreaming:
     def test_lockstep_chunks_equal_one_full_draw(
         self, dist, seed, n, cuts, block
     ):
-        method = "sample_indices" if dist.discrete else "sample"
+        method = "sample_indices" if isinstance(dist, Choice) else "sample"
         full = getattr(dist, method)(np.random.default_rng(seed), n)
         recorder = engine._DrawRecorder(np.random.default_rng(seed), n, block)
         getattr(dist, method)(recorder, 1)
         stream = engine._Lockstep(recorder.snapshots)
         edges = sorted({0, n, *(c for c in cuts if c < n)})
         parts = [
-            getattr(dist, method)(stream, stop - start, start)
+            getattr(dist, method)(stream, stop - start)
             for start, stop in zip(edges, edges[1:])
         ]
         assert np.array_equal(np.concatenate(parts), full)
 
-    # A cycled trace whose first chunk holds only fir_taps=63, most users
-    # 255, and a narrow duty so the configuration sets the power: the
-    # brackets seeded on the first chunk miss, and re-streaming answers.
-    CYCLE = dict(
+    # A weighted two-value axis and a narrow duty, so the configuration
+    # sets the power.  With ``miss`` the brackets find nothing, so every
+    # wanted position is selected by re-streaming.
+    WEIGHTED = dict(
         n_samples=20_000, chunk_samples=1_000, seed=3,
         duty_cycle=Uniform(0.45, 0.55),
-        axes=(("fir_taps", Trace(
-            trace=(63,) * 1000 + (255,) * 4000, replay="cycle",
-        )),),
+        axes=(("fir_taps", Choice(values=(63, 255), weights=(0.2, 0.8))),),
     )
 
     @staticmethod
-    def _digest_and_restreams(spec, plan=None):
+    def _digest_and_restreams(spec, plan=None, miss=False, targets=None):
+        """The report's sha256 and, per ``_restream`` call, its skipped
+        chunks; each call must answer every target it was given, and
+        ``targets`` (a list) collects them."""
         calls = []
         original = engine._restream
 
-        def counting(*args, **kwargs):
-            calls.append(args[-2])  # the skipped chunks
-            return original(*args, **kwargs)
+        def counting(table, chunks, skip, wanted):
+            found = original(table, chunks, skip, wanted)
+            assert found.keys() == set(wanted)
+            calls.append(skip)
+            if targets is not None:
+                targets.extend(wanted)
+            return found
 
-        with mock.patch.object(engine, "_restream", counting):
-            if plan is None:
-                report = run_population(spec)
-            else:
-                with faults.inject(plan):
-                    report = run_population(spec)
+        with contextlib.ExitStack() as stack:
+            stack.enter_context(mock.patch.object(engine, "_restream", counting))
+            if miss:
+                stack.enter_context(mock.patch.object(
+                    engine._Brackets, "select", lambda self, wanted: {}
+                ))
+            if plan is not None:
+                stack.enter_context(faults.inject(plan))
+            report = run_population(spec)
         return hashlib.sha256(report.render().encode()).hexdigest(), calls
 
     def test_restream_fallback_is_byte_identical(self):
-        spec = PopulationSpec(**self.CYCLE)
-        digest, calls = self._digest_and_restreams(spec)
-        assert calls, "the first-chunk brackets were expected to miss"
+        spec = PopulationSpec(**self.WEIGHTED)
+        targets = []
+        digest, calls = self._digest_and_restreams(spec, miss=True, targets=targets)
+        assert calls == [set()]
         assert digest == (
-            "fcb957fa3f3261cdfd021ca78c01284afee61ec6fc5470c3214c90962ba195a6"
+            "577d14ab6c69ceb2d9b0c05022504e43a88a6b648de7e98090da5f00c22055d4"
         )
         oracle = run_population(spec, engine="scalar").render()
         assert hashlib.sha256(oracle.encode()).hexdigest() == digest
+        # Every position the report reads was re-streamed.
+        columns = json.loads(oracle)["architectures"]
+        assert sorted(targets) == [
+            (j, i) for j, column in enumerate(columns)
+            for i in sorted(rank_indices(column["n_feasible"]))
+        ]
 
-    @pytest.mark.parametrize("spec_kwargs, keys, restreams, want", [
-        (CYCLE, (3, 4), [{3, 4}],
-         "53b4a6c93aede39dafb6d5c1b382f0d7e895f0a63a46d60ca9fe2404f5130fd3"),
-        (dict(n_samples=20_000, chunk_samples=1_000, seed=6), (1, 2, 3), [],
+    @pytest.mark.parametrize("spec_kwargs, keys, miss, restreams, want", [
+        (WEIGHTED, (3, 4), True, [{3, 4}],
+         "37dc114253e3d8de2f29de8d01c701b7d61e7c4fc7619dc2311cf6c7468feffe"),
+        (dict(n_samples=20_000, chunk_samples=1_000, seed=6), (1, 2, 3),
+         False, [],
          "ca8f75a04a7c4e631f98d0ae41e1a8540fc23df267e8649e65764b7a39fdda4d"),
     ])
     def test_skipped_chunks_stay_dropped_and_byte_identical(
-        self, spec_kwargs, keys, restreams, want
+        self, spec_kwargs, keys, miss, restreams, want
     ):
         spec = PopulationSpec(on_error="skip", **spec_kwargs)
         plan = FaultPlan((FaultSpec("montecarlo.chunk", keys=keys),))
-        assert self._digest_and_restreams(spec, plan) == (want, restreams)
+        assert self._digest_and_restreams(spec, plan, miss) == (want, restreams)
+        if miss:  # the brackets' own answer is the same report
+            assert self._digest_and_restreams(spec, plan)[0] == want
 
     @pytest.mark.parametrize("workload, want", [
         ("ddc",
@@ -724,10 +754,18 @@ class TestCLI:
         (["--battery-wh", "nan"], "battery_wh"),
         (["--duty", "normal(0.3,inf,0,1)"], "std"),
         (["--duty", "uniform(nan,1)"], "low"),
+        # refused when the spec is built, before any memory is taken
+        (["--samples", "1000", "--duty-bins", "1000000000"], "duty_bins"),
+        (["--samples", "100000000", "--chunk-samples", "100000000"],
+         "chunk_samples"),
+        (["--duty", "lognormal(0,1,0,1)"], "uniform, normal, choice, point"),
+        (["--axis", "fir_taps=trace(63,125,63)"],
+         "uniform, normal, choice, point"),
     ])
     def test_refused_inputs_exit_2_naming_the_field(self, capsys, argv, field):
         assert mc_main(argv) == 2
-        assert field in capsys.readouterr().err
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error:") and field in line
 
     def test_partial_run_exits_3(self, capsys):
         code = mc_main([

@@ -7,7 +7,13 @@ serialise to exactly the same report.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -277,3 +283,30 @@ class TestCLI:
             ["--steps", "5", "--architectures", "HAL 9000"]
         ) == 2
         assert "HAL 9000" in capsys.readouterr().err
+
+    def test_report_into_an_in_memory_stdout(self):
+        """``perfbench`` renders the CLIs into ``redirect_stdout(StringIO())``,
+        a stdout with no byte layer."""
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            assert sweep_main(["--steps", "11"]) == 0
+        assert json.loads(buffer.getvalue())["schema"] == "repro-sweep/v1"
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_reader_closing_the_pipe_exits_2(self, unbuffered):
+        """``python -m repro.sweep ... | head -1``: the report is several
+        pipe buffers long, so the reader leaves mid-write.  Buffered or
+        not, the CLI exits 2 with one ``error:`` line, never 0."""
+        repo_src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": repo_src,
+               "PYTHONUNBUFFERED": unbuffered}
+        with subprocess.Popen(
+            [sys.executable, "-m", "repro.sweep",
+             "--axis", "fir_taps=31,47,63,95,125,127,191,255"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        ) as proc:
+            assert proc.stdout.readline() == "{\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 2
+        assert err.splitlines() == ["error: [Errno 32] Broken pipe"]
